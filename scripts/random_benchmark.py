@@ -9,25 +9,15 @@ from fractions import Fraction
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from rrsim import compute_metrics, generate_workload, simulate  # noqa: E402
+from rrsim import (  # noqa: E402
+    compute_metrics,
+    generate_workload,
+    policy_from_name,
+    simulate,
+)
 from rrsim.metrics import format_average  # noqa: E402
-from rrsim.schedulers import (  # noqa: E402
-    classic_rr_policy,
-    fcfs_policy,
-    pbdrr_policy,
-    proposed_policy,
-    srtn_policy,
-    static_its_rr_policy,
-)
 
-POLICIES = (
-    ("its-rr", static_its_rr_policy),
-    ("pbdrr", pbdrr_policy),
-    ("proposed", proposed_policy),
-    ("rr:5", lambda w: classic_rr_policy(5)),
-    ("srtn", lambda w: srtn_policy()),
-    ("fcfs", lambda w: fcfs_policy()),
-)
+POLICIES = ("its-rr", "pbdrr", "proposed", "rr:5", "srtn", "fcfs")
 
 
 def main(argv):
@@ -35,11 +25,11 @@ def main(argv):
     n = int(argv[2]) if len(argv) > 2 else 10
     order = argv[3] if len(argv) > 3 else "random"
 
-    totals = {name: [Fraction(0), Fraction(0), 0] for name, _ in POLICIES}
+    totals = {name: [Fraction(0), Fraction(0), 0] for name in POLICIES}
     for seed in range(runs):
         w = generate_workload(n, order, (1, 100), (1, 5), seed)
-        for name, make in POLICIES:
-            summary = compute_metrics(simulate(w, make(w)), w)
+        for name in POLICIES:
+            summary = compute_metrics(simulate(w, policy_from_name(name, w)), w)
             totals[name][0] += summary.avg_turnaround
             totals[name][1] += summary.avg_waiting
             totals[name][2] += summary.context_switches

@@ -8,22 +8,22 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from rrsim import compute_components, compute_metrics, simulate  # noqa: E402
+from rrsim import (  # noqa: E402
+    compute_components,
+    compute_metrics,
+    policy_from_name,
+    simulate,
+)
 from rrsim.report import (  # noqa: E402
     render_comparison,
     render_components_table,
     render_gantt,
 )
-from rrsim.schedulers import (  # noqa: E402
-    pbdrr_policy,
-    proposed_policy,
-    static_its_rr_policy,
-)
 from rrsim.workload import parse_workload  # noqa: E402
 
 DATA = pathlib.Path(__file__).resolve().parent.parent / "data"
 DATASETS = ("increasing", "decreasing", "random")
-POLICIES = (static_its_rr_policy, pbdrr_policy, proposed_policy)
+POLICIES = ("its-rr", "pbdrr", "proposed")
 
 
 def main():
@@ -34,8 +34,8 @@ def main():
         print(render_components_table(w, compute_components(w)))
         print()
         results = []
-        for make in POLICIES:
-            policy = make(w)
+        for name in POLICIES:
+            policy = policy_from_name(name, w)
             trace = simulate(w, policy)
             results.append((policy.name, compute_metrics(trace, w)))
             print(f"--- {policy.name}")

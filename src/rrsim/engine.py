@@ -86,30 +86,34 @@ def proposed_quantum(
 
 
 def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
-    """Run ``policy`` over ``w`` until every process completes."""
+    """Run ``policy`` over ``w`` until every process completes.  The order rule
+    gets the live set in submission order; ``completion`` lists pids in the
+    order they finish."""
     rbt = {p.pid: p.burst for p in w}
     prev_tq: Dict[int, int] = {}
     segments = []
+    completion = {}
     clock = 0
     round_no = 1
     live = [LiveProcess(p.pid, p.burst, i) for i, p in enumerate(w)]
     while live:
         for proc in policy.order(round_no, live):
-            tq = policy.quantum(proc.pid, round_no, prev_tq.get(proc.pid), rbt[proc.pid])
+            pid = proc.pid
+            left = rbt[pid]
+            tq = policy.quantum(pid, round_no, prev_tq.get(pid), left)
             if tq < 1:
                 raise ValueError(
-                    f"policy {policy.name!r} produced TQ {tq} for P{proc.pid}"
+                    f"policy {policy.name!r} produced TQ {tq} for P{pid}"
                 )
-            run = min(tq, rbt[proc.pid])
-            segments.append(DispatchSegment(proc.pid, clock, clock + run, round_no, tq))
+            run = min(tq, left)
+            segments.append(DispatchSegment(pid, clock, clock + run, round_no, tq))
             clock += run
-            rbt[proc.pid] -= run
-            prev_tq[proc.pid] = tq
+            rbt[pid] = left - run
+            prev_tq[pid] = tq
+            if run == left:
+                completion[pid] = clock
         live = [
             LiveProcess(p.pid, rbt[p.pid], p.index) for p in live if rbt[p.pid] > 0
         ]
         round_no += 1
-    completion = {}
-    for seg in segments:
-        completion[seg.pid] = seg.end
     return ScheduleTrace(tuple(segments), completion)

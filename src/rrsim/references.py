@@ -157,15 +157,12 @@ def component_notes(
         return []
     notes = []
     for i, (p, c) in enumerate(zip(w, comps)):
-        computed = {
-            "ots": c.ots, "pc": c.pc, "sc": c.sc, "csc": c.csc, "its": c.its,
-        }
         for name in _COMPONENT_FIELDS:
-            published = getattr(table, name)
-            if published is not None and published[i] != computed[name]:
+            published, computed = getattr(table, name), getattr(c, name)
+            if published is not None and published[i] != computed:
                 notes.append(
                     f"P{p.pid} {name.upper()}: published value {published[i]}"
-                    f" differs from rule-derived {computed[name]}"
+                    f" differs from rule-derived {computed}"
                 )
     return notes
 
@@ -177,9 +174,10 @@ def quantum_notes(
     static_ots: Optional[int] = None,
 ) -> List[str]:
     """Footnotes for per-round quanta where the published matrix disagrees
-    with the trace."""
-    table = find_reference(w, static_ots if policy_name in ("pbdrr", "its-rr") else None)
-    if table is None or policy_name not in table.rounds:
+    with the trace.  The ``static_ots`` table is searched before the dynamic one."""
+    tables = (find_reference(w, static_ots), find_reference(w))
+    table = next((t for t in tables if t and policy_name in t.rounds), None)
+    if table is None:
         return []
     published = table.rounds[policy_name]
     actual: Dict[int, List[int]] = {p.pid: [] for p in w}

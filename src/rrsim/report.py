@@ -11,20 +11,21 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import references
 from .engine import DispatchSegment, ScheduleTrace, simulate
 from .metrics import MetricsSummary, compute_metrics, format_average, merge_segments
-from .schedulers import DEFAULT_STATIC_OTS, SchedulingPolicy, policy_from_name
+from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, SchedulingPolicy, policy_from_name
 from .timeslice import SliceComponents, compute_components
 from .workload import (
+    ORDERS,
+    ProcessSpec,
     Workload,
     WorkloadError,
     generate_workload,
     parse_workload,
     serialize_workload,
-    workload,
 )
 
 
@@ -149,10 +150,9 @@ def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[s
 
 def trace_from_dict(data: Dict[str, object]) -> Tuple[Workload, str, ScheduleTrace]:
     """Inverse of :func:`trace_to_dict`."""
-    w = workload(
-        [row["burst"] for row in data["workload"]],
-        [row["priority"] for row in data["workload"]],
-    )
+    w = Workload(tuple(
+        ProcessSpec(r["id"], r["burst"], r["priority"]) for r in data["workload"]
+    ))
     segments = tuple(
         DispatchSegment(s["pid"], s["start"], s["end"], s["round"], s["quantum"])
         for s in data["segments"]
@@ -178,17 +178,21 @@ def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
     }
 
 
-def _write_json(data: object, path: str) -> None:
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
+def _write_json(path: str, data: object) -> None:
+    # json.dump streams to the file; json.dumps would hold the whole text
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _write_text(text: str, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +209,10 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 def _load_workload(path: str) -> Workload:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig: spreadsheet exports often start with a byte-order mark
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReportError(f"cannot read workload file {path}: {exc}") from None
     try:
         return parse_workload(text)
@@ -215,19 +220,17 @@ def _load_workload(path: str) -> Workload:
         raise ReportError(f"{path}: {exc}") from None
 
 
-def _resolve_policy(args, w: Workload) -> SchedulingPolicy:
-    name = args.policy
-    if name == "rr" and args.quantum is not None:
+def _resolve_policy(name: str, args, w: Workload) -> SchedulingPolicy:
+    if args.quantum is not None:
+        if name != "rr":
+            raise ReportError("--quantum applies only to '--policy rr'")
         name = f"rr:{args.quantum}"
-    try:
-        return policy_from_name(name, w, args.static_ots)
-    except ValueError as exc:
-        raise ReportError(str(exc)) from None
+    return policy_from_name(name, w, args.static_ots)
 
 
 def _cmd_simulate(args, out) -> None:
     w = _load_workload(args.workload)
-    policy = _resolve_policy(args, w)
+    policy = _resolve_policy(args.policy, args, w)
     trace = simulate(w, policy)
     summary = compute_metrics(trace, w)
     print(f"policy: {policy.name}", file=out)
@@ -235,19 +238,16 @@ def _cmd_simulate(args, out) -> None:
     print(file=out)
     print(render_metrics(summary, w), file=out)
     if args.paper_notes:
-        static = args.static_ots if policy.name in ("pbdrr", "its-rr") else None
-        for note in references.quantum_notes(w, policy.name, trace, static):
+        for note in references.quantum_notes(w, policy.name, trace, args.static_ots):
             print(f"note: {note}", file=out)
     if args.json:
         data = trace_to_dict(w, policy.name, trace)
         data["metrics"] = metrics_to_dict(policy.name, summary)
-        _write_json(data, args.json)
+        _write_json(args.json, data)
     if args.csv:
-        lines = ["pid,start,end,round,quantum"]
-        lines += [
-            f"{s.pid},{s.start},{s.end},{s.round},{s.quantum}" for s in trace.segments
-        ]
-        _write_text("\n".join(lines), args.csv)
+        _write_csv(args.csv, ("pid", "start", "end", "round", "quantum"), (
+            (s.pid, s.start, s.end, s.round, s.quantum) for s in trace.segments
+        ))
 
 
 def _cmd_compare(args, out) -> None:
@@ -257,45 +257,34 @@ def _cmd_compare(args, out) -> None:
         raise ReportError("no policies given")
     results = []
     for name in names:
-        args.policy = name
-        policy = _resolve_policy(args, w)
+        policy = _resolve_policy(name, args, w)
         trace = simulate(w, policy)
         results.append((policy.name, compute_metrics(trace, w), trace))
     print(render_comparison(w, [(n, s) for n, s, _ in results]), file=out)
     if args.json:
-        _write_json(
-            {
-                "workload": workload_to_dicts(w),
-                "metrics": [metrics_to_dict(n, s) for n, s, _ in results],
-                "traces": {
-                    n: trace_to_dict(w, n, t)["segments"] for n, _, t in results
-                },
-            },
-            args.json,
-        )
+        _write_json(args.json, {
+            "workload": workload_to_dicts(w),
+            "metrics": [metrics_to_dict(n, s) for n, s, _ in results],
+            "traces": {n: trace_to_dict(w, n, t)["segments"] for n, _, t in results},
+        })
     if args.csv:
-        lines = ["policy,avg_tat,avg_wt,context_switches"]
-        lines += [
-            f"{n},{format_average(s.avg_turnaround)},"
-            f"{format_average(s.avg_waiting)},{s.context_switches}"
+        _write_csv(args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"), (
+            (n, format_average(s.avg_turnaround), format_average(s.avg_waiting),
+             s.context_switches)
             for n, s, _ in results
-        ]
-        _write_text("\n".join(lines), args.csv)
+        ))
 
 
 def _cmd_generate(args, out) -> None:
-    try:
-        w = generate_workload(
-            args.n, args.order, args.burst_range, args.priority_range, args.seed
-        )
-    except WorkloadError as exc:
-        raise ReportError(str(exc)) from None
+    w = generate_workload(
+        args.n, args.order, args.burst_range, args.priority_range, args.seed
+    )
     text = serialize_workload(w)
     print(text, end="", file=out)
     if args.csv:
-        _write_text(text, args.csv)
+        _write_text(args.csv, text)
     if args.json:
-        _write_json({"workload": workload_to_dicts(w)}, args.json)
+        _write_json(args.json, {"workload": workload_to_dicts(w)})
 
 
 def _cmd_components(args, out) -> None:
@@ -305,28 +294,24 @@ def _cmd_components(args, out) -> None:
     notes = references.component_notes(w, comps, static) if args.paper_notes else ()
     print(render_components_table(w, comps, notes), file=out)
     if args.json:
-        _write_json(
-            {
-                "workload": workload_to_dicts(w),
-                "range": {
-                    "num": comps[0].slice_range.numerator,
-                    "den": comps[0].slice_range.denominator,
-                },
-                "components": [
-                    {"pid": p.pid, "ots": c.ots, "pc": c.pc, "sc": c.sc,
-                     "csc": c.csc, "its": c.its}
-                    for p, c in zip(w, comps)
-                ],
+        _write_json(args.json, {
+            "workload": workload_to_dicts(w),
+            "range": {
+                "num": comps[0].slice_range.numerator,
+                "den": comps[0].slice_range.denominator,
             },
-            args.json,
-        )
+            "components": [
+                {"pid": p.pid, "ots": c.ots, "pc": c.pc, "sc": c.sc,
+                 "csc": c.csc, "its": c.its}
+                for p, c in zip(w, comps)
+            ],
+        })
     if args.csv:
-        lines = ["pid,burst,priority,ots,pc,sc,csc,its"]
-        lines += [
-            f"{p.pid},{p.burst},{p.priority},{c.ots},{c.pc},{c.sc},{c.csc},{c.its}"
+        header = ("pid", "burst", "priority", "ots", "pc", "sc", "csc", "its")
+        _write_csv(args.csv, header, (
+            (p.pid, p.burst, p.priority, c.ots, c.pc, c.sc, c.csc, c.its)
             for p, c in zip(w, comps)
-        ]
-        _write_text("\n".join(lines), args.csv)
+        ))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,39 +322,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, policies=False, single_policy=False):
+    def add_common(p):
         p.add_argument("--json", metavar="PATH", help="write JSON copy of the output")
         p.add_argument("--csv", metavar="PATH", help="write CSV copy of the output")
         p.add_argument(
             "--static-ots", type=int, default=DEFAULT_STATIC_OTS,
             help="static OTS constant used by its-rr/pbdrr (default 4)",
         )
-        if single_policy:
-            p.add_argument("--policy", required=True,
-                           help="proposed | pbdrr | its-rr | rr:<q> | srtn | fcfs")
-            p.add_argument("--quantum", type=int, default=None,
-                           help="quantum for '--policy rr' (alternative to rr:<q>)")
-        if policies:
-            p.add_argument("--policies", required=True,
-                           help="comma-separated policy names")
 
     p_sim = sub.add_parser("simulate", help="run one policy and print Gantt + metrics")
     p_sim.add_argument("--workload", required=True, metavar="CSV")
     p_sim.add_argument("--paper-notes", action="store_true",
                        help="annotate cells where published reference values differ")
-    add_common(p_sim, single_policy=True)
+    add_common(p_sim)
+    p_sim.add_argument("--policy", required=True, help=" | ".join(POLICY_NAMES))
+    p_sim.add_argument("--quantum", type=int, default=None,
+                       help="quantum for '--policy rr' (alternative to rr:<q>)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="run several policies and print a table")
     p_cmp.add_argument("--workload", required=True, metavar="CSV")
-    add_common(p_cmp, policies=True)
-    p_cmp.add_argument("--quantum", type=int, default=None, help=argparse.SUPPRESS)
-    p_cmp.set_defaults(func=_cmd_compare, policy=None)
+    add_common(p_cmp)
+    p_cmp.add_argument("--policies", required=True, help="comma-separated policy names")
+    p_cmp.set_defaults(func=_cmd_compare, quantum=None)
 
     p_gen = sub.add_parser("generate", help="emit a synthetic workload CSV")
     p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--order", choices=("increasing", "decreasing", "random"),
-                       required=True)
+    p_gen.add_argument("--order", choices=ORDERS, required=True)
     p_gen.add_argument("--burst-range", type=_parse_range, default=(1, 100),
                        metavar="LO:HI")
     p_gen.add_argument("--priority-range", type=_parse_range, default=(1, 5),
@@ -399,7 +378,7 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args, out)
-    except (ReportError, WorkloadError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

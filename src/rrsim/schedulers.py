@@ -1,10 +1,11 @@
 """Concrete scheduling policies.
 
-A policy is an ordering rule (how the live set is arranged at each round
-boundary) plus a quantum rule (how big each grant is).  The proposed policy
-re-sorts by remaining burst every round and uses the dynamic ITS-based
-quantum; the two comparator policies keep submission order; the classical
-baselines (RR, SRTN, FCFS) are included for cross-checks.
+A policy is an ordering rule (remaining burst or submission order, applied at
+each round boundary) plus a quantum rule (the dynamic ITS-based quantum, the
+full ITS, a fixed quantum, or the whole remaining burst).  The proposed policy
+re-sorts by remaining burst every round and uses the dynamic quantum; the two
+comparator policies keep submission order and build ITS from a static OTS; the
+classical baselines (RR, SRTN, FCFS) are included for cross-checks.
 """
 from __future__ import annotations
 
@@ -16,8 +17,6 @@ from .timeslice import compute_components
 from .workload import Workload
 
 DEFAULT_STATIC_OTS = 4
-
-POLICY_NAMES = ("proposed", "pbdrr", "its-rr", "rr:<q>", "srtn", "fcfs")
 
 
 @dataclass(frozen=True)
@@ -32,33 +31,41 @@ def _by_remaining(round_no: int, live: Sequence[LiveProcess]) -> List[LiveProces
     return sorted(live, key=lambda p: (p.rbt, p.pid))
 
 
-def _by_submission(round_no: int, live: Sequence[LiveProcess]) -> List[LiveProcess]:
-    return sorted(live, key=lambda p: p.index)
+def _by_submission(round_no: int, live: Sequence[LiveProcess]) -> Sequence[LiveProcess]:
+    # simulate hands over the live set in submission order already
+    return live
 
 
-def proposed_policy(w: Workload) -> SchedulingPolicy:
-    """Dynamic RR + SRTN: ascending-rbt order each round, ITS-derived quantum."""
-    comps = compute_components(w)
+def _whole_burst(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
+    return rbt
+
+
+def _its_policy(
+    name: str, order: OrderRule, w: Workload, static_ots: Optional[int], dynamic: bool
+) -> SchedulingPolicy:
+    """Grant the dynamic quantum grown from each ITS, or the full ITS on every
+    visit.  ``static_ots`` None means the Range-derived OTS."""
+    comps = compute_components(w, static_ots=static_ots)
     its = {p.pid: c.its for p, c in zip(w, comps)}
+    if not dynamic:
+        return SchedulingPolicy(name, order, lambda pid, rnd, prev, rbt: its[pid])
     sc = {p.pid: c.sc for p, c in zip(w, comps)}
 
     def quantum(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
         return proposed_quantum(its[pid], sc[pid], round_no, prev_tq, rbt)
 
-    return SchedulingPolicy("proposed", _by_remaining, quantum)
+    return SchedulingPolicy(name, order, quantum)
+
+
+def proposed_policy(w: Workload) -> SchedulingPolicy:
+    """Dynamic RR + SRTN: ascending-rbt order each round, ITS-derived quantum."""
+    return _its_policy("proposed", _by_remaining, w, None, dynamic=True)
 
 
 def pbdrr_policy(w: Workload, static_ots: int = DEFAULT_STATIC_OTS) -> SchedulingPolicy:
     """Priority-based dynamic RR comparator: fixed submission order every round,
     same dynamic quantum rules, but ITS built from a static OTS constant."""
-    comps = compute_components(w, static_ots=static_ots)
-    its = {p.pid: c.its for p, c in zip(w, comps)}
-    sc = {p.pid: c.sc for p, c in zip(w, comps)}
-
-    def quantum(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
-        return proposed_quantum(its[pid], sc[pid], round_no, prev_tq, rbt)
-
-    return SchedulingPolicy("pbdrr", _by_submission, quantum)
+    return _its_policy("pbdrr", _by_submission, w, static_ots, dynamic=True)
 
 
 def static_its_rr_policy(
@@ -66,67 +73,56 @@ def static_its_rr_policy(
 ) -> SchedulingPolicy:
     """Static-ITS RR comparator: cyclic submission order, the full ITS granted
     on every visit, no quantum growth and no finish-early rule."""
-    comps = compute_components(w, static_ots=static_ots)
-    its = {p.pid: c.its for p, c in zip(w, comps)}
-
-    def quantum(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
-        return its[pid]
-
-    return SchedulingPolicy("its-rr", _by_submission, quantum)
+    return _its_policy("its-rr", _by_submission, w, static_ots, dynamic=False)
 
 
 def classic_rr_policy(q: int) -> SchedulingPolicy:
     """Textbook round robin with a fixed quantum."""
     if q < 1:
         raise ValueError(f"quantum must be >= 1, got {q}")
-
-    def quantum(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
-        return q
-
-    return SchedulingPolicy(f"rr:{q}", _by_submission, quantum)
+    return SchedulingPolicy(f"rr:{q}", _by_submission, lambda pid, rnd, prev, rbt: q)
 
 
 def srtn_policy() -> SchedulingPolicy:
     """Shortest remaining time next.  With every arrival at t=0 this runs the
     processes to completion in ascending-burst order (ties by pid)."""
-
-    def quantum(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
-        return rbt
-
-    return SchedulingPolicy("srtn", _by_remaining, quantum)
+    return SchedulingPolicy("srtn", _by_remaining, _whole_burst)
 
 
 def fcfs_policy() -> SchedulingPolicy:
     """First come first served: submission order, one grant per process."""
+    return SchedulingPolicy("fcfs", _by_submission, _whole_burst)
 
-    def quantum(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
-        return rbt
 
-    return SchedulingPolicy("fcfs", _by_submission, quantum)
+def _parse_quantum(q: str) -> int:
+    try:
+        return int(q)
+    except ValueError:
+        raise ValueError(f"bad quantum in policy name {'rr:' + q!r}") from None
+
+
+# policy name -> factory(workload, static OTS, the text after "rr:")
+_POLICIES = {
+    "proposed": lambda w, ots, q: proposed_policy(w),
+    "pbdrr": lambda w, ots, q: pbdrr_policy(w, ots),
+    "its-rr": lambda w, ots, q: static_its_rr_policy(w, ots),
+    "rr:<q>": lambda w, ots, q: classic_rr_policy(_parse_quantum(q)),
+    "srtn": lambda w, ots, q: srtn_policy(),
+    "fcfs": lambda w, ots, q: fcfs_policy(),
+}
+POLICY_NAMES = tuple(_POLICIES)
 
 
 def policy_from_name(
     name: str, w: Workload, static_ots: int = DEFAULT_STATIC_OTS
 ) -> SchedulingPolicy:
-    """Resolve a CLI policy name (``proposed``, ``pbdrr``, ``its-rr``,
-    ``rr:<q>``, ``srtn``, ``fcfs``)."""
+    """Resolve a policy name: one of :data:`POLICY_NAMES`, case-insensitive,
+    with ``rr:<q>`` naming a fixed quantum such as ``rr:7``."""
     name = name.strip().lower()
-    if name == "proposed":
-        return proposed_policy(w)
-    if name == "pbdrr":
-        return pbdrr_policy(w, static_ots)
-    if name == "its-rr":
-        return static_its_rr_policy(w, static_ots)
-    if name == "srtn":
-        return srtn_policy()
-    if name == "fcfs":
-        return fcfs_policy()
-    if name.startswith("rr:"):
-        try:
-            q = int(name[3:])
-        except ValueError:
-            raise ValueError(f"bad quantum in policy name {name!r}") from None
-        return classic_rr_policy(q)
-    raise ValueError(
-        f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
-    )
+    key, colon, q = name.partition(":")
+    make = _POLICIES.get(f"{key}:<q>" if colon else key)
+    if make is None:
+        raise ValueError(
+            f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
+        )
+    return make(w, static_ots, q)

@@ -26,7 +26,7 @@ class ProcessSpec:
         if self.pid < 1:
             raise WorkloadError(f"process id must be a positive integer, got {self.pid}")
         if self.burst < 1:
-            raise WorkloadError(f"burst time must be >= 1, got {self.burst} (P{self.pid})")
+            raise WorkloadError(f"non-positive burst {self.burst} (P{self.pid})")
         if self.priority < 1:
             raise WorkloadError(f"priority must be >= 1, got {self.priority} (P{self.pid})")
 
@@ -114,10 +114,10 @@ def parse_workload(text: str) -> Workload:
         pid = _parse_int("id", row[0], row_no)
         burst = _parse_int("burst", row[1], row_no)
         priority = _parse_int("priority", row[2], row_no)
-        if burst < 1:
-            raise WorkloadError(f"row {row_no}: non-positive burst {burst}")
-        if priority < 1:
-            raise WorkloadError(f"row {row_no}: priority must be >= 1, got {priority}")
+        try:
+            processes.append(ProcessSpec(pid, burst, priority))
+        except WorkloadError as exc:
+            raise WorkloadError(f"row {row_no}: {exc}") from None
         if has_arrival:
             arrival = _parse_int("arrival", row[3], row_no)
             if arrival != 0:
@@ -125,15 +125,8 @@ def parse_workload(text: str) -> Workload:
                     f"row {row_no}: nonzero arrival time {arrival} is unsupported by"
                     " the model (all processes are present at t=0)"
                 )
-        try:
-            processes.append(ProcessSpec(pid, burst, priority))
-        except WorkloadError as exc:
-            raise WorkloadError(f"row {row_no}: {exc}") from None
 
-    try:
-        return Workload(tuple(processes))
-    except WorkloadError as exc:
-        raise WorkloadError(str(exc)) from None
+    return Workload(tuple(processes))
 
 
 def serialize_workload(w: Workload) -> str:

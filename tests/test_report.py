@@ -2,9 +2,10 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import workloads
-from rrsim import serialize_workload, simulate, workload
+from rrsim import ProcessSpec, Workload, serialize_workload, simulate, workload
 from rrsim.report import (
     render_gantt,
     run_cli,
@@ -68,6 +69,22 @@ class TestTraceJson:
         w2, _, trace2 = trace_from_dict(trace_to_dict(w, "proposed", trace))
         assert trace2 == trace
         assert w2.bursts == w.bursts
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=workloads(max_n=6), data=st.data())
+    def test_round_trip_keeps_noncontiguous_pids(self, w, data):
+        pids = data.draw(st.lists(
+            st.integers(1, 10**6), min_size=len(w), max_size=len(w), unique=True
+        ))
+        w = Workload(tuple(
+            ProcessSpec(pid, p.burst, p.priority) for pid, p in zip(pids, w)
+        ))
+        trace = simulate(w, proposed_policy(w))
+        w2, _, trace2 = trace_from_dict(
+            json.loads(json.dumps(trace_to_dict(w, "proposed", trace)))
+        )
+        assert w2 == w
+        assert trace2 == trace
 
     def test_completion_map_golden(self, random_w):
         trace = simulate(random_w, proposed_policy(random_w))
@@ -192,3 +209,33 @@ class TestCli:
         rc = run_cli(["simulate", "--workload", str(path), "--policy", "fcfs"])
         assert rc == 1
         assert "non-positive burst" in capsys.readouterr().err
+
+    def test_static_ots_zero_is_an_error_line(self, random_csv, capsys):
+        rc = run_cli([
+            "components", "--workload", random_csv,
+            "--use-static-ots", "--static-ots", "0",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_quantum_only_with_rr(self, increasing_csv, capsys):
+        rc = run_cli([
+            "simulate", "--workload", increasing_csv,
+            "--policy", "fcfs", "--quantum", "3",
+        ])
+        assert rc == 1
+        assert "--quantum applies only to '--policy rr'" in capsys.readouterr().err
+
+    def test_non_utf8_workload(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,burst,priority\n1,4,1\xff\n")
+        rc = run_cli(["simulate", "--workload", str(path), "--policy", "fcfs"])
+        assert rc == 1
+        assert f"cannot read workload file {path}" in capsys.readouterr().err
+
+    def test_utf8_bom_header(self, tmp_path, capsys):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,burst,priority\r\n1,4,1\r\n2,3,2\r\n")
+        rc = run_cli(["simulate", "--workload", str(path), "--policy", "fcfs"])
+        assert rc == 0
+        assert "| P1 | P2 |" in capsys.readouterr().out
