@@ -135,15 +135,18 @@ def workload_to_dicts(w: Workload) -> List[Dict[str, int]]:
     return [{"id": p.pid, "burst": p.burst, "priority": p.priority} for p in w]
 
 
+def segments_to_dicts(trace: ScheduleTrace) -> List[Dict[str, int]]:
+    return [
+        {"pid": s.pid, "start": s.start, "end": s.end, "round": s.round, "quantum": s.quantum}
+        for s in trace.segments
+    ]
+
+
 def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str, object]:
     return {
         "workload": workload_to_dicts(w),
         "policy": policy_name,
-        "segments": [
-            {"pid": s.pid, "start": s.start, "end": s.end,
-             "round": s.round, "quantum": s.quantum}
-            for s in trace.segments
-        ],
+        "segments": segments_to_dicts(trace),
         "completion": {str(pid): t for pid, t in sorted(trace.completion.items())},
     }
 
@@ -204,7 +207,8 @@ def _parse_range(text: str) -> Tuple[int, int]:
         lo, hi = text.split(":")
         return int(lo), int(hi)
     except ValueError:
-        raise ReportError(f"bad range {text!r}; expected lo:hi") from None
+        # argparse reports only an ArgumentTypeError's own message
+        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected lo:hi") from None
 
 
 def _load_workload(path: str) -> Workload:
@@ -258,6 +262,8 @@ def _cmd_compare(args, out) -> None:
     results = []
     for name in names:
         policy = _resolve_policy(name, args, w)
+        if any(policy.name == n for n, _, _ in results):
+            raise ReportError(f"duplicate policy {policy.name!r}")
         trace = simulate(w, policy)
         results.append((policy.name, compute_metrics(trace, w), trace))
     print(render_comparison(w, [(n, s) for n, s, _ in results]), file=out)
@@ -265,7 +271,7 @@ def _cmd_compare(args, out) -> None:
         _write_json(args.json, {
             "workload": workload_to_dicts(w),
             "metrics": [metrics_to_dict(n, s) for n, s, _ in results],
-            "traces": {n: trace_to_dict(w, n, t)["segments"] for n, _, t in results},
+            "traces": {n: segments_to_dicts(t) for n, _, t in results},
         })
     if args.csv:
         _write_csv(args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"), (

@@ -95,6 +95,8 @@ def fcfs_policy() -> SchedulingPolicy:
 
 
 def _parse_quantum(q: str) -> int:
+    if not q:
+        raise ValueError("policy 'rr' needs a quantum: use rr:<q> or --policy rr --quantum <q>")
     try:
         return int(q)
     except ValueError:
@@ -119,8 +121,8 @@ def policy_from_name(
     """Resolve a policy name: one of :data:`POLICY_NAMES`, case-insensitive,
     with ``rr:<q>`` naming a fixed quantum such as ``rr:7``."""
     name = name.strip().lower()
-    key, colon, q = name.partition(":")
-    make = _POLICIES.get(f"{key}:<q>" if colon else key)
+    key, _, q = name.partition(":")
+    make = _POLICIES.get("rr:<q>" if key == "rr" else name)
     if make is None:
         raise ValueError(
             f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"

@@ -15,13 +15,6 @@ from .workload import ProcessSpec, Workload
 
 Rational = Union[int, Fraction]
 
-# An OTS quotient rounds up once its fractional part reaches a quarter of a
-# time unit; smaller remainders truncate.  This is the only rounding rule that
-# reproduces every published OTS table this simulator benchmarks against
-# (plain ceiling and round-half-up each miss cells).
-ROUND_UP_THRESHOLD = Fraction(1, 4)
-
-
 @dataclass(frozen=True)
 class SliceComponents:
     """Slice breakdown for one process.  ``its == ots + pc + sc + csc`` always."""
@@ -37,13 +30,19 @@ class SliceComponents:
         return self.ots + self.pc + self.sc + self.csc
 
 
+def _round_ratio(num: int, den: int) -> int:
+    # num/den rounds up once its fractional part reaches a quarter of a time
+    # unit; smaller remainders truncate.  This is the only rounding rule that
+    # reproduces every published OTS table this simulator benchmarks against
+    # (plain ceiling and round-half-up each miss cells).
+    whole, rem = divmod(num, den)
+    return whole + 1 if 4 * rem >= den else whole
+
+
 def round_slice(value: Rational) -> int:
     """Round a nonnegative rational slice length to whole time units."""
     value = Fraction(value)
-    whole = value.numerator // value.denominator
-    if value - whole >= ROUND_UP_THRESHOLD:
-        whole += 1
-    return whole
+    return _round_ratio(value.numerator, value.denominator)
 
 
 def compute_range(w: Workload) -> Fraction:
@@ -60,8 +59,8 @@ def compute_ots(p: ProcessSpec, slice_range: Rational, n: int) -> int:
     slice_range = Fraction(slice_range)
     if slice_range <= 0:
         raise ValueError(f"range must be positive, got {slice_range}")
-    quotient = (slice_range * n) / (p.priority * n)
-    return max(1, round_slice(quotient))
+    # (Range * n) / (priority * n) == Range / priority
+    return max(1, _round_ratio(slice_range.numerator, slice_range.denominator * p.priority))
 
 
 def compute_pc(p: ProcessSpec, w: Workload) -> int:
@@ -100,20 +99,24 @@ def compute_csc(p: ProcessSpec, ots: int, pc: int, sc: int) -> int:
 def compute_components(
     w: Workload, *, static_ots: Optional[int] = None
 ) -> List[SliceComponents]:
-    """Slice components for every process in submission order.
+    """Slice components for every process in submission order, in one pass.
 
     ``static_ots`` replaces the Range-derived OTS with a fixed constant (used
     by the two comparator policies); PC/SC/CSC are computed the same way.
+    Equals the per-process :func:`compute_ots`, :func:`compute_pc`,
+    :func:`compute_sc` and :func:`compute_csc`.
     """
+    if static_ots is not None and static_ots < 1:
+        raise ValueError(f"static OTS must be >= 1, got {static_ots}")
     slice_range = compute_range(w)
-    n = len(w)
+    num, den = slice_range.numerator, slice_range.denominator
+    top = min(w.priorities)
     out = []
-    for i, p in enumerate(w):
-        ots = static_ots if static_ots is not None else compute_ots(p, slice_range, n)
-        if ots < 1:
-            raise ValueError(f"static OTS must be >= 1, got {ots}")
-        pc = compute_pc(p, w)
-        sc = compute_sc(i, w)
-        csc = compute_csc(p, ots, pc, sc)
-        out.append(SliceComponents(slice_range, ots, pc, sc, csc))
+    prev = w.processes[0].burst  # so the first process gets sc 0
+    for p in w:
+        ots = static_ots or max(1, _round_ratio(num, den * p.priority))
+        pc = 1 if p.priority == top else 0
+        sc = 1 if p.burst < prev else 0
+        out.append(SliceComponents(slice_range, ots, pc, sc, compute_csc(p, ots, pc, sc)))
+        prev = p.burst
     return out

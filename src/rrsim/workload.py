@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Tuple
 
 CSV_HEADER = ("id", "burst", "priority")
@@ -54,15 +55,15 @@ class Workload:
     def __iter__(self) -> Iterator[ProcessSpec]:
         return iter(self.processes)
 
-    @property
+    @cached_property
     def bursts(self) -> Tuple[int, ...]:
         return tuple(p.burst for p in self.processes)
 
-    @property
+    @cached_property
     def priorities(self) -> Tuple[int, ...]:
         return tuple(p.priority for p in self.processes)
 
-    @property
+    @cached_property
     def pids(self) -> Tuple[int, ...]:
         return tuple(p.pid for p in self.processes)
 

@@ -239,3 +239,40 @@ class TestCli:
         rc = run_cli(["simulate", "--workload", str(path), "--policy", "fcfs"])
         assert rc == 0
         assert "| P1 | P2 |" in capsys.readouterr().out
+
+    def test_generate_bad_range_keeps_its_message(self, capsys):
+        rc = run_cli(["generate", "--n", "3", "--order", "random", "--burst-range", "1-5"])
+        assert rc == 2
+        assert "--burst-range: bad range '1-5'; expected lo:hi" in capsys.readouterr().err
+
+    def test_rr_without_quantum(self, increasing_csv, capsys):
+        rc = run_cli(["simulate", "--workload", increasing_csv, "--policy", "rr"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: policy 'rr' needs a quantum: use rr:<q> or --policy rr --quantum <q>\n"
+        )
+
+    def test_compare_rejects_duplicate_policy(self, increasing_csv, tmp_path, capsys):
+        out_path = tmp_path / "cmp.json"
+        rc = run_cli([
+            "compare", "--workload", increasing_csv,
+            "--policies", "fcfs,FCFS,rr:2", "--json", str(out_path),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: duplicate policy 'fcfs'\n"
+        assert not out_path.exists()
+
+    def test_compare_json_has_one_trace_per_policy(
+        self, increasing_csv, increasing_w, tmp_path, capsys
+    ):
+        out_path = tmp_path / "cmp.json"
+        rc = run_cli([
+            "compare", "--workload", increasing_csv,
+            "--policies", "fcfs,rr:2", "--json", str(out_path),
+        ])
+        assert rc == 0
+        data = json.loads(out_path.read_text())
+        assert [m["policy"] for m in data["metrics"]] == ["fcfs", "rr:2"]
+        trace = simulate(increasing_w, classic_rr_policy(2))
+        assert data["traces"]["rr:2"] == trace_to_dict(increasing_w, "rr:2", trace)["segments"]
+        assert sorted(data["traces"]) == ["fcfs", "rr:2"]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import workloads
@@ -13,9 +13,10 @@ from rrsim import (
     compute_pc,
     compute_range,
     compute_sc,
+    generate_workload,
     workload,
 )
-from rrsim.timeslice import round_slice
+from rrsim.timeslice import SliceComponents, _round_ratio, round_slice
 
 
 def proc(burst, priority=1):
@@ -204,3 +205,47 @@ class TestComponents:
             assert c.sc in (0, 1)
             assert c.csc >= 0
             assert c.its >= 1
+
+
+def per_process_components(w, static_ots=None):
+    """Reference for compute_components: each process built from the public
+    per-process helpers, with PC and SC looked up in the whole workload."""
+    rng = compute_range(w)
+    out = []
+    for i, p in enumerate(w):
+        ots = compute_ots(p, rng, len(w)) if static_ots is None else static_ots
+        pc, sc = compute_pc(p, w), compute_sc(i, w)
+        out.append(SliceComponents(rng, ots, pc, sc, compute_csc(p, ots, pc, sc)))
+    return out
+
+
+def fraction_round_slice(value):
+    # rounding as written with Fractions: up once the remainder reaches 1/4
+    value = Fraction(value)
+    whole = value.numerator // value.denominator
+    return whole + 1 if value - whole >= Fraction(1, 4) else whole
+
+
+class TestOnePassComponents:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        workloads(max_n=200, max_burst=10**4, max_priority=50),
+        st.one_of(st.none(), st.integers(1, 20)),
+    )
+    def test_matches_per_process_helpers(self, w, static_ots):
+        assert compute_components(w, static_ots=static_ots) == per_process_components(
+            w, static_ots
+        )
+
+    def test_integer_ots_matches_fraction_rounding(self):
+        # compute_components rounds Range / priority with Range = span / 2
+        for span in range(2, 4001):
+            rng = Fraction(span, 2)
+            for priority in range(1, 65):
+                expected = max(1, fraction_round_slice(Fraction(span, 2 * priority)))
+                ots = max(1, _round_ratio(rng.numerator, rng.denominator * priority))
+                assert ots == expected, (span, priority)
+
+    def test_n_10000_matches_per_process_helpers(self):
+        w = generate_workload(10_000, "random", (1, 10_000), (1, 50), seed=4)
+        assert compute_components(w) == per_process_components(w)
