@@ -9,21 +9,12 @@ pure function of (workload, policy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from .workload import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from .schedulers import SchedulingPolicy
-
-
-@dataclass(frozen=True)
-class LiveProcess:
-    """Snapshot of a not-yet-finished process at a round boundary."""
-
-    pid: int
-    rbt: int
-    index: int  # submission position, 0-based
 
 
 @dataclass(frozen=True)
@@ -50,8 +41,6 @@ class ScheduleTrace:
         return self.segments[-1].end
 
 
-# (round, live processes at round start) -> dispatch order for the round
-OrderRule = Callable[[int, Sequence[LiveProcess]], Sequence[LiveProcess]]
 # (pid, round, previous-round TQ or None, remaining burst) -> TQ for this grant
 QuantumRule = Callable[[int, int, Optional[int], int], int]
 
@@ -86,19 +75,21 @@ def proposed_quantum(
 
 
 def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
-    """Run ``policy`` over ``w`` until every process completes.  The order rule
-    gets the live set in submission order; ``completion`` lists pids in the
-    order they finish."""
+    """Run ``policy`` over ``w`` until every process completes.  Each round
+    dispatches the live processes in submission order, or by ascending
+    remaining burst (ties by pid) when ``policy.srtn_order`` is set;
+    ``completion`` lists pids in the order they finish."""
     rbt = {p.pid: p.burst for p in w}
     prev_tq: Dict[int, int] = {}
     segments = []
     completion = {}
     clock = 0
     round_no = 1
-    live = [LiveProcess(p.pid, p.burst, i) for i, p in enumerate(w)]
+    live = list(w.pids)
     while live:
-        for proc in policy.order(round_no, live):
-            pid = proc.pid
+        if policy.srtn_order:
+            live.sort(key=lambda pid: (rbt[pid], pid))
+        for pid in live:
             left = rbt[pid]
             tq = policy.quantum(pid, round_no, prev_tq.get(pid), left)
             if tq < 1:
@@ -112,8 +103,6 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
             prev_tq[pid] = tq
             if run == left:
                 completion[pid] = clock
-        live = [
-            LiveProcess(p.pid, rbt[p.pid], p.index) for p in live if rbt[p.pid] > 0
-        ]
+        live = [pid for pid in live if rbt[pid]]
         round_no += 1
     return ScheduleTrace(tuple(segments), completion)

@@ -14,7 +14,7 @@ from .workload import Workload
 
 
 class MetricsError(ValueError):
-    """Raised when a trace does not belong to the given workload."""
+    """Raised when a trace is not a valid schedule of the given workload."""
 
 
 @dataclass(frozen=True)
@@ -45,33 +45,47 @@ def merge_segments(trace: ScheduleTrace) -> List[Tuple[int, int, int]]:
     return merged
 
 
-def count_context_switches(trace: ScheduleTrace) -> int:
-    """Number of transitions between distinct processes in the merged trace."""
-    return len(merge_segments(trace)) - 1
-
-
 def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
-    """Turnaround / waiting / response per process plus exact averages and the
-    context-switch count.  All arrivals are at t=0, so TAT equals completion."""
-    bursts = {p.pid: p.burst for p in w}
-    executed = {pid: 0 for pid in bursts}
+    """Turnaround / waiting / response per process, exact averages and the
+    context-switch count, from one walk over the segments.  All arrivals are
+    at t=0, so TAT equals completion.  Raises :class:`MetricsError` unless the
+    segments run back to back from t=0, each process runs exactly its burst,
+    and ``trace.completion`` holds the end of each process's last segment."""
+    executed = dict.fromkeys(w.pids, 0)
     first_start: Dict[int, int] = {}
+    last_end: Dict[int, int] = {}
+    runs = 0  # maximal runs of one process; each after the first is a switch
+    clock = 0
+    prev = None
     for seg in trace.segments:
-        if seg.pid not in bursts:
-            raise MetricsError(f"trace references unknown process P{seg.pid}")
-        executed[seg.pid] += seg.end - seg.start
-        first_start.setdefault(seg.pid, seg.start)
-    for pid, total in executed.items():
-        if total != bursts[pid]:
-            raise MetricsError(
-                f"P{pid} executed {total} units but has burst {bursts[pid]}"
-            )
+        pid = seg.pid
+        if pid not in executed:
+            raise MetricsError(f"trace references unknown process P{pid}")
+        if seg.start != clock:
+            raise MetricsError(f"P{pid} segment starts at {seg.start}, expected {clock}")
+        if pid != prev:
+            runs += 1
+            first_start.setdefault(pid, clock)
+            prev = pid
+        executed[pid] += seg.end - clock
+        clock = last_end[pid] = seg.end
 
     per_process = {}
     for p in w:
-        tat = trace.completion[p.pid]
+        if executed[p.pid] != p.burst:
+            raise MetricsError(
+                f"P{p.pid} executed {executed[p.pid]} units but has burst {p.burst}"
+            )
+        tat = last_end[p.pid]
         per_process[p.pid] = ProcessMetrics(
             turnaround=tat, waiting=tat - p.burst, response=first_start[p.pid]
+        )
+    if trace.completion != last_end:
+        pid = min(pid for pid in trace.completion.keys() | last_end.keys()
+                  if trace.completion.get(pid) != last_end.get(pid))
+        raise MetricsError(
+            f"completion of P{pid} is {trace.completion.get(pid)},"
+            f" but its last segment ends at {last_end.get(pid)}"
         )
 
     n = len(w)
@@ -81,7 +95,7 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
         per_process=per_process,
         avg_turnaround=avg_tat,
         avg_waiting=avg_wt,
-        context_switches=count_context_switches(trace),
+        context_switches=runs - 1,
     )
 
 

@@ -224,17 +224,22 @@ def _load_workload(path: str) -> Workload:
         raise ReportError(f"{path}: {exc}") from None
 
 
-def _resolve_policy(name: str, args, w: Workload) -> SchedulingPolicy:
+def _simulate_policy(args, w: Workload) -> SchedulingPolicy:
+    name = args.policy
     if args.quantum is not None:
         if name != "rr":
             raise ReportError("--quantum applies only to '--policy rr'")
         name = f"rr:{args.quantum}"
+    elif name == "rr":
+        raise ReportError(
+            "policy 'rr' needs a quantum: use rr:<q> or --policy rr --quantum <q>"
+        )
     return policy_from_name(name, w, args.static_ots)
 
 
 def _cmd_simulate(args, out) -> None:
     w = _load_workload(args.workload)
-    policy = _resolve_policy(args.policy, args, w)
+    policy = _simulate_policy(args, w)
     trace = simulate(w, policy)
     summary = compute_metrics(trace, w)
     print(f"policy: {policy.name}", file=out)
@@ -261,7 +266,7 @@ def _cmd_compare(args, out) -> None:
         raise ReportError("no policies given")
     results = []
     for name in names:
-        policy = _resolve_policy(name, args, w)
+        policy = policy_from_name(name, w, args.static_ots)
         if any(policy.name == n for n, _, _ in results):
             raise ReportError(f"duplicate policy {policy.name!r}")
         trace = simulate(w, policy)
@@ -328,13 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, static_ots=True):
         p.add_argument("--json", metavar="PATH", help="write JSON copy of the output")
         p.add_argument("--csv", metavar="PATH", help="write CSV copy of the output")
-        p.add_argument(
-            "--static-ots", type=int, default=DEFAULT_STATIC_OTS,
-            help="static OTS constant used by its-rr/pbdrr (default 4)",
-        )
+        if static_ots:
+            p.add_argument(
+                "--static-ots", type=int, default=DEFAULT_STATIC_OTS,
+                help="static OTS constant used by its-rr/pbdrr (default 4)",
+            )
 
     p_sim = sub.add_parser("simulate", help="run one policy and print Gantt + metrics")
     p_sim.add_argument("--workload", required=True, metavar="CSV")
@@ -350,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--workload", required=True, metavar="CSV")
     add_common(p_cmp)
     p_cmp.add_argument("--policies", required=True, help="comma-separated policy names")
-    p_cmp.set_defaults(func=_cmd_compare, quantum=None)
+    p_cmp.set_defaults(func=_cmd_compare)
 
     p_gen = sub.add_parser("generate", help="emit a synthetic workload CSV")
     p_gen.add_argument("--n", type=int, required=True)
@@ -360,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--priority-range", type=_parse_range, default=(1, 5),
                        metavar="LO:HI")
     p_gen.add_argument("--seed", type=int, default=0)
-    add_common(p_gen)
+    add_common(p_gen, static_ots=False)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_cmp2 = sub.add_parser("components", help="print the slice-component table")

@@ -1,6 +1,6 @@
 """Concrete scheduling policies.
 
-A policy is an ordering rule (remaining burst or submission order, applied at
+A policy is a dispatch order (remaining burst or submission order, applied at
 each round boundary) plus a quantum rule (the dynamic ITS-based quantum, the
 full ITS, a fixed quantum, or the whole remaining burst).  The proposed policy
 re-sorts by remaining burst every round and uses the dynamic quantum; the two
@@ -10,9 +10,9 @@ classical baselines (RR, SRTN, FCFS) are included for cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from .engine import LiveProcess, OrderRule, QuantumRule, proposed_quantum
+from .engine import QuantumRule, proposed_quantum
 from .timeslice import compute_components
 from .workload import Workload
 
@@ -22,18 +22,9 @@ DEFAULT_STATIC_OTS = 4
 @dataclass(frozen=True)
 class SchedulingPolicy:
     name: str
-    order: OrderRule
+    # dispatch by ascending remaining burst each round, else in submission order
+    srtn_order: bool
     quantum: QuantumRule
-
-
-def _by_remaining(round_no: int, live: Sequence[LiveProcess]) -> List[LiveProcess]:
-    # SRTN ordering; pid breaks ties so traces stay deterministic
-    return sorted(live, key=lambda p: (p.rbt, p.pid))
-
-
-def _by_submission(round_no: int, live: Sequence[LiveProcess]) -> Sequence[LiveProcess]:
-    # simulate hands over the live set in submission order already
-    return live
 
 
 def _whole_burst(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
@@ -41,31 +32,31 @@ def _whole_burst(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> i
 
 
 def _its_policy(
-    name: str, order: OrderRule, w: Workload, static_ots: Optional[int], dynamic: bool
+    name: str, w: Workload, static_ots: Optional[int], *, srtn_order: bool, dynamic: bool
 ) -> SchedulingPolicy:
     """Grant the dynamic quantum grown from each ITS, or the full ITS on every
     visit.  ``static_ots`` None means the Range-derived OTS."""
     comps = compute_components(w, static_ots=static_ots)
     its = {p.pid: c.its for p, c in zip(w, comps)}
     if not dynamic:
-        return SchedulingPolicy(name, order, lambda pid, rnd, prev, rbt: its[pid])
+        return SchedulingPolicy(name, srtn_order, lambda pid, rnd, prev, rbt: its[pid])
     sc = {p.pid: c.sc for p, c in zip(w, comps)}
 
     def quantum(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
         return proposed_quantum(its[pid], sc[pid], round_no, prev_tq, rbt)
 
-    return SchedulingPolicy(name, order, quantum)
+    return SchedulingPolicy(name, srtn_order, quantum)
 
 
 def proposed_policy(w: Workload) -> SchedulingPolicy:
     """Dynamic RR + SRTN: ascending-rbt order each round, ITS-derived quantum."""
-    return _its_policy("proposed", _by_remaining, w, None, dynamic=True)
+    return _its_policy("proposed", w, None, srtn_order=True, dynamic=True)
 
 
 def pbdrr_policy(w: Workload, static_ots: int = DEFAULT_STATIC_OTS) -> SchedulingPolicy:
     """Priority-based dynamic RR comparator: fixed submission order every round,
     same dynamic quantum rules, but ITS built from a static OTS constant."""
-    return _its_policy("pbdrr", _by_submission, w, static_ots, dynamic=True)
+    return _its_policy("pbdrr", w, static_ots, srtn_order=False, dynamic=True)
 
 
 def static_its_rr_policy(
@@ -73,30 +64,30 @@ def static_its_rr_policy(
 ) -> SchedulingPolicy:
     """Static-ITS RR comparator: cyclic submission order, the full ITS granted
     on every visit, no quantum growth and no finish-early rule."""
-    return _its_policy("its-rr", _by_submission, w, static_ots, dynamic=False)
+    return _its_policy("its-rr", w, static_ots, srtn_order=False, dynamic=False)
 
 
 def classic_rr_policy(q: int) -> SchedulingPolicy:
     """Textbook round robin with a fixed quantum."""
     if q < 1:
         raise ValueError(f"quantum must be >= 1, got {q}")
-    return SchedulingPolicy(f"rr:{q}", _by_submission, lambda pid, rnd, prev, rbt: q)
+    return SchedulingPolicy(f"rr:{q}", False, lambda pid, rnd, prev, rbt: q)
 
 
 def srtn_policy() -> SchedulingPolicy:
     """Shortest remaining time next.  With every arrival at t=0 this runs the
     processes to completion in ascending-burst order (ties by pid)."""
-    return SchedulingPolicy("srtn", _by_remaining, _whole_burst)
+    return SchedulingPolicy("srtn", True, _whole_burst)
 
 
 def fcfs_policy() -> SchedulingPolicy:
     """First come first served: submission order, one grant per process."""
-    return SchedulingPolicy("fcfs", _by_submission, _whole_burst)
+    return SchedulingPolicy("fcfs", False, _whole_burst)
 
 
 def _parse_quantum(q: str) -> int:
     if not q:
-        raise ValueError("policy 'rr' needs a quantum: use rr:<q> or --policy rr --quantum <q>")
+        raise ValueError("policy 'rr' needs a quantum: use rr:<q>")
     try:
         return int(q)
     except ValueError:

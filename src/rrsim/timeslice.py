@@ -51,15 +51,13 @@ def compute_range(w: Workload) -> Fraction:
     return Fraction(max(bursts) + min(bursts), 2)
 
 
-def compute_ots(p: ProcessSpec, slice_range: Rational, n: int) -> int:
-    """Original time slice: (Range * n) / (priority * n), rounded per
+def compute_ots(p: ProcessSpec, slice_range: Rational) -> int:
+    """Original time slice: Range / priority (the paper's (Range·n) /
+    (priority·n), where the process count n cancels), rounded per
     :func:`round_slice` and clamped to at least one time unit."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     slice_range = Fraction(slice_range)
     if slice_range <= 0:
         raise ValueError(f"range must be positive, got {slice_range}")
-    # (Range * n) / (priority * n) == Range / priority
     return max(1, _round_ratio(slice_range.numerator, slice_range.denominator * p.priority))
 
 

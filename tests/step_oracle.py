@@ -6,12 +6,10 @@ the next dispatch is re-derived from the policy rules.  Kept deliberately
 separate from rrsim.engine.simulate so the two can disagree.
 """
 from rrsim import DispatchSegment, ScheduleTrace
-from rrsim.engine import LiveProcess
 
 
 def step_simulate(w, policy):
-    rbt = {p.pid: p.burst for p in w}
-    index = {p.pid: i for i, p in enumerate(w)}
+    rbt = {p.pid: p.burst for p in w}  # in submission order
     prev_tq = {}
     segments = []
     clock = 0
@@ -22,15 +20,12 @@ def step_simulate(w, policy):
     while any(rbt.values()) or current is not None:
         if current is None:
             if not pending:
-                live = [
-                    LiveProcess(pid, rbt[pid], index[pid])
-                    for pid in rbt
-                    if rbt[pid] > 0
-                ]
-                ordered = policy.order(round_no, live)
+                live = [pid for pid in rbt if rbt[pid] > 0]
+                if policy.srtn_order:
+                    live = sorted(live, key=lambda pid: (rbt[pid], pid))
                 pending = [
-                    (p.pid, policy.quantum(p.pid, round_no, prev_tq.get(p.pid), rbt[p.pid]))
-                    for p in ordered
+                    (pid, policy.quantum(pid, round_no, prev_tq.get(pid), rbt[pid]))
+                    for pid in live
                 ]
                 for pid, tq in pending:
                     prev_tq[pid] = tq

@@ -13,7 +13,7 @@ from rrsim import (
     workload,
 )
 from rrsim.engine import DispatchSegment, ScheduleTrace
-from rrsim.metrics import MetricsError, count_context_switches, merge_segments
+from rrsim.metrics import MetricsError, merge_segments
 from rrsim.schedulers import (
     classic_rr_policy,
     fcfs_policy,
@@ -49,11 +49,12 @@ class TestContextSwitches:
         )
         trace = ScheduleTrace(segments, {1: 5, 2: 9})
         assert merge_segments(trace) == [(1, 0, 5), (2, 5, 9)]
-        assert count_context_switches(trace) == 1
+        assert compute_metrics(trace, workload([5, 4])).context_switches == 1
 
     def test_all_one_process(self):
         segments = (DispatchSegment(1, 0, 2, 1, 2), DispatchSegment(1, 2, 4, 2, 2))
-        assert count_context_switches(ScheduleTrace(segments, {1: 4})) == 0
+        trace = ScheduleTrace(segments, {1: 4})
+        assert compute_metrics(trace, workload([4])).context_switches == 0
 
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
@@ -73,6 +74,7 @@ class TestIdentities:
     def test_avg_wt_identity_and_bounds(self, make_policy, w):
         trace = simulate(w, make_policy(w))
         summary = compute_metrics(trace, w)
+        assert summary.context_switches == len(merge_segments(trace)) - 1
         mean_burst = Fraction(w.total_burst, len(w))
         assert summary.avg_waiting == summary.avg_turnaround - mean_burst
         for p in w:
@@ -110,6 +112,25 @@ class TestValidation:
         trace = ScheduleTrace((DispatchSegment(1, 0, 3, 1, 3),), {1: 3})
         with pytest.raises(MetricsError, match="burst"):
             compute_metrics(trace, w)
+
+    def test_completion_disagrees_with_segments(self):
+        w = workload([4, 3])
+        trace = simulate(w, fcfs_policy())
+        bad = ScheduleTrace(trace.segments, {1: 4, 2: 99})
+        with pytest.raises(MetricsError, match="completion of P2 is 99"):
+            compute_metrics(bad, w)
+
+    def test_completion_missing_a_process(self):
+        w = workload([4, 3])
+        bad = ScheduleTrace(simulate(w, fcfs_policy()).segments, {1: 4})
+        with pytest.raises(MetricsError, match="completion of P2 is None"):
+            compute_metrics(bad, w)
+
+    def test_idle_gap(self):
+        w = workload([4, 3])
+        segments = (DispatchSegment(1, 0, 4, 1, 4), DispatchSegment(2, 5, 8, 1, 3))
+        with pytest.raises(MetricsError, match="starts at 5, expected 4"):
+            compute_metrics(ScheduleTrace(segments, {1: 4, 2: 8}), w)
 
 
 class TestFormatAverage:

@@ -252,6 +252,17 @@ class TestCli:
             "error: policy 'rr' needs a quantum: use rr:<q> or --policy rr --quantum <q>\n"
         )
 
+    def test_compare_rr_without_quantum(self, increasing_csv, capsys):
+        # compare has no --policy/--quantum, so the message names only rr:<q>
+        rc = run_cli(["compare", "--workload", increasing_csv, "--policies", "fcfs,rr"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: policy 'rr' needs a quantum: use rr:<q>\n"
+
+    def test_generate_rejects_static_ots(self, capsys):
+        rc = run_cli(["generate", "--n", "3", "--order", "random", "--static-ots", "3"])
+        assert rc == 2
+        assert "unrecognized arguments: --static-ots 3" in capsys.readouterr().err
+
     def test_compare_rejects_duplicate_policy(self, increasing_csv, tmp_path, capsys):
         out_path = tmp_path / "cmp.json"
         rc = run_cli([

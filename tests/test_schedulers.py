@@ -221,12 +221,10 @@ class TestOrderingContracts:
     @settings(max_examples=30, deadline=None)
     @given(w=workloads(max_n=6))
     def test_order_returns_permutation(self, make_policy, w):
-        from rrsim.engine import LiveProcess
-
-        policy = make_policy(w)
-        live = [LiveProcess(p.pid, p.burst, i) for i, p in enumerate(w)]
-        ordered = policy.order(1, live)
-        assert sorted(p.pid for p in ordered) == sorted(p.pid for p in live)
+        # round 1 dispatches every process exactly once
+        trace = simulate(w, make_policy(w))
+        round_one = [s.pid for s in trace.segments if s.round == 1]
+        assert sorted(round_one) == sorted(w.pids)
 
     def test_proposed_matches_fixed_order_variant_when_orders_agree(self):
         # when ascending-rbt order coincides with submission order in every
@@ -239,11 +237,7 @@ class TestOrderingContracts:
             bursts = sorted(rng.randint(1, 60) for _ in range(n))
             w = workload(bursts, [rng.randint(1, 5) for _ in range(n)])
             proposed = proposed_policy(w)
-            twin = SchedulingPolicy(
-                "twin",
-                order=lambda rnd, live: sorted(live, key=lambda p: p.index),
-                quantum=proposed.quantum,
-            )
+            twin = SchedulingPolicy("twin", srtn_order=False, quantum=proposed.quantum)
             trace = simulate(w, proposed)
             order_by_round = {}
             for seg in trace.segments:

@@ -54,32 +54,32 @@ class TestRoundSlice:
 
 class TestOts:
     @pytest.mark.parametrize(
-        "priority,rng,n,expected",
+        "priority,rng,expected",
         [
-            (3, Fraction(65, 2), 5, 11),
-            (2, Fraction(65, 2), 5, 17),
-            (4, 14, 5, 4),
-            (1, 7, 1, 7),
+            (3, Fraction(65, 2), 11),
+            (2, Fraction(65, 2), 17),
+            (4, 14, 4),
+            (1, 7, 7),
         ],
     )
-    def test_examples(self, priority, rng, n, expected):
-        assert compute_ots(proc(10, priority), rng, n) == expected
+    def test_examples(self, priority, rng, expected):
+        assert compute_ots(proc(10, priority), rng) == expected
 
     def test_clamped_to_one(self):
         # tiny range with a large priority number would otherwise round to 0
-        assert compute_ots(proc(1, 30), 1, 3) == 1
+        assert compute_ots(proc(1, 30), 1) == 1
 
     @given(st.integers(1, 200), st.integers(1, 20), st.integers(1, 20))
     def test_anti_monotone_in_priority(self, rng2, a, b):
         rng = Fraction(rng2, 2)
         lo, hi = sorted((a, b))
-        assert compute_ots(proc(5, lo), rng, 5) >= compute_ots(proc(5, hi), rng, 5)
+        assert compute_ots(proc(5, lo), rng) >= compute_ots(proc(5, hi), rng)
 
     @given(st.integers(1, 100), st.integers(1, 10), st.integers(1, 8))
     def test_scaling_identity(self, rng2, priority, k):
         # scaling the range by k moves the OTS to the rounded scaled quotient
         rng = Fraction(rng2, 2)
-        scaled = compute_ots(proc(5, priority), k * rng, 5)
+        scaled = compute_ots(proc(5, priority), k * rng)
         assert scaled == max(1, round_slice(k * rng / priority))
 
 
@@ -213,7 +213,7 @@ def per_process_components(w, static_ots=None):
     rng = compute_range(w)
     out = []
     for i, p in enumerate(w):
-        ots = compute_ots(p, rng, len(w)) if static_ots is None else static_ots
+        ots = compute_ots(p, rng) if static_ots is None else static_ots
         pc, sc = compute_pc(p, w), compute_sc(i, w)
         out.append(SliceComponents(rng, ots, pc, sc, compute_csc(p, ots, pc, sc)))
     return out
