@@ -9,7 +9,7 @@ pure function of (workload, policy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from .workload import Workload
 
@@ -41,15 +41,6 @@ class ScheduleTrace:
         return self.segments[-1].end
 
 
-# (pid, round, previous-round TQ or None, remaining burst) -> TQ for this grant
-QuantumRule = Callable[[int, int, Optional[int], int], int]
-
-
-def ceil_half(x: int) -> int:
-    """Half of x, rounded up."""
-    return (x + 1) // 2
-
-
 def proposed_quantum(
     its: int, sc: int, round_no: int, prev_tq: Optional[int], rbt: int
 ) -> int:
@@ -64,21 +55,30 @@ def proposed_quantum(
     if rbt < 1:
         raise ValueError(f"rbt must be >= 1, got {rbt}")
     if round_no == 1:
-        base = its if sc else ceil_half(its)
+        tq = its if sc else (its + 1) // 2
     else:
         if prev_tq is None:
             raise ValueError("prev_tq required for rounds after the first")
-        base = 2 * prev_tq if sc else prev_tq + ceil_half(prev_tq)
-    if rbt - base <= 2:
-        return rbt
-    return base
+        tq = 2 * prev_tq if sc else prev_tq + (prev_tq + 1) // 2
+    return rbt if rbt - tq <= 2 else tq
 
 
 def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
     """Run ``policy`` over ``w`` until every process completes.  Each round
     dispatches the live processes in submission order, or by ascending
-    remaining burst (ties by pid) when ``policy.srtn_order`` is set;
-    ``completion`` lists pids in the order they finish."""
+    remaining burst (ties by pid) when ``policy.srtn_order`` is set; each grant
+    is ``policy.base[pid]``, or grown from it by :func:`proposed_quantum` when
+    ``policy.sc`` is set.  ``completion`` lists pids in the order they finish.
+    Raises ``ValueError`` for a policy built for other pids or a base below 1."""
+    base, sc = policy.base, policy.sc
+    pids = set(w.pids)
+    for table in (base,) if sc is None else (base, sc):
+        if table.keys() != pids:
+            pid = min(table.keys() ^ pids)
+            raise ValueError(f"policy {policy.name!r} is for another workload (P{pid})")
+    low = min(base, key=base.get)
+    if base[low] < 1:
+        raise ValueError(f"policy {policy.name!r} has quantum {base[low]} for P{low}")
     rbt = {p.pid: p.burst for p in w}
     prev_tq: Dict[int, int] = {}
     segments = []
@@ -91,16 +91,14 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
             live.sort(key=lambda pid: (rbt[pid], pid))
         for pid in live:
             left = rbt[pid]
-            tq = policy.quantum(pid, round_no, prev_tq.get(pid), left)
-            if tq < 1:
-                raise ValueError(
-                    f"policy {policy.name!r} produced TQ {tq} for P{pid}"
-                )
+            tq = base[pid]
+            if sc is not None:
+                tq = proposed_quantum(tq, sc[pid], round_no, prev_tq.get(pid), left)
+                prev_tq[pid] = tq
             run = min(tq, left)
             segments.append(DispatchSegment(pid, clock, clock + run, round_no, tq))
             clock += run
             rbt[pid] = left - run
-            prev_tq[pid] = tq
             if run == left:
                 completion[pid] = clock
         live = [pid for pid in live if rbt[pid]]

@@ -49,8 +49,9 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
     """Turnaround / waiting / response per process, exact averages and the
     context-switch count, from one walk over the segments.  All arrivals are
     at t=0, so TAT equals completion.  Raises :class:`MetricsError` unless the
-    segments run back to back from t=0, each process runs exactly its burst,
-    and ``trace.completion`` holds the end of each process's last segment."""
+    segments run back to back from t=0, each for 1 to ``quantum`` units, each
+    process runs exactly its burst, and ``trace.completion`` holds the end of
+    each process's last segment."""
     executed = dict.fromkeys(w.pids, 0)
     first_start: Dict[int, int] = {}
     last_end: Dict[int, int] = {}
@@ -63,6 +64,10 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
             raise MetricsError(f"trace references unknown process P{pid}")
         if seg.start != clock:
             raise MetricsError(f"P{pid} segment starts at {seg.start}, expected {clock}")
+        if not 0 < seg.end - clock <= seg.quantum:
+            raise MetricsError(
+                f"P{pid} segment [{clock}, {seg.end}) is not 1..{seg.quantum} units"
+            )
         if pid != prev:
             runs += 1
             first_start.setdefault(pid, clock)

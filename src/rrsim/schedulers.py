@@ -1,18 +1,17 @@
 """Concrete scheduling policies.
 
-A policy is a dispatch order (remaining burst or submission order, applied at
-each round boundary) plus a quantum rule (the dynamic ITS-based quantum, the
-full ITS, a fixed quantum, or the whole remaining burst).  The proposed policy
-re-sorts by remaining burst every round and uses the dynamic quantum; the two
-comparator policies keep submission order and build ITS from a static OTS; the
-classical baselines (RR, SRTN, FCFS) are included for cross-checks.
+A policy is plain data: an order flag (re-sort by remaining burst at each
+round boundary, or keep submission order), a base-quantum table and an
+optional SC table.  Without SC every grant is the base: the ITS (its-rr), q
+(rr:q) or the burst (srtn, fcfs).  With SC, ``proposed_quantum`` grows each
+grant from the base ITS: the Range OTS gives the ITS of ``proposed``, a
+static OTS that of ``pbdrr`` and ``its-rr``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
-from .engine import QuantumRule, proposed_quantum
 from .timeslice import compute_components
 from .workload import Workload
 
@@ -24,11 +23,10 @@ class SchedulingPolicy:
     name: str
     # dispatch by ascending remaining burst each round, else in submission order
     srtn_order: bool
-    quantum: QuantumRule
-
-
-def _whole_burst(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
-    return rbt
+    # pid -> fixed quantum, or the ITS the dynamic quantum grows from
+    base: Dict[int, int]
+    # pid -> shortness component for the dynamic quantum; None: quanta are fixed
+    sc: Optional[Dict[int, int]] = None
 
 
 def _its_policy(
@@ -38,14 +36,8 @@ def _its_policy(
     visit.  ``static_ots`` None means the Range-derived OTS."""
     comps = compute_components(w, static_ots=static_ots)
     its = {p.pid: c.its for p, c in zip(w, comps)}
-    if not dynamic:
-        return SchedulingPolicy(name, srtn_order, lambda pid, rnd, prev, rbt: its[pid])
-    sc = {p.pid: c.sc for p, c in zip(w, comps)}
-
-    def quantum(pid: int, round_no: int, prev_tq: Optional[int], rbt: int) -> int:
-        return proposed_quantum(its[pid], sc[pid], round_no, prev_tq, rbt)
-
-    return SchedulingPolicy(name, srtn_order, quantum)
+    sc = {p.pid: c.sc for p, c in zip(w, comps)} if dynamic else None
+    return SchedulingPolicy(name, srtn_order, its, sc)
 
 
 def proposed_policy(w: Workload) -> SchedulingPolicy:
@@ -67,22 +59,22 @@ def static_its_rr_policy(
     return _its_policy("its-rr", w, static_ots, srtn_order=False, dynamic=False)
 
 
-def classic_rr_policy(q: int) -> SchedulingPolicy:
+def classic_rr_policy(w: Workload, q: int) -> SchedulingPolicy:
     """Textbook round robin with a fixed quantum."""
     if q < 1:
         raise ValueError(f"quantum must be >= 1, got {q}")
-    return SchedulingPolicy(f"rr:{q}", False, lambda pid, rnd, prev, rbt: q)
+    return SchedulingPolicy(f"rr:{q}", False, dict.fromkeys(w.pids, q))
 
 
-def srtn_policy() -> SchedulingPolicy:
+def srtn_policy(w: Workload) -> SchedulingPolicy:
     """Shortest remaining time next.  With every arrival at t=0 this runs the
     processes to completion in ascending-burst order (ties by pid)."""
-    return SchedulingPolicy("srtn", True, _whole_burst)
+    return SchedulingPolicy("srtn", True, dict(zip(w.pids, w.bursts)))
 
 
-def fcfs_policy() -> SchedulingPolicy:
+def fcfs_policy(w: Workload) -> SchedulingPolicy:
     """First come first served: submission order, one grant per process."""
-    return SchedulingPolicy("fcfs", False, _whole_burst)
+    return SchedulingPolicy("fcfs", False, dict(zip(w.pids, w.bursts)))
 
 
 def _parse_quantum(q: str) -> int:
@@ -99,9 +91,9 @@ _POLICIES = {
     "proposed": lambda w, ots, q: proposed_policy(w),
     "pbdrr": lambda w, ots, q: pbdrr_policy(w, ots),
     "its-rr": lambda w, ots, q: static_its_rr_policy(w, ots),
-    "rr:<q>": lambda w, ots, q: classic_rr_policy(_parse_quantum(q)),
-    "srtn": lambda w, ots, q: srtn_policy(),
-    "fcfs": lambda w, ots, q: fcfs_policy(),
+    "rr:<q>": lambda w, ots, q: classic_rr_policy(w, _parse_quantum(q)),
+    "srtn": lambda w, ots, q: srtn_policy(w),
+    "fcfs": lambda w, ots, q: fcfs_policy(w),
 }
 POLICY_NAMES = tuple(_POLICIES)
 

@@ -2,10 +2,27 @@
 
 Advances the clock one time unit at a time: at every tick the running grant
 either continues, or (when the quantum is exhausted or the process finished)
-the next dispatch is re-derived from the policy rules.  Kept deliberately
-separate from rrsim.engine.simulate so the two can disagree.
+the next dispatch is re-derived from the policy's data.  The dispatch order and
+the quantum rule are restated here from the policy's fields, not taken from
+rrsim, so the two can disagree.
 """
 from rrsim import DispatchSegment, ScheduleTrace
+
+
+def grant(policy, pid, round_no, prev_tq, rbt):
+    """The quantum of one grant.  Without an SC table it is the base quantum.
+    With one, round 1 grants the ITS (SC=1) or half of it rounded up (SC=0);
+    each later round grants the previous quantum doubled (SC=1) or times 1.5
+    rounded up (SC=0); and a grant that would leave two units or less
+    becomes the whole remaining burst."""
+    base = policy.base[pid]
+    if policy.sc is None:
+        return base
+    if round_no == 1:
+        tq = base if policy.sc[pid] else -(-base // 2)
+    else:
+        tq = 2 * prev_tq if policy.sc[pid] else -(-3 * prev_tq // 2)
+    return rbt if rbt - tq <= 2 else tq
 
 
 def step_simulate(w, policy):
@@ -24,7 +41,7 @@ def step_simulate(w, policy):
                 if policy.srtn_order:
                     live = sorted(live, key=lambda pid: (rbt[pid], pid))
                 pending = [
-                    (pid, policy.quantum(pid, round_no, prev_tq.get(pid), rbt[pid]))
+                    (pid, grant(policy, pid, round_no, prev_tq.get(pid), rbt[pid]))
                     for pid in live
                 ]
                 for pid, tq in pending:

@@ -143,9 +143,9 @@ POLICY_MAKERS = [
     ("proposed", proposed_policy),
     ("pbdrr", pbdrr_policy),
     ("its-rr", static_its_rr_policy),
-    ("rr:7", lambda w: classic_rr_policy(7)),
-    ("srtn", lambda w: srtn_policy()),
-    ("fcfs", lambda w: fcfs_policy()),
+    ("rr:7", lambda w: classic_rr_policy(w, 7)),
+    ("srtn", lambda w: srtn_policy(w)),
+    ("fcfs", lambda w: fcfs_policy(w)),
 ]
 
 
@@ -171,7 +171,7 @@ def _check_workload_properties(w):
         if name == "fcfs":
             assert summary.context_switches == len(w) - 1
             fcfs_shape = [(s.pid, s.start, s.end) for s in trace.segments]
-    big_rr = simulate(w, classic_rr_policy(max(w.bursts)))
+    big_rr = simulate(w, classic_rr_policy(w, max(w.bursts)))
     assert [(s.pid, s.start, s.end) for s in big_rr.segments] == fcfs_shape
     assert waits["srtn"] == min(waits.values())
 

@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import workloads
-from rrsim import proposed_quantum, simulate, workload
-from rrsim.engine import ceil_half
+from rrsim import SchedulingPolicy, proposed_quantum, simulate, workload
 from rrsim.schedulers import (
     classic_rr_policy,
     fcfs_policy,
@@ -19,9 +18,9 @@ ALL_POLICIES = [
     proposed_policy,
     pbdrr_policy,
     static_its_rr_policy,
-    lambda w: classic_rr_policy(3),
-    lambda w: srtn_policy(),
-    lambda w: fcfs_policy(),
+    lambda w: classic_rr_policy(w, 3),
+    lambda w: srtn_policy(w),
+    lambda w: fcfs_policy(w),
 ]
 
 
@@ -88,14 +87,35 @@ class TestSimulateGolden:
         assert merge_segments(trace) == [(1, 0, 9)]
         assert trace.completion == {1: 9}
 
-    @pytest.mark.parametrize("make_policy", [lambda w: srtn_policy(),
-                                             lambda w: fcfs_policy()])
+    @pytest.mark.parametrize("make_policy", [lambda w: srtn_policy(w),
+                                             lambda w: fcfs_policy(w)])
     def test_single_process_single_segment_run_to_completion(self, make_policy):
         w = workload([9], [2])
         trace = simulate(w, make_policy(w))
         assert len(trace.segments) == 1
         seg = trace.segments[0]
         assert (seg.pid, seg.start, seg.end) == (1, 0, 9)
+
+
+class TestPolicyBinding:
+    @pytest.mark.parametrize("make_policy", ALL_POLICIES)
+    def test_policy_of_another_workload(self, make_policy):
+        with pytest.raises(ValueError, match=r"for another workload \(P2\)"):
+            simulate(workload([3, 4, 5]), make_policy(workload([3])))
+        with pytest.raises(ValueError, match=r"for another workload \(P3\)"):
+            simulate(workload([3, 4]), make_policy(workload([3, 4, 5])))
+
+    def test_sc_table_of_another_workload(self):
+        policy = SchedulingPolicy("odd", False, {1: 4, 2: 4}, {1: 0})
+        with pytest.raises(ValueError, match=r"for another workload \(P2\)"):
+            simulate(workload([5, 5]), policy)
+
+    def test_base_below_one(self):
+        # a zero quantum would never finish a process; it is refused before
+        # the first grant
+        policy = SchedulingPolicy("zero", False, {1: 3, 2: 0})
+        with pytest.raises(ValueError, match="quantum 0 for P2"):
+            simulate(workload([4, 4]), policy)
 
 
 def assert_trace_invariants(w, trace):
@@ -171,7 +191,7 @@ class TestSimulateInvariants:
                     expected = (
                         2 * prev.quantum
                         if sc[pid]
-                        else prev.quantum + ceil_half(prev.quantum)
+                        else prev.quantum + (prev.quantum + 1) // 2
                     )
                     if cur is segs[-1]:
                         assert cur.quantum in (expected, cur.end - cur.start)

@@ -34,7 +34,7 @@ class TestGolden:
 
     def test_single_process(self):
         w = workload([9])
-        summary = compute_metrics(simulate(w, fcfs_policy()), w)
+        summary = compute_metrics(simulate(w, fcfs_policy(w)), w)
         m = summary.per_process[1]
         assert (m.turnaround, m.waiting, m.response) == (9, 0, 0)
         assert summary.context_switches == 0
@@ -59,15 +59,15 @@ class TestContextSwitches:
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
     def test_fcfs_is_n_minus_one(self, w):
-        summary = compute_metrics(simulate(w, fcfs_policy()), w)
+        summary = compute_metrics(simulate(w, fcfs_policy(w)), w)
         assert summary.context_switches == len(w) - 1
 
 
 class TestIdentities:
     @pytest.mark.parametrize(
         "make_policy",
-        [proposed_policy, lambda w: srtn_policy(), lambda w: fcfs_policy(),
-         lambda w: classic_rr_policy(3)],
+        [proposed_policy, lambda w: srtn_policy(w), lambda w: fcfs_policy(w),
+         lambda w: classic_rr_policy(w, 3)],
     )
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
@@ -91,8 +91,8 @@ class TestIdentities:
         shifted = Workload(tuple(
             ProcessSpec(p.pid + 10, p.burst, p.priority) for p in w
         ))
-        base = compute_metrics(simulate(w, fcfs_policy()), w)
-        moved = compute_metrics(simulate(shifted, fcfs_policy()), shifted)
+        base = compute_metrics(simulate(w, fcfs_policy(w)), w)
+        moved = compute_metrics(simulate(shifted, fcfs_policy(shifted)), shifted)
         assert moved.avg_turnaround == base.avg_turnaround
         assert moved.avg_waiting == base.avg_waiting
         assert moved.context_switches == base.context_switches
@@ -115,14 +115,14 @@ class TestValidation:
 
     def test_completion_disagrees_with_segments(self):
         w = workload([4, 3])
-        trace = simulate(w, fcfs_policy())
+        trace = simulate(w, fcfs_policy(w))
         bad = ScheduleTrace(trace.segments, {1: 4, 2: 99})
         with pytest.raises(MetricsError, match="completion of P2 is 99"):
             compute_metrics(bad, w)
 
     def test_completion_missing_a_process(self):
         w = workload([4, 3])
-        bad = ScheduleTrace(simulate(w, fcfs_policy()).segments, {1: 4})
+        bad = ScheduleTrace(simulate(w, fcfs_policy(w)).segments, {1: 4})
         with pytest.raises(MetricsError, match="completion of P2 is None"):
             compute_metrics(bad, w)
 
@@ -131,6 +131,26 @@ class TestValidation:
         segments = (DispatchSegment(1, 0, 4, 1, 4), DispatchSegment(2, 5, 8, 1, 3))
         with pytest.raises(MetricsError, match="starts at 5, expected 4"):
             compute_metrics(ScheduleTrace(segments, {1: 4, 2: 8}), w)
+
+    def test_run_longer_than_quantum(self):
+        trace = ScheduleTrace((DispatchSegment(1, 0, 4, 1, 2),), {1: 4})
+        with pytest.raises(MetricsError, match=r"\[0, 4\) is not 1..2 units"):
+            compute_metrics(trace, workload([4]))
+
+    def test_zero_length_segment(self):
+        # an empty grant is neither a response nor a context switch
+        segments = (
+            DispatchSegment(2, 0, 0, 1, 1),
+            DispatchSegment(1, 0, 4, 1, 4),
+            DispatchSegment(2, 4, 7, 1, 3),
+        )
+        with pytest.raises(MetricsError, match=r"P2 segment \[0, 0\)"):
+            compute_metrics(ScheduleTrace(segments, {1: 4, 2: 7}), workload([4, 3]))
+
+    def test_backward_segment(self):
+        segments = (DispatchSegment(1, 0, 6, 1, 6), DispatchSegment(1, 6, 4, 2, 1))
+        with pytest.raises(MetricsError, match=r"P1 segment \[6, 4\)"):
+            compute_metrics(ScheduleTrace(segments, {1: 4}), workload([4]))
 
 
 class TestFormatAverage:

@@ -40,13 +40,13 @@ class TestGantt:
 
     def test_single_process(self):
         w = workload([7])
-        labels, times = render_gantt(simulate(w, fcfs_policy())).splitlines()
+        labels, times = render_gantt(simulate(w, fcfs_policy(w))).splitlines()
         assert labels == "| P1 |"
         assert times.split() == ["0", "7"]
 
     def test_alternating_rr(self):
         w = workload([3, 3])
-        labels, _ = render_gantt(simulate(w, classic_rr_policy(1))).splitlines()
+        labels, _ = render_gantt(simulate(w, classic_rr_policy(w, 1))).splitlines()
         assert labels.split("|")[1:-1] == [" P1 ", " P2 "] * 3
 
     def test_boundaries_are_merged_segment_edges(self, increasing_w):
@@ -284,6 +284,6 @@ class TestCli:
         assert rc == 0
         data = json.loads(out_path.read_text())
         assert [m["policy"] for m in data["metrics"]] == ["fcfs", "rr:2"]
-        trace = simulate(increasing_w, classic_rr_policy(2))
+        trace = simulate(increasing_w, classic_rr_policy(increasing_w, 2))
         assert data["traces"]["rr:2"] == trace_to_dict(increasing_w, "rr:2", trace)["segments"]
         assert sorted(data["traces"]) == ["fcfs", "rr:2"]

@@ -127,7 +127,7 @@ class TestStaticItsRr:
 class TestClassicRr:
     def test_alternating_unit_quantum(self):
         w = workload([3, 3])
-        trace = simulate(w, classic_rr_policy(1))
+        trace = simulate(w, classic_rr_policy(w, 1))
         assert segment_shapes(trace) == [
             (1, 0, 1), (2, 1, 2), (1, 2, 3), (2, 3, 4), (1, 4, 5), (2, 5, 6),
         ]
@@ -135,25 +135,25 @@ class TestClassicRr:
 
     def test_large_quantum_single_segment(self):
         w = workload([5])
-        trace = simulate(w, classic_rr_policy(100))
+        trace = simulate(w, classic_rr_policy(w, 100))
         assert len(trace.segments) == 1
 
     def test_degenerates_to_fcfs_at_exact_quantum(self):
         w = workload([4, 4])
-        rr = simulate(w, classic_rr_policy(4))
-        fcfs = simulate(w, fcfs_policy())
+        rr = simulate(w, classic_rr_policy(w, 4))
+        fcfs = simulate(w, fcfs_policy(w))
         assert segment_shapes(rr) == segment_shapes(fcfs)
 
     def test_rejects_nonpositive_quantum(self):
         with pytest.raises(ValueError):
-            classic_rr_policy(0)
+            classic_rr_policy(workload([4]), 0)
 
     @settings(max_examples=50, deadline=None)
     @given(w=workloads())
     def test_quantum_at_least_max_burst_is_fcfs(self, w):
         q = max(w.bursts)
-        rr = simulate(w, classic_rr_policy(q))
-        fcfs = simulate(w, fcfs_policy())
+        rr = simulate(w, classic_rr_policy(w, q))
+        fcfs = simulate(w, fcfs_policy(w))
         assert segment_shapes(rr) == segment_shapes(fcfs)
 
 
@@ -161,14 +161,14 @@ class TestSrtn:
     def test_sorted_prefix_sum_oracle(self, increasing_w):
         from fractions import Fraction
 
-        trace = simulate(increasing_w, srtn_policy())
+        trace = simulate(increasing_w, srtn_policy(increasing_w))
         assert [trace.completion[p] for p in (1, 2, 3, 4, 5)] == [5, 17, 33, 54, 77]
         summary = compute_metrics(trace, increasing_w)
         assert summary.avg_waiting == Fraction(109, 5)  # (0+5+17+33+54)/5 = 21.8
 
     def test_tie_breaks_by_pid(self):
         w = workload([2, 2])
-        trace = simulate(w, srtn_policy())
+        trace = simulate(w, srtn_policy(w))
         assert segment_shapes(trace) == [(1, 0, 2), (2, 2, 4)]
 
     @settings(max_examples=50, deadline=None)
@@ -176,7 +176,7 @@ class TestSrtn:
     def test_matches_sort_and_prefix_sum(self, w):
         # independent oracle: run bursts in ascending (burst, pid) order and
         # accumulate prefix sums
-        trace = simulate(w, srtn_policy())
+        trace = simulate(w, srtn_policy(w))
         clock = 0
         expected = {}
         for p in sorted(w, key=lambda p: (p.burst, p.pid)):
@@ -189,7 +189,7 @@ class TestSrtn:
     def test_minimal_average_waiting(self, w):
         policies = [
             proposed_policy(w), pbdrr_policy(w), static_its_rr_policy(w),
-            classic_rr_policy(2), fcfs_policy(), srtn_policy(),
+            classic_rr_policy(w, 2), fcfs_policy(w), srtn_policy(w),
         ]
         waits = {
             p.name: compute_metrics(simulate(w, p), w).avg_waiting for p in policies
@@ -200,13 +200,13 @@ class TestSrtn:
 class TestFcfs:
     def test_prefix_sums(self):
         w = workload([5, 12])
-        trace = simulate(w, fcfs_policy())
+        trace = simulate(w, fcfs_policy(w))
         assert trace.completion == {1: 5, 2: 17}
 
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
     def test_one_segment_per_process(self, w):
-        trace = simulate(w, fcfs_policy())
+        trace = simulate(w, fcfs_policy(w))
         assert len(trace.segments) == len(w)
         assert compute_metrics(trace, w).context_switches == len(w) - 1
 
@@ -215,8 +215,8 @@ class TestOrderingContracts:
     @pytest.mark.parametrize(
         "make_policy",
         [proposed_policy, pbdrr_policy, static_its_rr_policy,
-         lambda w: srtn_policy(), lambda w: fcfs_policy(),
-         lambda w: classic_rr_policy(2)],
+         lambda w: srtn_policy(w), lambda w: fcfs_policy(w),
+         lambda w: classic_rr_policy(w, 2)],
     )
     @settings(max_examples=30, deadline=None)
     @given(w=workloads(max_n=6))
@@ -237,7 +237,7 @@ class TestOrderingContracts:
             bursts = sorted(rng.randint(1, 60) for _ in range(n))
             w = workload(bursts, [rng.randint(1, 5) for _ in range(n)])
             proposed = proposed_policy(w)
-            twin = SchedulingPolicy("twin", srtn_order=False, quantum=proposed.quantum)
+            twin = SchedulingPolicy("twin", False, proposed.base, proposed.sc)
             trace = simulate(w, proposed)
             order_by_round = {}
             for seg in trace.segments:
