@@ -19,10 +19,7 @@ from .timeslice import (
     SliceComponents,
     compute_components,
     compute_csc,
-    compute_ots,
-    compute_pc,
     compute_range,
-    compute_sc,
 )
 from .workload import (
     ProcessSpec,
@@ -57,10 +54,7 @@ __all__ = [
     "SliceComponents",
     "compute_components",
     "compute_csc",
-    "compute_ots",
-    "compute_pc",
     "compute_range",
-    "compute_sc",
     "ProcessSpec",
     "Workload",
     "WorkloadError",

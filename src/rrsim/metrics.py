@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from .engine import ScheduleTrace
 from .workload import Workload
@@ -30,19 +30,6 @@ class MetricsSummary:
     avg_turnaround: Fraction
     avg_waiting: Fraction
     context_switches: int
-
-
-def merge_segments(trace: ScheduleTrace) -> List[Tuple[int, int, int]]:
-    """Time-ordered (pid, start, end) runs with back-to-back grants of the
-    same process coalesced."""
-    merged: List[Tuple[int, int, int]] = []
-    for seg in trace.segments:
-        if merged and merged[-1][0] == seg.pid and merged[-1][2] == seg.start:
-            pid, start, _ = merged[-1]
-            merged[-1] = (pid, start, seg.end)
-        else:
-            merged.append((seg.pid, seg.start, seg.end))
-    return merged
 
 
 def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
@@ -105,7 +92,9 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
 
 
 def format_average(value: Fraction) -> str:
-    """Exact one-decimal rendering (half away from zero), e.g. 364/5 -> '72.8'."""
-    scaled = value * 10
+    """Exact one-decimal rendering (half away from zero), e.g. 364/5 -> '72.8',
+    -1/4 -> '-0.3'.  A value that rounds to zero prints as '0.0'."""
+    scaled = abs(value) * 10
     tenths = (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
-    return f"{tenths // 10}.{tenths % 10}"
+    sign = "-" if value < 0 and tenths else ""
+    return f"{sign}{tenths // 10}.{tenths % 10}"

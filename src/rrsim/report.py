@@ -15,9 +15,9 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import references
 from .engine import DispatchSegment, ScheduleTrace, simulate
-from .metrics import MetricsSummary, compute_metrics, format_average, merge_segments
+from .metrics import MetricsSummary, compute_metrics, format_average
 from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, SchedulingPolicy, policy_from_name
-from .timeslice import SliceComponents, compute_components
+from .timeslice import SliceComponents, check_static_ots, compute_components
 from .workload import (
     ORDERS,
     ProcessSpec,
@@ -29,12 +29,21 @@ from .workload import (
 )
 
 
-class ReportError(ValueError):
-    """Raised for CLI-level problems (unknown policy, unreadable input...)."""
-
-
 # ---------------------------------------------------------------------------
 # rendering
+
+
+def merge_segments(trace: ScheduleTrace) -> List[Tuple[int, int, int]]:
+    """Time-ordered (pid, start, end) runs with back-to-back grants of the
+    same process coalesced."""
+    merged: List[Tuple[int, int, int]] = []
+    for seg in trace.segments:
+        if merged and merged[-1][0] == seg.pid and merged[-1][2] == seg.start:
+            pid, start, _ = merged[-1]
+            merged[-1] = (pid, start, seg.end)
+        else:
+            merged.append((seg.pid, seg.start, seg.end))
+    return merged
 
 
 def render_gantt(trace: ScheduleTrace) -> str:
@@ -152,7 +161,8 @@ def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[s
 
 
 def trace_from_dict(data: Dict[str, object]) -> Tuple[Workload, str, ScheduleTrace]:
-    """Inverse of :func:`trace_to_dict`."""
+    """Inverse of :func:`trace_to_dict`.  Raises ``MetricsError`` unless the
+    trace is a valid schedule of its workload (see :func:`compute_metrics`)."""
     w = Workload(tuple(
         ProcessSpec(r["id"], r["burst"], r["priority"]) for r in data["workload"]
     ))
@@ -160,8 +170,9 @@ def trace_from_dict(data: Dict[str, object]) -> Tuple[Workload, str, ScheduleTra
         DispatchSegment(s["pid"], s["start"], s["end"], s["round"], s["quantum"])
         for s in data["segments"]
     )
-    completion = {int(pid): t for pid, t in data["completion"].items()}
-    return w, data["policy"], ScheduleTrace(segments, completion)
+    trace = ScheduleTrace(segments, {int(pid): t for pid, t in data["completion"].items()})
+    compute_metrics(trace, w)
+    return w, data["policy"], trace
 
 
 def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
@@ -217,21 +228,21 @@ def _load_workload(path: str) -> Workload:
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ReportError(f"cannot read workload file {path}: {exc}") from None
+        raise ValueError(f"cannot read workload file {path}: {exc}") from None
     try:
         return parse_workload(text)
     except WorkloadError as exc:
-        raise ReportError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _simulate_policy(args, w: Workload) -> SchedulingPolicy:
     name = args.policy
     if args.quantum is not None:
         if name != "rr":
-            raise ReportError("--quantum applies only to '--policy rr'")
+            raise ValueError("--quantum applies only to '--policy rr'")
         name = f"rr:{args.quantum}"
     elif name == "rr":
-        raise ReportError(
+        raise ValueError(
             "policy 'rr' needs a quantum: use rr:<q> or --policy rr --quantum <q>"
         )
     return policy_from_name(name, w, args.static_ots)
@@ -263,12 +274,12 @@ def _cmd_compare(args, out) -> None:
     w = _load_workload(args.workload)
     names = [n.strip() for n in args.policies.split(",") if n.strip()]
     if not names:
-        raise ReportError("no policies given")
+        raise ValueError("no policies given")
     results = []
     for name in names:
         policy = policy_from_name(name, w, args.static_ots)
         if any(policy.name == n for n, _, _ in results):
-            raise ReportError(f"duplicate policy {policy.name!r}")
+            raise ValueError(f"duplicate policy {policy.name!r}")
         trace = simulate(w, policy)
         results.append((policy.name, compute_metrics(trace, w), trace))
     print(render_comparison(w, [(n, s) for n, s, _ in results]), file=out)
@@ -300,7 +311,9 @@ def _cmd_generate(args, out) -> None:
 
 def _cmd_components(args, out) -> None:
     w = _load_workload(args.workload)
-    static = args.static_ots if args.use_static_ots else None
+    if args.static_ots is not None and not args.use_static_ots:
+        raise ValueError("--static-ots applies only with --use-static-ots")
+    static = (args.static_ots or DEFAULT_STATIC_OTS) if args.use_static_ots else None
     comps = compute_components(w, static_ots=static)
     notes = references.component_notes(w, comps, static) if args.paper_notes else ()
     print(render_components_table(w, comps, notes), file=out)
@@ -375,7 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="use the static OTS constant instead of the dynamic one")
     p_cmp2.add_argument("--paper-notes", action="store_true",
                         help="annotate cells where published reference values differ")
-    add_common(p_cmp2)
+    add_common(p_cmp2, static_ots=False)
+    p_cmp2.add_argument("--static-ots", type=int,
+                        help="static OTS constant for --use-static-ots (default 4)")
     p_cmp2.set_defaults(func=_cmd_components)
 
     return parser
@@ -389,6 +404,8 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # rejected even where the policy or command would not use it
+        check_static_ots(getattr(args, "static_ots", None))
         args.func(args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from .workload import ProcessSpec, Workload
 
-Rational = Union[int, Fraction]
 
 @dataclass(frozen=True)
 class SliceComponents:
@@ -39,42 +38,10 @@ def _round_ratio(num: int, den: int) -> int:
     return whole + 1 if 4 * rem >= den else whole
 
 
-def round_slice(value: Rational) -> int:
-    """Round a nonnegative rational slice length to whole time units."""
-    value = Fraction(value)
-    return _round_ratio(value.numerator, value.denominator)
-
-
 def compute_range(w: Workload) -> Fraction:
     """Midpoint of the workload's burst extremes: (max burst + min burst) / 2."""
     bursts = w.bursts
     return Fraction(max(bursts) + min(bursts), 2)
-
-
-def compute_ots(p: ProcessSpec, slice_range: Rational) -> int:
-    """Original time slice: Range / priority (the paper's (Range·n) /
-    (priority·n), where the process count n cancels), rounded per
-    :func:`round_slice` and clamped to at least one time unit."""
-    slice_range = Fraction(slice_range)
-    if slice_range <= 0:
-        raise ValueError(f"range must be positive, got {slice_range}")
-    return max(1, _round_ratio(slice_range.numerator, slice_range.denominator * p.priority))
-
-
-def compute_pc(p: ProcessSpec, w: Workload) -> int:
-    """Priority component: 1 for processes at the workload's most urgent
-    (numerically smallest) priority level, else 0."""
-    return 1 if p.priority == min(w.priorities) else 0
-
-
-def compute_sc(i: int, w: Workload) -> int:
-    """Shortness component: 1 when process i's burst is shorter than the burst
-    of the process submitted just before it; 0 for the first process."""
-    if not 0 <= i < len(w):
-        raise IndexError(f"position {i} out of range for workload of {len(w)}")
-    if i == 0:
-        return 0
-    return 1 if w.bursts[i] < w.bursts[i - 1] else 0
 
 
 def compute_csc(p: ProcessSpec, ots: int, pc: int, sc: int) -> int:
@@ -94,18 +61,28 @@ def compute_csc(p: ProcessSpec, ots: int, pc: int, sc: int) -> int:
     return 0
 
 
+def check_static_ots(static_ots: Optional[int]) -> None:
+    """Raise ``ValueError`` for a static OTS below one time unit."""
+    if static_ots is not None and static_ots < 1:
+        raise ValueError(f"static OTS must be >= 1, got {static_ots}")
+
+
 def compute_components(
     w: Workload, *, static_ots: Optional[int] = None
 ) -> List[SliceComponents]:
     """Slice components for every process in submission order, in one pass.
+    This is the one statement of the OTS, PC and SC rules:
 
-    ``static_ots`` replaces the Range-derived OTS with a fixed constant (used
-    by the two comparator policies); PC/SC/CSC are computed the same way.
-    Equals the per-process :func:`compute_ots`, :func:`compute_pc`,
-    :func:`compute_sc` and :func:`compute_csc`.
+      * OTS = Range / priority (the paper's (Range·n) / (priority·n), where
+        the process count n cancels), rounded per :func:`_round_ratio` and
+        clamped to at least one unit; ``static_ots`` replaces it with a fixed
+        constant (used by the two comparator policies)
+      * PC = 1 at the workload's most urgent (numerically smallest) priority
+      * SC = 1 when the burst is shorter than the one submitted just before
+        it; 0 for the first process
+      * CSC per :func:`compute_csc`
     """
-    if static_ots is not None and static_ots < 1:
-        raise ValueError(f"static OTS must be >= 1, got {static_ots}")
+    check_static_ots(static_ots)
     slice_range = compute_range(w)
     num, den = slice_range.numerator, slice_range.denominator
     top = min(w.priorities)

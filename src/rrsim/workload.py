@@ -67,10 +67,6 @@ class Workload:
     def pids(self) -> Tuple[int, ...]:
         return tuple(p.pid for p in self.processes)
 
-    @property
-    def total_burst(self) -> int:
-        return sum(p.burst for p in self.processes)
-
 
 def workload(bursts, priorities=None) -> Workload:
     """Convenience constructor: ids 1..n in order, default priority 1."""

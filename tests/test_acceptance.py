@@ -150,7 +150,7 @@ POLICY_MAKERS = [
 
 
 def _check_workload_properties(w):
-    total = w.total_burst
+    total = sum(w.bursts)
     waits = {}
     for name, make in POLICY_MAKERS:
         trace = simulate(w, make(w))

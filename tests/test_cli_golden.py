@@ -38,6 +38,15 @@ def _cases():
     cases["simulate proposed increasing paper-notes"] = [
         "simulate", "--workload", str(DATA / "increasing.csv"),
         "--policy", "proposed", "--paper-notes"]
+    cases["simulate pbdrr increasing paper-notes"] = [
+        "simulate", "--workload", str(DATA / "increasing.csv"),
+        "--policy", "pbdrr", "--paper-notes"]
+    cases["components increasing paper-notes"] = [
+        "components", "--workload", str(DATA / "increasing.csv"), "--paper-notes"]
+    for order in ("increasing", "decreasing", "random"):
+        cases[f"generate {order}"] = [
+            "generate", "--n", "12", "--order", order, "--burst-range", "1:60",
+            "--priority-range", "1:5", "--seed", "7"]
     return cases
 
 
@@ -90,6 +99,11 @@ GOLDEN = {
         "1912e9176dd3bd981043a1e5fa5f9288bcd3171f95e8d21e25d7a878fd96ceeb",
         "dce01fe78c2f889e9157a9867d9aaf50f9e23ebf58c16e913f2afaed22d77d45",
     ),
+    "components increasing paper-notes": (
+        "1204ad359c3de3b4d5491f10234f1b571774604c8066f704e08d688c31fda263",
+        "1912e9176dd3bd981043a1e5fa5f9288bcd3171f95e8d21e25d7a878fd96ceeb",
+        "dce01fe78c2f889e9157a9867d9aaf50f9e23ebf58c16e913f2afaed22d77d45",
+    ),
     "components random": (
         "8942bf2eb889292b549e218dc7a62e0610609b0fefc28636c81f7fb54596ac9b",
         "89c5c8d1e6e2f5180dde7912d29e92bd373bf16249158b88f8f10bee788985a7",
@@ -114,6 +128,21 @@ GOLDEN = {
         "3b6a78a6b44212cb003c91d4d2fd876e290a332224e2d0f6f504488698df010b",
         "6374e45984c1ecea041013ca3bd0d630ccff96828046dfcce51ca77024c77aaf",
         "86cd43acfd0ee7696a8f4b4447b7ddc159998bab2d7931ca3f1e226125d84c17",
+    ),
+    "generate decreasing": (
+        "6bba178444d43e8ba07bd325b58aba2e9b1bd22970fa3293aa69dd4997c74a82",
+        "68a2c5827b295b602564dc398386ad1bc0c565b5a730f1069ef99cdbafa1c887",
+        "6bba178444d43e8ba07bd325b58aba2e9b1bd22970fa3293aa69dd4997c74a82",
+    ),
+    "generate increasing": (
+        "82e01834d5d8975e7b2d6d052340f4b2354fd435656e82e2a298ec627b776849",
+        "fca75481bb82ea06f9cc9c4cf729b6f0f3d3db7277644a6a831ea6e5d9fb5e22",
+        "82e01834d5d8975e7b2d6d052340f4b2354fd435656e82e2a298ec627b776849",
+    ),
+    "generate random": (
+        "809fccc9e20dfae43ce705f4c14bc315d36d26190e7993adcedbae1b30be0242",
+        "4512c95754113a7bc0065dadd9ab60a87bac7dd85049a43fecc0d437f3718461",
+        "809fccc9e20dfae43ce705f4c14bc315d36d26190e7993adcedbae1b30be0242",
     ),
     "simulate fcfs decreasing": (
         "ea49748d320ea1bb9e4b378e0c0ad2dd6b1f372088895da97886bbf6de8396d6",
@@ -166,6 +195,11 @@ GOLDEN = {
         "be417f12f287fa4bafb3633672510f70e699af6c16c12eb65dc84e7444ce5a51",
     ),
     "simulate pbdrr increasing": (
+        "92eb84fe8c4a1ef8f4e3337b51964120777aa9e3bb65fc565481aa3e419e9cd1",
+        "4e4986912c13bcb6411cb8682dbb4d474c88f4dbee110b63b24e3a8ea60699ba",
+        "767b5c01ed3488656a8a46b545f47129684482da9adf05e3c0795452b0807037",
+    ),
+    "simulate pbdrr increasing paper-notes": (
         "92eb84fe8c4a1ef8f4e3337b51964120777aa9e3bb65fc565481aa3e419e9cd1",
         "4e4986912c13bcb6411cb8682dbb4d474c88f4dbee110b63b24e3a8ea60699ba",
         "767b5c01ed3488656a8a46b545f47129684482da9adf05e3c0795452b0807037",

@@ -80,7 +80,7 @@ class TestSimulateGolden:
     def test_single_process_runs_back_to_back(self, make_policy):
         # quantum-limited policies may need several grants, but with no
         # competition they coalesce into one merged run ending at the burst
-        from rrsim.metrics import merge_segments
+        from rrsim.report import merge_segments
 
         w = workload([9], [2])
         trace = simulate(w, make_policy(w))
@@ -119,7 +119,7 @@ class TestPolicyBinding:
 
 
 def assert_trace_invariants(w, trace):
-    total = w.total_burst
+    total = sum(w.bursts)
     # contiguity / work conservation
     assert trace.segments[0].start == 0
     for prev, cur in zip(trace.segments, trace.segments[1:]):

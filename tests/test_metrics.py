@@ -1,7 +1,9 @@
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import workloads
 from rrsim import (
@@ -13,7 +15,8 @@ from rrsim import (
     workload,
 )
 from rrsim.engine import DispatchSegment, ScheduleTrace
-from rrsim.metrics import MetricsError, merge_segments
+from rrsim.metrics import MetricsError
+from rrsim.report import merge_segments
 from rrsim.schedulers import (
     classic_rr_policy,
     fcfs_policy,
@@ -75,7 +78,7 @@ class TestIdentities:
         trace = simulate(w, make_policy(w))
         summary = compute_metrics(trace, w)
         assert summary.context_switches == len(merge_segments(trace)) - 1
-        mean_burst = Fraction(w.total_burst, len(w))
+        mean_burst = Fraction(sum(w.bursts), len(w))
         assert summary.avg_waiting == summary.avg_turnaround - mean_burst
         for p in w:
             m = summary.per_process[p.pid]
@@ -162,7 +165,20 @@ class TestFormatAverage:
             (Fraction(179, 5), "35.8"),
             (Fraction(1, 4), "0.3"),   # half of a tenth rounds away from zero
             (Fraction(1, 8), "0.1"),
+            (Fraction(-1, 4), "-0.3"),
+            (Fraction(-3, 2), "-1.5"),
+            (Fraction(-1, 20), "-0.1"),
+            (Fraction(-1, 21), "0.0"),  # never "-0.0"
+            (Fraction(-364, 5), "-72.8"),
         ],
     )
     def test_one_decimal(self, value, expected):
         assert format_average(value) == expected
+
+    @given(st.fractions(-10**6, 10**6, max_denominator=10**6))
+    def test_matches_decimal_half_up(self, value):
+        with localcontext() as ctx:
+            ctx.prec = 60  # exact enough that no tie is decided by the division
+            quotient = Decimal(value.numerator) / Decimal(value.denominator)
+            expected = quotient.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
+        assert format_average(value) == str(abs(expected) if expected == 0 else expected)

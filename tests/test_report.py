@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import workloads
 from rrsim import ProcessSpec, Workload, serialize_workload, simulate, workload
+from rrsim.metrics import MetricsError
 from rrsim.report import (
     render_gantt,
     run_cli,
@@ -52,7 +53,7 @@ class TestGantt:
     def test_boundaries_are_merged_segment_edges(self, increasing_w):
         trace = simulate(increasing_w, proposed_policy(increasing_w))
         _, times = render_gantt(trace).splitlines()
-        assert times.split()[-1] == str(increasing_w.total_burst)
+        assert times.split()[-1] == str(sum(increasing_w.bursts))
 
 
 class TestTraceJson:
@@ -85,6 +86,24 @@ class TestTraceJson:
         )
         assert w2 == w
         assert trace2 == trace
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda d: d["completion"].update({"2": 99}), "completion of P2 is 99"),
+            (lambda d: d["segments"][1].update(start=d["segments"][1]["start"] + 1),
+             "expected"),
+            (lambda d: d["segments"][0].update(quantum=d["segments"][0]["quantum"] - 1),
+             "units"),
+        ],
+        ids=["completion", "gap", "past-quantum"],
+    )
+    def test_load_rejects_an_invalid_trace(self, random_w, edit, message):
+        trace = simulate(random_w, proposed_policy(random_w))
+        data = json.loads(json.dumps(trace_to_dict(random_w, "proposed", trace)))
+        edit(data)
+        with pytest.raises(MetricsError, match=message):
+            trace_from_dict(data)
 
     def test_completion_map_golden(self, random_w):
         trace = simulate(random_w, proposed_policy(random_w))
@@ -217,6 +236,29 @@ class TestCli:
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--policy", "proposed", "--static-ots", "0"],
+            ["simulate", "--policy", "pbdrr", "--static-ots", "0"],
+            ["compare", "--policies", "fcfs", "--static-ots", "-3"],
+            ["components", "--static-ots", "0"],
+        ],
+        ids=["simulate-proposed", "simulate-pbdrr", "compare", "components"],
+    )
+    def test_static_ots_below_one_on_every_command(self, random_csv, capsys, argv):
+        rc = run_cli(argv[:1] + ["--workload", random_csv] + argv[1:])
+        assert rc == 1
+        value = argv[-1]
+        assert capsys.readouterr().err == f"error: static OTS must be >= 1, got {value}\n"
+
+    def test_components_static_ots_needs_use_static_ots(self, random_csv, capsys):
+        rc = run_cli(["components", "--workload", random_csv, "--static-ots", "7"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --static-ots applies only with --use-static-ots\n"
+        )
 
     def test_quantum_only_with_rr(self, increasing_csv, capsys):
         rc = run_cli([

@@ -4,19 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slice_reference as ref
 from conftest import workloads
 from rrsim import (
     ProcessSpec,
     compute_components,
     compute_csc,
-    compute_ots,
-    compute_pc,
     compute_range,
-    compute_sc,
     generate_workload,
     workload,
 )
-from rrsim.timeslice import SliceComponents, _round_ratio, round_slice
+from rrsim.timeslice import _round_ratio
 
 
 def proc(burst, priority=1):
@@ -49,7 +47,7 @@ class TestRoundSlice:
         ],
     )
     def test_threshold(self, value, expected):
-        assert round_slice(value) == expected
+        assert ref.round_slice(value) == expected
 
 
 class TestOts:
@@ -63,57 +61,57 @@ class TestOts:
         ],
     )
     def test_examples(self, priority, rng, expected):
-        assert compute_ots(proc(10, priority), rng) == expected
+        assert ref.ots(proc(10, priority), rng) == expected
 
     def test_clamped_to_one(self):
         # tiny range with a large priority number would otherwise round to 0
-        assert compute_ots(proc(1, 30), 1) == 1
+        assert ref.ots(proc(1, 30), 1) == 1
 
     @given(st.integers(1, 200), st.integers(1, 20), st.integers(1, 20))
     def test_anti_monotone_in_priority(self, rng2, a, b):
         rng = Fraction(rng2, 2)
         lo, hi = sorted((a, b))
-        assert compute_ots(proc(5, lo), rng) >= compute_ots(proc(5, hi), rng)
+        assert ref.ots(proc(5, lo), rng) >= ref.ots(proc(5, hi), rng)
 
     @given(st.integers(1, 100), st.integers(1, 10), st.integers(1, 8))
     def test_scaling_identity(self, rng2, priority, k):
         # scaling the range by k moves the OTS to the rounded scaled quotient
         rng = Fraction(rng2, 2)
-        scaled = compute_ots(proc(5, priority), k * rng)
-        assert scaled == max(1, round_slice(k * rng / priority))
+        scaled = ref.ots(proc(5, priority), k * rng)
+        assert scaled == max(1, ref.round_slice(k * rng / priority))
 
 
 class TestPc:
     def test_illustration(self, illustration_w):
-        flags = [compute_pc(p, illustration_w) for p in illustration_w]
+        flags = [ref.pc(p, illustration_w) for p in illustration_w]
         assert flags == [0, 1, 0, 1, 1]
 
     def test_increasing(self, increasing_w):
-        flags = [compute_pc(p, increasing_w) for p in increasing_w]
+        flags = [ref.pc(p, increasing_w) for p in increasing_w]
         assert flags == [0, 0, 1, 0, 0]
 
     def test_single_process_any_priority(self):
         w = workload([9], [4])
-        assert compute_pc(w.processes[0], w) == 1
+        assert ref.pc(w.processes[0], w) == 1
 
     def test_keys_on_minimum_not_literal_one(self):
         w = workload([4, 9], [3, 5])
-        assert [compute_pc(p, w) for p in w] == [1, 0]
+        assert [ref.pc(p, w) for p in w] == [1, 0]
 
 
 class TestSc:
     def test_illustration(self, illustration_w):
-        assert [compute_sc(i, illustration_w) for i in range(5)] == [0, 0, 1, 0, 1]
+        assert [ref.sc(i, illustration_w) for i in range(5)] == [0, 0, 1, 0, 1]
 
     def test_random(self, random_w):
-        assert [compute_sc(i, random_w) for i in range(5)] == [0, 0, 1, 0, 1]
+        assert [ref.sc(i, random_w) for i in range(5)] == [0, 0, 1, 0, 1]
 
     def test_first_process_always_zero(self):
-        assert compute_sc(0, workload([1])) == 0
+        assert ref.sc(0, workload([1])) == 0
 
     @given(workloads())
     def test_patterns(self, w):
-        flags = [compute_sc(i, w) for i in range(len(w))]
+        flags = [c.sc for c in compute_components(w)]
         assert flags[0] == 0
         bursts = w.bursts
         for i in range(1, len(w)):
@@ -121,11 +119,11 @@ class TestSc:
 
     def test_strictly_increasing_all_zero(self):
         w = workload([1, 2, 3, 4])
-        assert [compute_sc(i, w) for i in range(4)] == [0, 0, 0, 0]
+        assert [ref.sc(i, w) for i in range(4)] == [0, 0, 0, 0]
 
     def test_strictly_decreasing_zero_then_ones(self):
         w = workload([9, 7, 5, 2])
-        assert [compute_sc(i, w) for i in range(4)] == [0, 1, 1, 1]
+        assert [ref.sc(i, w) for i in range(4)] == [0, 1, 1, 1]
 
 
 class TestCsc:
@@ -207,23 +205,8 @@ class TestComponents:
             assert c.its >= 1
 
 
-def per_process_components(w, static_ots=None):
-    """Reference for compute_components: each process built from the public
-    per-process helpers, with PC and SC looked up in the whole workload."""
-    rng = compute_range(w)
-    out = []
-    for i, p in enumerate(w):
-        ots = compute_ots(p, rng) if static_ots is None else static_ots
-        pc, sc = compute_pc(p, w), compute_sc(i, w)
-        out.append(SliceComponents(rng, ots, pc, sc, compute_csc(p, ots, pc, sc)))
-    return out
-
-
-def fraction_round_slice(value):
-    # rounding as written with Fractions: up once the remainder reaches 1/4
-    value = Fraction(value)
-    whole = value.numerator // value.denominator
-    return whole + 1 if value - whole >= Fraction(1, 4) else whole
+def fields(comps):
+    return [(c.slice_range, c.ots, c.pc, c.sc, c.csc) for c in comps]
 
 
 class TestOnePassComponents:
@@ -233,7 +216,7 @@ class TestOnePassComponents:
         st.one_of(st.none(), st.integers(1, 20)),
     )
     def test_matches_per_process_helpers(self, w, static_ots):
-        assert compute_components(w, static_ots=static_ots) == per_process_components(
+        assert fields(compute_components(w, static_ots=static_ots)) == ref.components(
             w, static_ots
         )
 
@@ -242,10 +225,10 @@ class TestOnePassComponents:
         for span in range(2, 4001):
             rng = Fraction(span, 2)
             for priority in range(1, 65):
-                expected = max(1, fraction_round_slice(Fraction(span, 2 * priority)))
+                expected = max(1, ref.round_slice(Fraction(span, 2 * priority)))
                 ots = max(1, _round_ratio(rng.numerator, rng.denominator * priority))
                 assert ots == expected, (span, priority)
 
     def test_n_10000_matches_per_process_helpers(self):
         w = generate_workload(10_000, "random", (1, 10_000), (1, 50), seed=4)
-        assert compute_components(w) == per_process_components(w)
+        assert fields(compute_components(w)) == ref.components(w)
