@@ -41,7 +41,7 @@ def main():
             print(f"--- {policy.name}")
             print(render_gantt(trace))
             print()
-        print(render_comparison(w, results))
+        print(render_comparison(results))
         print()
 
 

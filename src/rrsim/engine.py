@@ -9,7 +9,7 @@ pure function of (workload, policy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 from .workload import Workload
 
@@ -41,35 +41,16 @@ class ScheduleTrace:
         return self.segments[-1].end
 
 
-def proposed_quantum(
-    its: int, sc: int, round_no: int, prev_tq: Optional[int], rbt: int
-) -> int:
-    """Dynamic time quantum of the proposed policy (also used by PBDRR).
-
-    Round 1 starts from the ITS: half of it (rounded up) for SC=0 processes,
-    the full ITS for SC=1.  Later rounds grow the previous quantum: *1.5
-    (rounded up) for SC=0, *2 for SC=1.  If the leftover after the grant would
-    be two units or less, the quantum becomes the remaining burst so the
-    process finishes without another dispatch.
-    """
-    if rbt < 1:
-        raise ValueError(f"rbt must be >= 1, got {rbt}")
-    if round_no == 1:
-        tq = its if sc else (its + 1) // 2
-    else:
-        if prev_tq is None:
-            raise ValueError("prev_tq required for rounds after the first")
-        tq = 2 * prev_tq if sc else prev_tq + (prev_tq + 1) // 2
-    return rbt if rbt - tq <= 2 else tq
-
-
 def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
     """Run ``policy`` over ``w`` until every process completes.  Each round
     dispatches the live processes in submission order, or by ascending
-    remaining burst (ties by pid) when ``policy.srtn_order`` is set; each grant
-    is ``policy.base[pid]``, or grown from it by :func:`proposed_quantum` when
-    ``policy.sc`` is set.  ``completion`` lists pids in the order they finish.
-    Raises ``ValueError`` for a policy built for other pids or a base below 1."""
+    remaining burst (ties by pid) when ``policy.srtn_order`` is set.  Without
+    ``policy.sc`` each grant is ``policy.base[pid]``.  With it, each grant is
+    the pid's entry in a quantum table that starts at the round-1 grant and
+    that each grant grows to the next round's quantum, or the whole remaining
+    burst when the entry would leave two units or less.  ``completion`` lists
+    pids in the order they finish.  Raises ``ValueError`` for a policy built
+    for other pids or a base below 1."""
     base, sc = policy.base, policy.sc
     pids = set(w.pids)
     for table in (base,) if sc is None else (base, sc):
@@ -80,7 +61,9 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
     if base[low] < 1:
         raise ValueError(f"policy {policy.name!r} has quantum {base[low]} for P{low}")
     rbt = {p.pid: p.burst for p in w}
-    prev_tq: Dict[int, int] = {}
+    quantum = base if sc is None else {
+        pid: its if sc[pid] else (its + 1) // 2 for pid, its in base.items()
+    }
     segments = []
     completion = {}
     clock = 0
@@ -91,10 +74,12 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
             live.sort(key=lambda pid: (rbt[pid], pid))
         for pid in live:
             left = rbt[pid]
-            tq = base[pid]
+            tq = quantum[pid]
             if sc is not None:
-                tq = proposed_quantum(tq, sc[pid], round_no, prev_tq.get(pid), left)
-                prev_tq[pid] = tq
+                if left - tq <= 2:
+                    tq = left
+                else:
+                    quantum[pid] = 2 * tq if sc[pid] else tq + (tq + 1) // 2
             run = min(tq, left)
             segments.append(DispatchSegment(pid, clock, clock + run, round_no, tq))
             clock += run

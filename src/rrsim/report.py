@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import references
 from .engine import DispatchSegment, ScheduleTrace, simulate
-from .metrics import MetricsSummary, compute_metrics, format_average
+from .metrics import MetricsError, MetricsSummary, compute_metrics, format_average
 from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, SchedulingPolicy, policy_from_name
 from .timeslice import SliceComponents, check_static_ots, compute_components
 from .workload import (
@@ -117,15 +117,19 @@ def render_components_table(
     return out
 
 
-def render_comparison(
-    w: Workload, results: Sequence[Tuple[str, MetricsSummary]]
-) -> str:
-    rows = [
+_COMPARISON_HEADER = ("policy", "avg TAT", "avg WT", "CS")
+
+
+def _comparison_rows(results: Sequence[Tuple[str, MetricsSummary]]) -> List[List[str]]:
+    return [
         [name, format_average(s.avg_turnaround), format_average(s.avg_waiting),
          str(s.context_switches)]
         for name, s in results
     ]
-    return _render_table(["policy", "avg TAT", "avg WT", "CS"], rows)
+
+
+def render_comparison(results: Sequence[Tuple[str, MetricsSummary]]) -> str:
+    return _render_table(_COMPARISON_HEADER, _comparison_rows(results))
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +148,10 @@ def workload_to_dicts(w: Workload) -> List[Dict[str, int]]:
     return [{"id": p.pid, "burst": p.burst, "priority": p.priority} for p in w]
 
 
+# segment fields in DispatchSegment order; segments_to_dicts inlines them for speed
+SEGMENT_FIELDS = ("pid", "start", "end", "round", "quantum")
+
+
 def segments_to_dicts(trace: ScheduleTrace) -> List[Dict[str, int]]:
     return [
         {"pid": s.pid, "start": s.start, "end": s.end, "round": s.round, "quantum": s.quantum}
@@ -160,17 +168,27 @@ def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[s
     }
 
 
+def _ints(row: Dict[str, object], names: Iterable[str], what: str) -> List[int]:
+    """``row[name]`` for each of ``names``, each an ``int`` (JSON ``true`` is not)."""
+    for name in names:
+        if type(row.get(name)) is not int:
+            got = repr(row[name]) if name in row else "missing"
+            raise MetricsError(f"{what} field {name!r} is {got}, expected an integer")
+    return [row[name] for name in names]
+
+
 def trace_from_dict(data: Dict[str, object]) -> Tuple[Workload, str, ScheduleTrace]:
-    """Inverse of :func:`trace_to_dict`.  Raises ``MetricsError`` unless the
-    trace is a valid schedule of its workload (see :func:`compute_metrics`)."""
+    """Inverse of :func:`trace_to_dict`.  Raises ``MetricsError`` for a missing
+    or non-``int`` field and for an invalid schedule (see :func:`compute_metrics`)."""
     w = Workload(tuple(
-        ProcessSpec(r["id"], r["burst"], r["priority"]) for r in data["workload"]
+        ProcessSpec(*_ints(r, ("id", "burst", "priority"), "workload"))
+        for r in data["workload"]
     ))
     segments = tuple(
-        DispatchSegment(s["pid"], s["start"], s["end"], s["round"], s["quantum"])
-        for s in data["segments"]
+        DispatchSegment(*_ints(s, SEGMENT_FIELDS, "segment")) for s in data["segments"]
     )
-    trace = ScheduleTrace(segments, {int(pid): t for pid, t in data["completion"].items()})
+    done = data["completion"]
+    trace = ScheduleTrace(segments, dict(zip(map(int, done), _ints(done, done, "completion"))))
     compute_metrics(trace, w)
     return w, data["policy"], trace
 
@@ -265,7 +283,7 @@ def _cmd_simulate(args, out) -> None:
         data["metrics"] = metrics_to_dict(policy.name, summary)
         _write_json(args.json, data)
     if args.csv:
-        _write_csv(args.csv, ("pid", "start", "end", "round", "quantum"), (
+        _write_csv(args.csv, SEGMENT_FIELDS, (
             (s.pid, s.start, s.end, s.round, s.quantum) for s in trace.segments
         ))
 
@@ -275,26 +293,23 @@ def _cmd_compare(args, out) -> None:
     names = [n.strip() for n in args.policies.split(",") if n.strip()]
     if not names:
         raise ValueError("no policies given")
-    results = []
+    summaries, traces = [], {}
     for name in names:
         policy = policy_from_name(name, w, args.static_ots)
-        if any(policy.name == n for n, _, _ in results):
+        if policy.name in traces:
             raise ValueError(f"duplicate policy {policy.name!r}")
-        trace = simulate(w, policy)
-        results.append((policy.name, compute_metrics(trace, w), trace))
-    print(render_comparison(w, [(n, s) for n, s, _ in results]), file=out)
+        traces[policy.name] = trace = simulate(w, policy)
+        summaries.append((policy.name, compute_metrics(trace, w)))
+    rows = _comparison_rows(summaries)
+    print(_render_table(_COMPARISON_HEADER, rows), file=out)
     if args.json:
         _write_json(args.json, {
             "workload": workload_to_dicts(w),
-            "metrics": [metrics_to_dict(n, s) for n, s, _ in results],
-            "traces": {n: segments_to_dicts(t) for n, _, t in results},
+            "metrics": [metrics_to_dict(n, s) for n, s in summaries],
+            "traces": {n: segments_to_dicts(t) for n, t in traces.items()},
         })
     if args.csv:
-        _write_csv(args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"), (
-            (n, format_average(s.avg_turnaround), format_average(s.avg_waiting),
-             s.context_switches)
-            for n, s, _ in results
-        ))
+        _write_csv(args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"), rows)
 
 
 def _cmd_generate(args, out) -> None:

@@ -3,9 +3,9 @@
 A policy is plain data: an order flag (re-sort by remaining burst at each
 round boundary, or keep submission order), a base-quantum table and an
 optional SC table.  Without SC every grant is the base: the ITS (its-rr), q
-(rr:q) or the burst (srtn, fcfs).  With SC, ``proposed_quantum`` grows each
-grant from the base ITS: the Range OTS gives the ITS of ``proposed``, a
-static OTS that of ``pbdrr`` and ``its-rr``.
+(rr:q) or the burst (srtn, fcfs).  With SC, ``simulate`` grows each pid's
+quantum from its base ITS, round by round: the Range OTS gives the ITS of
+``proposed``, a static OTS that of ``pbdrr`` and ``its-rr``.
 """
 from __future__ import annotations
 

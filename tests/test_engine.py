@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import workloads
-from rrsim import SchedulingPolicy, proposed_quantum, simulate, workload
+from rrsim import SchedulingPolicy, simulate, workload
 from rrsim.schedulers import (
     classic_rr_policy,
     fcfs_policy,
@@ -24,32 +24,21 @@ ALL_POLICIES = [
 ]
 
 
-class TestProposedQuantum:
-    def test_round_one_half_its(self):
-        assert proposed_quantum(17, 0, 1, None, 16) == 9
-
-    def test_round_one_full_its_when_sc(self):
-        assert proposed_quantum(25, 1, 1, None, 8) == 8  # finish-early cap fires
-
-    def test_growth_sc_zero(self):
-        assert proposed_quantum(5, 0, 2, 3, 9) == 5  # 3 + ceil(1.5)
-
-    def test_growth_sc_one_caps_to_rbt(self):
-        assert proposed_quantum(8, 1, 2, 7, 13) == 13  # 2*7 = 14 > rbt - 2
-
-    def test_finish_early_rule(self):
-        assert proposed_quantum(5, 0, 3, 5, 4) == 4  # base 8, leftover <= 2
-
-    def test_minimal_process(self):
-        assert proposed_quantum(1, 0, 1, None, 1) == 1
-
-    def test_prev_tq_required_after_round_one(self):
-        with pytest.raises(ValueError):
-            proposed_quantum(5, 0, 2, None, 9)
-
-    def test_rbt_must_be_positive(self):
-        with pytest.raises(ValueError):
-            proposed_quantum(5, 0, 1, None, 0)
+class TestDynamicQuantum:
+    @pytest.mark.parametrize("its, sc, burst, quanta", [
+        pytest.param(17, 0, 16, [9, 7], id="round_one_half_its"),
+        # the finish-early rule fires in round 1
+        pytest.param(25, 1, 8, [8], id="round_one_full_its_when_sc"),
+        # 3, then 3 + ceil(1.5) = 5, then base 8 leaves <= 2: the remaining 4
+        pytest.param(6, 0, 12, [3, 5, 4], id="growth_sc_zero_then_finish_early"),
+        # 2*7 = 14 leaves 13 - 14 <= 2: the remaining 13
+        pytest.param(7, 1, 20, [7, 13], id="growth_sc_one_caps_to_rbt"),
+        pytest.param(1, 0, 1, [1], id="minimal_process"),
+    ])
+    def test_segment_quanta(self, its, sc, burst, quanta):
+        policy = SchedulingPolicy("x", False, {1: its}, {1: sc})
+        trace = simulate(workload([burst]), policy)
+        assert [s.quantum for s in trace.segments] == quanta
 
 
 class TestSimulateGolden:

@@ -95,8 +95,17 @@ class TestTraceJson:
              "expected"),
             (lambda d: d["segments"][0].update(quantum=d["segments"][0]["quantum"] - 1),
              "units"),
+            (lambda d: d["segments"][0].update(end="3"), "segment field 'end' is '3'"),
+            (lambda d: d["segments"][0].update(end=float(d["segments"][0]["end"])),
+             "segment field 'end' is 8.0"),
+            (lambda d: d["segments"][0].update(round=True), "segment field 'round' is True"),
+            (lambda d: d["segments"][0].pop("quantum"), "segment field 'quantum' is missing"),
+            (lambda d: d["workload"][0].update(burst="6"), "workload field 'burst' is '6'"),
+            (lambda d: d["workload"][0].pop("priority"), "workload field 'priority' is missing"),
+            (lambda d: d["completion"].update({"3": 8.0}), "completion field '3' is 8.0"),
         ],
-        ids=["completion", "gap", "past-quantum"],
+        ids=["completion", "gap", "past-quantum", "string-end", "float-end", "bool-round",
+             "missing-quantum", "string-burst", "missing-priority", "float-completion"],
     )
     def test_load_rejects_an_invalid_trace(self, random_w, edit, message):
         trace = simulate(random_w, proposed_policy(random_w))
