@@ -29,8 +29,10 @@ class TestDynamicQuantum:
         pytest.param(17, 0, 16, [9, 7], id="round_one_half_its"),
         # the finish-early rule fires in round 1
         pytest.param(25, 1, 8, [8], id="round_one_full_its_when_sc"),
-        # 3, then 3 + ceil(1.5) = 5, then base 8 leaves <= 2: the remaining 4
-        pytest.param(6, 0, 12, [3, 5, 4], id="growth_sc_zero_then_finish_early"),
+        # 3, then 3 + ceil(1.5) = 5 with 3 left over
+        pytest.param(6, 0, 11, [3, 5, 3], id="growth_sc_zero"),
+        # round 3: base 8 leaves 4 - 8 <= 2, so the grant is the remaining 4
+        pytest.param(6, 0, 12, [3, 5, 4], id="finish_early_rule"),
         # 2*7 = 14 leaves 13 - 14 <= 2: the remaining 13
         pytest.param(7, 1, 20, [7, 13], id="growth_sc_one_caps_to_rbt"),
         pytest.param(1, 0, 1, [1], id="minimal_process"),
