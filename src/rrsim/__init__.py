@@ -15,12 +15,7 @@ from .schedulers import (
     srtn_policy,
     static_its_rr_policy,
 )
-from .timeslice import (
-    SliceComponents,
-    compute_components,
-    compute_csc,
-    compute_range,
-)
+from .timeslice import SliceComponents, compute_components, compute_range
 from .workload import (
     ProcessSpec,
     Workload,
@@ -52,7 +47,6 @@ __all__ = [
     "static_its_rr_policy",
     "SliceComponents",
     "compute_components",
-    "compute_csc",
     "compute_range",
     "ProcessSpec",
     "Workload",

@@ -17,7 +17,7 @@ from . import references
 from .engine import DispatchSegment, ScheduleTrace, simulate
 from .metrics import MetricsError, MetricsSummary, compute_metrics, format_average
 from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, SchedulingPolicy, policy_from_name
-from .timeslice import SliceComponents, check_static_ots, compute_components
+from .timeslice import COMPONENT_FIELDS, SliceComponents, check_static_ots, compute_components
 from .workload import (
     ORDERS,
     ProcessSpec,
@@ -102,15 +102,13 @@ def render_components_table(
     comps: Sequence[SliceComponents],
     notes: Sequence[str] = (),
 ) -> str:
-    rows = []
-    for p, c in zip(w, comps):
-        rows.append([
-            f"P{p.pid}", str(p.burst), str(p.priority),
-            str(c.ots), str(c.pc), str(c.sc), str(c.csc), str(c.its),
-        ])
-    out = _render_table(
-        ["process", "burst", "priority", "OTS", "PC", "SC", "CSC", "ITS"], rows
-    )
+    rows = [
+        [f"P{p.pid}", str(p.burst), str(p.priority)]
+        + [str(getattr(c, name)) for name in COMPONENT_FIELDS]
+        for p, c in zip(w, comps)
+    ]
+    header = ["process", "burst", "priority"] + [name.upper() for name in COMPONENT_FIELDS]
+    out = _render_table(header, rows)
     out += f"\n\nrange: {comps[0].slice_range}"
     if notes:
         out += "\n" + "\n".join(f"note: {n}" for n in notes)
@@ -168,8 +166,19 @@ def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[s
     }
 
 
-def _ints(row: Dict[str, object], names: Iterable[str], what: str) -> List[int]:
+def _field(data: Dict[str, object], name: str, kind: type, expected: str):
+    """``data[name]``, which must be a ``kind``."""
+    value = data.get(name)
+    if not isinstance(value, kind):
+        got = repr(value) if name in data else "missing"
+        raise MetricsError(f"trace field {name!r} is {got}, expected {expected}")
+    return value
+
+
+def _ints(row: object, names: Iterable[str], what: str) -> List[int]:
     """``row[name]`` for each of ``names``, each an ``int`` (JSON ``true`` is not)."""
+    if not isinstance(row, dict):
+        raise MetricsError(f"{what} row is {row!r}, expected an object")
     for name in names:
         if type(row.get(name)) is not int:
             got = repr(row[name]) if name in row else "missing"
@@ -177,20 +186,36 @@ def _ints(row: Dict[str, object], names: Iterable[str], what: str) -> List[int]:
     return [row[name] for name in names]
 
 
-def trace_from_dict(data: Dict[str, object]) -> Tuple[Workload, str, ScheduleTrace]:
-    """Inverse of :func:`trace_to_dict`.  Raises ``MetricsError`` for a missing
-    or non-``int`` field and for an invalid schedule (see :func:`compute_metrics`)."""
+def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
+    """Inverse of :func:`trace_to_dict`.  Raises ``MetricsError``, naming the
+    field, for a missing or mistyped field, a completion key that is not a pid
+    of the workload, a pid's k-th segment not in round k, and an invalid
+    schedule (see :func:`compute_metrics`)."""
+    if not isinstance(data, dict):
+        raise MetricsError(f"trace is a {type(data).__name__}, expected an object")
+    rows = _field(data, "workload", list, "a list")
+    segs = _field(data, "segments", list, "a list")
+    done = _field(data, "completion", dict, "an object")
+    policy = _field(data, "policy", str, "a string")
     w = Workload(tuple(
-        ProcessSpec(*_ints(r, ("id", "burst", "priority"), "workload"))
-        for r in data["workload"]
+        ProcessSpec(*_ints(r, ("id", "burst", "priority"), "workload")) for r in rows
     ))
-    segments = tuple(
-        DispatchSegment(*_ints(s, SEGMENT_FIELDS, "segment")) for s in data["segments"]
-    )
-    done = data["completion"]
-    trace = ScheduleTrace(segments, dict(zip(map(int, done), _ints(done, done, "completion"))))
+    segments = tuple(DispatchSegment(*_ints(s, SEGMENT_FIELDS, "segment")) for s in segs)
+    pids = {str(pid): pid for pid in w.pids}
+    for key in done:
+        if key not in pids:
+            raise MetricsError(f"completion key {key!r} is not a process id of the workload")
+    completion = dict(zip(map(pids.get, done), _ints(done, done, "completion")))
+    trace = ScheduleTrace(segments, completion)
     compute_metrics(trace, w)
-    return w, data["policy"], trace
+    visits = dict.fromkeys(w.pids, 0)  # compute_metrics rejected unknown pids
+    for seg in segments:
+        visits[seg.pid] += 1
+        if seg.round != visits[seg.pid]:
+            raise MetricsError(
+                f"segment round of P{seg.pid} is {seg.round}, expected {visits[seg.pid]}"
+            )
+    return w, policy, trace
 
 
 def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
@@ -340,15 +365,13 @@ def _cmd_components(args, out) -> None:
                 "den": comps[0].slice_range.denominator,
             },
             "components": [
-                {"pid": p.pid, "ots": c.ots, "pc": c.pc, "sc": c.sc,
-                 "csc": c.csc, "its": c.its}
+                {"pid": p.pid, **{name: getattr(c, name) for name in COMPONENT_FIELDS}}
                 for p, c in zip(w, comps)
             ],
         })
     if args.csv:
-        header = ("pid", "burst", "priority", "ots", "pc", "sc", "csc", "its")
-        _write_csv(args.csv, header, (
-            (p.pid, p.burst, p.priority, c.ots, c.pc, c.sc, c.csc, c.its)
+        _write_csv(args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS, (
+            (p.pid, p.burst, p.priority, *(getattr(c, name) for name in COMPONENT_FIELDS))
             for p, c in zip(w, comps)
         ))
 
@@ -367,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         if static_ots:
             p.add_argument(
                 "--static-ots", type=int, default=DEFAULT_STATIC_OTS,
-                help="static OTS constant used by its-rr/pbdrr (default 4)",
+                help=f"static OTS constant used by its-rr/pbdrr (default {DEFAULT_STATIC_OTS})",
             )
 
     p_sim = sub.add_parser("simulate", help="run one policy and print Gantt + metrics")
@@ -405,7 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="annotate cells where published reference values differ")
     add_common(p_cmp2, static_ots=False)
     p_cmp2.add_argument("--static-ots", type=int,
-                        help="static OTS constant for --use-static-ots (default 4)")
+                        help=f"static OTS constant for --use-static-ots"
+                        f" (default {DEFAULT_STATIC_OTS})")
     p_cmp2.set_defaults(func=_cmd_components)
 
     return parser

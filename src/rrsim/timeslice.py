@@ -11,7 +11,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional
 
-from .workload import ProcessSpec, Workload
+from .workload import Workload
+
+# the slice components of one process, in table order; ITS is their sum
+COMPONENT_FIELDS = ("ots", "pc", "sc", "csc", "its")
 
 
 @dataclass(frozen=True)
@@ -44,23 +47,6 @@ def compute_range(w: Workload) -> Fraction:
     return Fraction(max(bursts) + min(bursts), 2)
 
 
-def compute_csc(p: ProcessSpec, ots: int, pc: int, sc: int) -> int:
-    """Context-switch component: pad the slice so a nearly-fitting process can
-    finish in a single dispatch.
-
-    With balance = burst - (ots + pc + sc):
-      * balance < 0     -> the slice already covers the burst; csc = burst
-      * balance < ots   -> csc = balance (the process completes in one grant)
-      * otherwise       -> 0
-    """
-    balance = p.burst - (ots + pc + sc)
-    if balance < 0:
-        return p.burst
-    if balance < ots:
-        return balance
-    return 0
-
-
 def check_static_ots(static_ots: Optional[int]) -> None:
     """Raise ``ValueError`` for a static OTS below one time unit."""
     if static_ots is not None and static_ots < 1:
@@ -71,7 +57,7 @@ def compute_components(
     w: Workload, *, static_ots: Optional[int] = None
 ) -> List[SliceComponents]:
     """Slice components for every process in submission order, in one pass.
-    This is the one statement of the OTS, PC and SC rules:
+    This is the one statement of the OTS, PC, SC and CSC rules:
 
       * OTS = Range / priority (the paper's (Range·n) / (priority·n), where
         the process count n cancels), rounded per :func:`_round_ratio` and
@@ -80,7 +66,9 @@ def compute_components(
       * PC = 1 at the workload's most urgent (numerically smallest) priority
       * SC = 1 when the burst is shorter than the one submitted just before
         it; 0 for the first process
-      * CSC per :func:`compute_csc`
+      * CSC pads the slice so a nearly-fitting process can finish in one
+        dispatch.  With balance = burst - (OTS + PC + SC): the whole burst when
+        balance < 0, the balance when it is below the OTS, else 0
     """
     check_static_ots(static_ots)
     slice_range = compute_range(w)
@@ -92,6 +80,8 @@ def compute_components(
         ots = static_ots or max(1, _round_ratio(num, den * p.priority))
         pc = 1 if p.priority == top else 0
         sc = 1 if p.burst < prev else 0
-        out.append(SliceComponents(slice_range, ots, pc, sc, compute_csc(p, ots, pc, sc)))
+        balance = p.burst - (ots + pc + sc)
+        csc = p.burst if balance < 0 else balance if balance < ots else 0
+        out.append(SliceComponents(slice_range, ots, pc, sc, csc))
         prev = p.burst
     return out

@@ -35,14 +35,14 @@ def _cases():
         cases[f"components {ds}"] = ["components", "--workload", csv]
         cases[f"components static {ds}"] = [
             "components", "--workload", csv, "--use-static-ots"]
-    cases["simulate proposed increasing paper-notes"] = [
-        "simulate", "--workload", str(DATA / "increasing.csv"),
-        "--policy", "proposed", "--paper-notes"]
-    cases["simulate pbdrr increasing paper-notes"] = [
-        "simulate", "--workload", str(DATA / "increasing.csv"),
-        "--policy", "pbdrr", "--paper-notes"]
-    cases["components increasing paper-notes"] = [
-        "components", "--workload", str(DATA / "increasing.csv"), "--paper-notes"]
+        # --paper-notes wherever a published table may apply
+        for policy in ("proposed", "pbdrr"):
+            cases[f"simulate {policy} {ds} paper-notes"] = [
+                "simulate", "--workload", csv, "--policy", policy, "--paper-notes"]
+        cases[f"components {ds} paper-notes"] = [
+            "components", "--workload", csv, "--paper-notes"]
+        cases[f"components static {ds} paper-notes"] = [
+            "components", "--workload", csv, "--use-static-ots", "--paper-notes"]
     for order in ("increasing", "decreasing", "random"):
         cases[f"generate {order}"] = [
             "generate", "--n", "12", "--order", order, "--burst-range", "1:60",
@@ -89,8 +89,18 @@ GOLDEN = {
         "b81cc60e4868b3e659c8eea33959a32e415cd8f085582bc806a480b79ca023ad",
         "0289f4cd2aff80f5f125c01d6fccaa7e6d42322de979d7189f8bea67ab73a0e9",
     ),
+    "components decreasing paper-notes": (
+        "64a62b1a5436d0de557705ebf7d57cec2d95c8ccd7fb1acab62ce24af704bd54",
+        "b81cc60e4868b3e659c8eea33959a32e415cd8f085582bc806a480b79ca023ad",
+        "0289f4cd2aff80f5f125c01d6fccaa7e6d42322de979d7189f8bea67ab73a0e9",
+    ),
     "components illustration": (
         "e9fa960f077c779341e7a95ecb84e097700a61b6d3f76c44a64af0605ffae5c9",
+        "f0edf9c21e12fbaf7da93795412a274ee6c68733d3098aa5cf76997715db4809",
+        "17d4c733982ec3d6b56a62cfa851dda103b27bf940db2d16a40e316c5d07444a",
+    ),
+    "components illustration paper-notes": (
+        "6f4eed9fc7cddfdf011dc0ef558fa6d845314581226ebcc41b7fe5f4256cc3a6",
         "f0edf9c21e12fbaf7da93795412a274ee6c68733d3098aa5cf76997715db4809",
         "17d4c733982ec3d6b56a62cfa851dda103b27bf940db2d16a40e316c5d07444a",
     ),
@@ -109,7 +119,17 @@ GOLDEN = {
         "89c5c8d1e6e2f5180dde7912d29e92bd373bf16249158b88f8f10bee788985a7",
         "9bea3602d1af5551b6377917dbd40574805d1b6d1c4153eea3c37bcc687cf6b7",
     ),
+    "components random paper-notes": (
+        "8942bf2eb889292b549e218dc7a62e0610609b0fefc28636c81f7fb54596ac9b",
+        "89c5c8d1e6e2f5180dde7912d29e92bd373bf16249158b88f8f10bee788985a7",
+        "9bea3602d1af5551b6377917dbd40574805d1b6d1c4153eea3c37bcc687cf6b7",
+    ),
     "components static decreasing": (
+        "41662c20f77da3bb824b442684ef68dd3624dbeaa7d9d3c1b5615d50c67148e6",
+        "6abbe1ae1c1de849377d3733391cf7fd154228fcdf8417bf72d968c2e1b4fada",
+        "7f27c5df5f13d285421241767f018fb96372af228ae3b9c2793161d04d5c4e13",
+    ),
+    "components static decreasing paper-notes": (
         "41662c20f77da3bb824b442684ef68dd3624dbeaa7d9d3c1b5615d50c67148e6",
         "6abbe1ae1c1de849377d3733391cf7fd154228fcdf8417bf72d968c2e1b4fada",
         "7f27c5df5f13d285421241767f018fb96372af228ae3b9c2793161d04d5c4e13",
@@ -119,12 +139,27 @@ GOLDEN = {
         "30e17c26829f7fbb11cfb8614850a8fc6b040db6d8a93645a08573c688dac7fc",
         "3a314f71cae3022d265029daaaee43522a40b7335df5a3b32735553a998e11f1",
     ),
+    "components static illustration paper-notes": (
+        "e08aa4af4e9095c5526a526d23ae5e13fbabc3b80b363a06cec28036eefbbea1",
+        "30e17c26829f7fbb11cfb8614850a8fc6b040db6d8a93645a08573c688dac7fc",
+        "3a314f71cae3022d265029daaaee43522a40b7335df5a3b32735553a998e11f1",
+    ),
     "components static increasing": (
         "610e2276b03baf218a642b6c4a40c57bb50e6aede1fe62125afaa3951d365824",
         "e8e04ba10e9b60d4524dddf771df5249215c61d7f3f1c8f2d9d232d602717ea4",
         "e1755583eba0c63d15977784aec1302bb81890d4807961a4201d2e3beffd6009",
     ),
+    "components static increasing paper-notes": (
+        "610e2276b03baf218a642b6c4a40c57bb50e6aede1fe62125afaa3951d365824",
+        "e8e04ba10e9b60d4524dddf771df5249215c61d7f3f1c8f2d9d232d602717ea4",
+        "e1755583eba0c63d15977784aec1302bb81890d4807961a4201d2e3beffd6009",
+    ),
     "components static random": (
+        "3b6a78a6b44212cb003c91d4d2fd876e290a332224e2d0f6f504488698df010b",
+        "6374e45984c1ecea041013ca3bd0d630ccff96828046dfcce51ca77024c77aaf",
+        "86cd43acfd0ee7696a8f4b4447b7ddc159998bab2d7931ca3f1e226125d84c17",
+    ),
+    "components static random paper-notes": (
         "3b6a78a6b44212cb003c91d4d2fd876e290a332224e2d0f6f504488698df010b",
         "6374e45984c1ecea041013ca3bd0d630ccff96828046dfcce51ca77024c77aaf",
         "86cd43acfd0ee7696a8f4b4447b7ddc159998bab2d7931ca3f1e226125d84c17",
@@ -189,7 +224,17 @@ GOLDEN = {
         "a4746b716cfb5bec59d29a9418981aab826da94a6df1d08a41c15be6f55ce81a",
         "9603dfe2a7f5ef18442df178ebae917466c99bf91403ce33315ea68db3f812e4",
     ),
+    "simulate pbdrr decreasing paper-notes": (
+        "9e2b215d4fb2c0836786b06cc3ff9afc9bf9832d719c65282c37e7877ef35d16",
+        "a4746b716cfb5bec59d29a9418981aab826da94a6df1d08a41c15be6f55ce81a",
+        "9603dfe2a7f5ef18442df178ebae917466c99bf91403ce33315ea68db3f812e4",
+    ),
     "simulate pbdrr illustration": (
+        "683673f86ff0522e7c15bb235956c255c819093e8c82b49ed72e057de741acf8",
+        "01d2558405ab54519917ee37ae3bacec29dab96bbbcddc336028f3a8f9576433",
+        "be417f12f287fa4bafb3633672510f70e699af6c16c12eb65dc84e7444ce5a51",
+    ),
+    "simulate pbdrr illustration paper-notes": (
         "683673f86ff0522e7c15bb235956c255c819093e8c82b49ed72e057de741acf8",
         "01d2558405ab54519917ee37ae3bacec29dab96bbbcddc336028f3a8f9576433",
         "be417f12f287fa4bafb3633672510f70e699af6c16c12eb65dc84e7444ce5a51",
@@ -209,12 +254,27 @@ GOLDEN = {
         "9da72474cb55bad83f20c293b8c7564d76d740658be82ebc6393cfbce208b7c8",
         "0323f22fb1ff3846357f6c63bb86402d2a248ef21d2c9bf49ec2c44f1712c18e",
     ),
+    "simulate pbdrr random paper-notes": (
+        "e2e4a001b60a7ad7f8de1feb6bb4905010152091e4ad8bd2cee6837a9b25b552",
+        "9da72474cb55bad83f20c293b8c7564d76d740658be82ebc6393cfbce208b7c8",
+        "0323f22fb1ff3846357f6c63bb86402d2a248ef21d2c9bf49ec2c44f1712c18e",
+    ),
     "simulate proposed decreasing": (
         "ed592889dc22be04f6fe2d038da10f0f72c635b031e687f4ce3c9a7d346dfd53",
         "6cd2f494a26ab0d0faf17df147e6c536970d43551b11748caceee01670f44bc2",
         "2ad423da88040aaede09d17509eab9f572bea1b621b57e59fb13f8d5d18c679f",
     ),
+    "simulate proposed decreasing paper-notes": (
+        "ed592889dc22be04f6fe2d038da10f0f72c635b031e687f4ce3c9a7d346dfd53",
+        "6cd2f494a26ab0d0faf17df147e6c536970d43551b11748caceee01670f44bc2",
+        "2ad423da88040aaede09d17509eab9f572bea1b621b57e59fb13f8d5d18c679f",
+    ),
     "simulate proposed illustration": (
+        "d73e5a35c3ffa98766bd97002971e59b7aed229361a721fb265c8e2dceeb63cc",
+        "d808b36b1dbf81e908de6b43c33d29a872ac279d4fbda879e79e64110cc867d5",
+        "f2bff5942769358755b3200b34c13d3e6e9f82977e07e40440a11eba886869c2",
+    ),
+    "simulate proposed illustration paper-notes": (
         "d73e5a35c3ffa98766bd97002971e59b7aed229361a721fb265c8e2dceeb63cc",
         "d808b36b1dbf81e908de6b43c33d29a872ac279d4fbda879e79e64110cc867d5",
         "f2bff5942769358755b3200b34c13d3e6e9f82977e07e40440a11eba886869c2",
@@ -231,6 +291,11 @@ GOLDEN = {
     ),
     "simulate proposed random": (
         "de4cc6c240b64f6796e3a00c6450fcda9afcfb59d13d99974f045e5ca521d65e",
+        "1b0e2deb916396309ca035ef1e5c0f0f764895532d4f817f7bbe8f67a501cb3c",
+        "b04bedbdbe8c93927f5d9ebc6a0286df28eb4d412112a29a6a8bdc6535db1c63",
+    ),
+    "simulate proposed random paper-notes": (
+        "c88e4008bcd0eec13b20654602655cf22f631e6bef520e759a66b6289c3fe045",
         "1b0e2deb916396309ca035ef1e5c0f0f764895532d4f817f7bbe8f67a501cb3c",
         "b04bedbdbe8c93927f5d9ebc6a0286df28eb4d412112a29a6a8bdc6535db1c63",
     ),

@@ -103,9 +103,28 @@ class TestTraceJson:
             (lambda d: d["workload"][0].update(burst="6"), "workload field 'burst' is '6'"),
             (lambda d: d["workload"][0].pop("priority"), "workload field 'priority' is missing"),
             (lambda d: d["completion"].update({"3": 8.0}), "completion field '3' is 8.0"),
+            (lambda d: d.pop("segments"), "trace field 'segments' is missing"),
+            (lambda d: d.pop("workload"), "trace field 'workload' is missing"),
+            (lambda d: d.pop("completion"), "trace field 'completion' is missing"),
+            (lambda d: d.pop("policy"), "trace field 'policy' is missing"),
+            (lambda d: d["segments"].__setitem__(0, list(d["segments"][0].values())),
+             "segment row is"),
+            (lambda d: d["workload"].__setitem__(0, list(d["workload"][0].values())),
+             "workload row is"),
+            (lambda d: d.update(completion=list(d["completion"].values())),
+             "trace field 'completion' is"),
+            (lambda d: d["completion"].update(P1=d["completion"].pop("1")),
+             "completion key 'P1' is not a process id"),
+            (lambda d: d.update(policy=5), "trace field 'policy' is 5"),
+            (lambda d: d["segments"][0].update(round=7), "round of P3 is 7, expected 1"),
+            (lambda d: next(s for s in d["segments"] if s["round"] == 2).update(round=1),
+             "is 1, expected 2"),
         ],
         ids=["completion", "gap", "past-quantum", "string-end", "float-end", "bool-round",
-             "missing-quantum", "string-burst", "missing-priority", "float-completion"],
+             "missing-quantum", "string-burst", "missing-priority", "float-completion",
+             "missing-segments", "missing-workload", "missing-completion", "missing-policy",
+             "list-segment", "list-workload-row", "list-completion", "non-pid-key",
+             "int-policy", "first-round-7", "second-visit-round-1"],
     )
     def test_load_rejects_an_invalid_trace(self, random_w, edit, message):
         trace = simulate(random_w, proposed_policy(random_w))
@@ -113,6 +132,10 @@ class TestTraceJson:
         edit(data)
         with pytest.raises(MetricsError, match=message):
             trace_from_dict(data)
+
+    def test_load_rejects_a_non_object(self):
+        with pytest.raises(MetricsError, match="trace is a list, expected an object"):
+            trace_from_dict([])
 
     def test_completion_map_golden(self, random_w):
         trace = simulate(random_w, proposed_policy(random_w))

@@ -9,7 +9,6 @@ from conftest import workloads
 from rrsim import (
     ProcessSpec,
     compute_components,
-    compute_csc,
     compute_range,
     generate_workload,
     workload,
@@ -137,7 +136,7 @@ class TestCsc:
         ],
     )
     def test_examples(self, burst, ots, pc, sc, expected):
-        assert compute_csc(proc(burst), ots, pc, sc) == expected
+        assert ref.csc(proc(burst), ots, pc, sc) == expected
 
 
 class TestComponents:
