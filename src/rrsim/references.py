@@ -42,22 +42,21 @@ COMPONENTS = {
     },
 }
 
-# Published per-round quanta of each pid by (bursts, priorities, policy,
-# static OTS or None).
+# Published per-round quanta of each process, in submission order, by
+# (bursts, priorities, policy, static OTS or None).
 ROUNDS = {
-    INCREASING + ("proposed", None): {
-        1: (5,), 2: (3, 5, 4), 3: (9, 7), 4: (2, 3, 5, 8, 3), 5: (2, 3, 5, 8, 5),
-    },
-    INCREASING + ("pbdrr", 4): {
-        1: (5,), 2: (2, 3, 7), 3: (3, 5, 8), 4: (2, 3, 5, 8, 3), 5: (2, 3, 5, 8, 5),
-    },
-    RANDOM + ("proposed", None): {
-        1: (6, 5), 2: (27, 26), 3: (8,), 4: (4, 6, 9, 15, 7), 5: (7, 13),
-    },
-    RANDOM + ("pbdrr", 4): {
-        1: (2, 3, 6), 2: (3, 5, 8, 12, 18, 7), 3: (8,), 4: (2, 3, 5, 8, 12, 11),
-        5: (5, 10, 5),
-    },
+    INCREASING + ("proposed", None): (
+        (5,), (3, 5, 4), (9, 7), (2, 3, 5, 8, 3), (2, 3, 5, 8, 5),
+    ),
+    INCREASING + ("pbdrr", 4): (
+        (5,), (2, 3, 7), (3, 5, 8), (2, 3, 5, 8, 3), (2, 3, 5, 8, 5),
+    ),
+    RANDOM + ("proposed", None): (
+        (6, 5), (27, 26), (8,), (4, 6, 9, 15, 7), (7, 13),
+    ),
+    RANDOM + ("pbdrr", 4): (
+        (2, 3, 6), (3, 5, 8, 12, 18, 7), (8,), (2, 3, 5, 8, 12, 11), (5, 10, 5),
+    ),
 }
 
 
@@ -89,8 +88,9 @@ def quantum_notes(
     static_ots: Optional[int] = None,
 ) -> List[str]:
     """Footnotes for per-round quanta where the published matrix disagrees
-    with the trace.  The ``static_ots`` matrix is looked up before the
-    Range-OTS one."""
+    with the trace, matched to the workload's processes by submission
+    position.  The ``static_ots`` matrix is looked up before the Range-OTS
+    one."""
     key = (w.bursts, w.priorities, policy_name)
     published = ROUNDS.get(key + (static_ots,)) or ROUNDS.get(key + (None,))
     if published is None:
@@ -99,11 +99,10 @@ def quantum_notes(
     for seg in trace.segments:
         actual[seg.pid].append(seg.quantum)
     notes = []
-    for pid in sorted(published):
-        got = tuple(actual.get(pid, ()))
-        if got != published[pid]:
+    for pid, quanta in zip(w.pids, published):
+        got = tuple(actual[pid])
+        if got != quanta:
             notes.append(
-                f"P{pid} round quanta: published {published[pid]}"
-                f" differ from rule-derived {got}"
+                f"P{pid} round quanta: published {quanta} differ from rule-derived {got}"
             )
     return notes

@@ -11,7 +11,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from operator import attrgetter, itemgetter
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import references
 from .engine import DispatchSegment, ScheduleTrace, simulate
@@ -19,6 +21,7 @@ from .metrics import MetricsError, MetricsSummary, compute_metrics, format_avera
 from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, SchedulingPolicy, policy_from_name
 from .timeslice import COMPONENT_FIELDS, SliceComponents, check_static_ots, compute_components
 from .workload import (
+    CSV_HEADER,
     ORDERS,
     ProcessSpec,
     Workload,
@@ -118,10 +121,10 @@ def render_components_table(
 _COMPARISON_HEADER = ("policy", "avg TAT", "avg WT", "CS")
 
 
-def _comparison_rows(results: Sequence[Tuple[str, MetricsSummary]]) -> List[List[str]]:
+def _comparison_rows(results: Sequence[Tuple[str, MetricsSummary]]) -> List[Tuple[str, ...]]:
     return [
-        [name, format_average(s.avg_turnaround), format_average(s.avg_waiting),
-         str(s.context_switches)]
+        (name, format_average(s.avg_turnaround), format_average(s.avg_waiting),
+         str(s.context_switches))
         for name, s in results
     ]
 
@@ -131,39 +134,82 @@ def render_comparison(results: Sequence[Tuple[str, MetricsSummary]]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# machine-readable export
+# machine-readable export: each command states its document once, with a
+# _Table wherever rows repeat.  _write_json writes the bytes json's own dump
+# writes with sorted keys and a two-space indent, and a newline; _plain gives
+# the dicts and lists that json reads back.
+
+# segment fields in DispatchSegment order
+SEGMENT_FIELDS = ("pid", "start", "end", "round", "quantum")
+_METRIC_FIELDS = ("turnaround", "waiting", "response")
+_CHUNK = 4096  # rows per write, so a long trace's text is never held whole
+
+
+class _Table(NamedTuple):
+    """Integer rows: a list of objects or, when ``keyed``, an object keyed by
+    each row's pid holding an object or, without ``fields``, one value."""
+
+    fields: Tuple[str, ...]
+    rows: Iterable[tuple]
+    keyed: bool = False
+
+
+def _workload_table(w: Workload) -> _Table:
+    return _Table(CSV_HEADER, ((p.pid, p.burst, p.priority) for p in w))
+
+
+def _segment_table(trace: ScheduleTrace) -> _Table:
+    return _Table(SEGMENT_FIELDS, map(attrgetter(*SEGMENT_FIELDS), trace.segments))
+
+
+def _fraction_to_dict(value: Fraction) -> Dict[str, int]:
+    return {"num": value.numerator, "den": value.denominator}
 
 
 def _average_to_dict(value: Fraction) -> Dict[str, object]:
+    return {"display": format_average(value), **_fraction_to_dict(value)}
+
+
+def _trace_doc(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str, object]:
     return {
-        "display": format_average(value),
-        "num": value.numerator,
-        "den": value.denominator,
+        "workload": _workload_table(w),
+        "policy": policy_name,
+        "segments": _segment_table(trace),
+        "completion": _Table((), sorted(trace.completion.items()), keyed=True),
     }
 
 
-def workload_to_dicts(w: Workload) -> List[Dict[str, int]]:
-    return [{"id": p.pid, "burst": p.burst, "priority": p.priority} for p in w]
+def _metrics_doc(name: str, summary: MetricsSummary) -> Dict[str, object]:
+    get = attrgetter(*_METRIC_FIELDS)
+    return {
+        "policy": name,
+        "avg_turnaround": _average_to_dict(summary.avg_turnaround),
+        "avg_waiting": _average_to_dict(summary.avg_waiting),
+        "context_switches": summary.context_switches,
+        "per_process": _Table(_METRIC_FIELDS, (
+            (pid, *get(m)) for pid, m in sorted(summary.per_process.items())
+        ), keyed=True),
+    }
 
 
-# segment fields in DispatchSegment order; segments_to_dicts inlines them for speed
-SEGMENT_FIELDS = ("pid", "start", "end", "round", "quantum")
-
-
-def segments_to_dicts(trace: ScheduleTrace) -> List[Dict[str, int]]:
-    return [
-        {"pid": s.pid, "start": s.start, "end": s.end, "round": s.round, "quantum": s.quantum}
-        for s in trace.segments
-    ]
+def _plain(value: object) -> object:
+    """``value`` with each :class:`_Table` as dicts and lists."""
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if not isinstance(value, _Table):
+        return value
+    fields, rows, keyed = value
+    if not keyed:
+        return [dict(zip(fields, row)) for row in rows]
+    return {str(pid): dict(zip(fields, rest)) if fields else rest[0] for pid, *rest in rows}
 
 
 def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str, object]:
-    return {
-        "workload": workload_to_dicts(w),
-        "policy": policy_name,
-        "segments": segments_to_dicts(trace),
-        "completion": {str(pid): t for pid, t in sorted(trace.completion.items())},
-    }
+    return _plain(_trace_doc(w, policy_name, trace))
+
+
+def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
+    return _plain(_metrics_doc(name, summary))
 
 
 def _field(data: Dict[str, object], name: str, kind: type, expected: str):
@@ -188,18 +234,26 @@ def _ints(row: object, names: Iterable[str], what: str) -> List[int]:
 
 def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
     """Inverse of :func:`trace_to_dict`.  Raises ``MetricsError``, naming the
-    field, for a missing or mistyped field, a completion key that is not a pid
-    of the workload, a pid's k-th segment not in round k, and an invalid
-    schedule (see :func:`compute_metrics`)."""
+    field or workload row, for a missing or mistyped field, an invalid
+    workload, a completion key that is not a pid of the workload, a pid's k-th
+    segment not in round k, and an invalid schedule (see
+    :func:`compute_metrics`)."""
     if not isinstance(data, dict):
         raise MetricsError(f"trace is a {type(data).__name__}, expected an object")
     rows = _field(data, "workload", list, "a list")
     segs = _field(data, "segments", list, "a list")
     done = _field(data, "completion", dict, "an object")
     policy = _field(data, "policy", str, "a string")
-    w = Workload(tuple(
-        ProcessSpec(*_ints(r, ("id", "burst", "priority"), "workload")) for r in rows
-    ))
+    procs = []
+    for i, row in enumerate(rows):
+        try:
+            procs.append(ProcessSpec(*_ints(row, CSV_HEADER, "workload")))
+        except WorkloadError as exc:
+            raise MetricsError(f"workload row {i}: {exc}") from None
+    try:
+        w = Workload(tuple(procs))
+    except WorkloadError as exc:  # no rows, or an id given twice
+        raise MetricsError(f"trace field 'workload': {exc}") from None
     segments = tuple(DispatchSegment(*_ints(s, SEGMENT_FIELDS, "segment")) for s in segs)
     pids = {str(pid): pid for pid in w.pids}
     for key in done:
@@ -218,21 +272,8 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
     return w, policy, trace
 
 
-def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
-    return {
-        "policy": name,
-        "avg_turnaround": _average_to_dict(summary.avg_turnaround),
-        "avg_waiting": _average_to_dict(summary.avg_waiting),
-        "context_switches": summary.context_switches,
-        "per_process": {
-            str(pid): {
-                "turnaround": m.turnaround,
-                "waiting": m.waiting,
-                "response": m.response,
-            }
-            for pid, m in sorted(summary.per_process.items())
-        },
-    }
+def _chunks(texts: Iterator[str]) -> Iterator[List[str]]:
+    return iter(lambda: list(islice(texts, _CHUNK)), [])
 
 
 def _write_text(path: str, text: str) -> None:
@@ -240,16 +281,57 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_json(path: str, data: object) -> None:
-    # json.dump streams to the file; json.dumps would hold the whole text
+def _write_json(path: str, doc: object) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
+        _write_value(fh.write, doc, "\n")
         fh.write("\n")
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_value(write: Callable[[str], object], value: object, nl: str) -> None:
+    """Write ``value`` as json's dump with sorted keys and a two-space indent
+    does when it starts on the line ``nl`` (a newline and that line's indent)."""
+    if isinstance(value, _Table):
+        _write_table(write, value, nl)
+    elif not value or not isinstance(value, (dict, list)):
+        write(json.dumps(value))
+    else:
+        inner = nl + "  "
+        keyed = isinstance(value, dict)
+        sep = "{" if keyed else "["
+        for key in sorted(value) if keyed else range(len(value)):
+            write(sep + inner + (json.dumps(key) + ": " if keyed else ""))
+            _write_value(write, value[key], inner)
+            sep = ","
+        write(nl + ("}" if keyed else "]"))
+
+
+def _write_table(write: Callable[[str], object], table: _Table, nl: str) -> None:
+    """:func:`_write_value` for a table: one %-template per row with its keys
+    in sorted order, and pid keys sorted as strings, as ``json`` sorts them."""
+    fields, rows, keyed = table
+    inner = nl + "  "
+    order = sorted(range(len(fields)), key=fields.__getitem__)
+    row = ",".join(f'{inner}  "{fields[i]}": %d' for i in order)
+    row = "{" + row + inner + "}" if fields else "%d"
+    if keyed:
+        row = '"%d": ' + row
+        order = [0] + [i + 1 for i in order]
+        rows = sorted(rows, key=lambda r: str(r[0]))
+    if order != sorted(order):
+        rows = map(itemgetter(*order), rows)
+    opener, closer = "{}" if keyed else "[]"
+    sep = opener
+    for chunk in _chunks(map(row.__mod__, rows)):
+        write(sep + inner + ("," + inner).join(chunk))
+        sep = ","
+    write(opener + closer if sep == opener else nl + closer)
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[tuple]) -> None:
+    row = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(map("".join, _chunks(map(row.__mod__, rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +386,12 @@ def _cmd_simulate(args, out) -> None:
         for note in references.quantum_notes(w, policy.name, trace, args.static_ots):
             print(f"note: {note}", file=out)
     if args.json:
-        data = trace_to_dict(w, policy.name, trace)
-        data["metrics"] = metrics_to_dict(policy.name, summary)
-        _write_json(args.json, data)
+        _write_json(args.json, {
+            **_trace_doc(w, policy.name, trace),
+            "metrics": _metrics_doc(policy.name, summary),
+        })
     if args.csv:
-        _write_csv(args.csv, SEGMENT_FIELDS, (
-            (s.pid, s.start, s.end, s.round, s.quantum) for s in trace.segments
-        ))
+        _write_csv(args.csv, SEGMENT_FIELDS, _segment_table(trace).rows)
 
 
 def _cmd_compare(args, out) -> None:
@@ -329,9 +410,9 @@ def _cmd_compare(args, out) -> None:
     print(_render_table(_COMPARISON_HEADER, rows), file=out)
     if args.json:
         _write_json(args.json, {
-            "workload": workload_to_dicts(w),
-            "metrics": [metrics_to_dict(n, s) for n, s in summaries],
-            "traces": {n: segments_to_dicts(t) for n, t in traces.items()},
+            "workload": _workload_table(w),
+            "metrics": [_metrics_doc(n, s) for n, s in summaries],
+            "traces": {n: _segment_table(t) for n, t in traces.items()},
         })
     if args.csv:
         _write_csv(args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"), rows)
@@ -346,7 +427,7 @@ def _cmd_generate(args, out) -> None:
     if args.csv:
         _write_text(args.csv, text)
     if args.json:
-        _write_json(args.json, {"workload": workload_to_dicts(w)})
+        _write_json(args.json, {"workload": _workload_table(w)})
 
 
 def _cmd_components(args, out) -> None:
@@ -357,22 +438,18 @@ def _cmd_components(args, out) -> None:
     comps = compute_components(w, static_ots=static)
     notes = references.component_notes(w, comps, static) if args.paper_notes else ()
     print(render_components_table(w, comps, notes), file=out)
+    get = attrgetter(*COMPONENT_FIELDS)
     if args.json:
         _write_json(args.json, {
-            "workload": workload_to_dicts(w),
-            "range": {
-                "num": comps[0].slice_range.numerator,
-                "den": comps[0].slice_range.denominator,
-            },
-            "components": [
-                {"pid": p.pid, **{name: getattr(c, name) for name in COMPONENT_FIELDS}}
-                for p, c in zip(w, comps)
-            ],
+            "workload": _workload_table(w),
+            "range": _fraction_to_dict(comps[0].slice_range),
+            "components": _Table(("pid",) + COMPONENT_FIELDS, (
+                (p.pid, *get(c)) for p, c in zip(w, comps)
+            )),
         })
     if args.csv:
         _write_csv(args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS, (
-            (p.pid, p.burst, p.priority, *(getattr(c, name) for name in COMPONENT_FIELDS))
-            for p, c in zip(w, comps)
+            (p.pid, p.burst, p.priority, *get(c)) for p, c in zip(w, comps)
         ))
 
 

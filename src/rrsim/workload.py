@@ -80,10 +80,13 @@ def workload(bursts, priorities=None) -> Workload:
 
 
 def _parse_int(field: str, value: str, row_no: int) -> int:
-    try:
-        return int(value.strip())
-    except ValueError:
-        raise WorkloadError(f"row {row_no}: {field} is not an integer: {value!r}") from None
+    """An optional ``-`` and ASCII digits; ``int`` alone would also take
+    ``+3``, ``1_0`` and non-ASCII digits."""
+    text = value.strip()
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise WorkloadError(f"row {row_no}: {field} is not an integer: {value!r}")
+    return int(text)
 
 
 def parse_workload(text: str) -> Workload:

@@ -1,11 +1,14 @@
 """The published tables behind ``--paper-notes`` are keyed by the bundled
 datasets.  Several tables agree with the rules in every cell and so print no
 note; a mistyped key would drop one of them without changing any output."""
+import io
+import re
 from pathlib import Path
 
 import pytest
 
-from rrsim import parse_workload
+from rrsim import ProcessSpec, Workload, parse_workload, serialize_workload
+from rrsim.report import run_cli
 from rrsim.references import COMPONENTS, ROUNDS
 from rrsim.schedulers import POLICY_NAMES
 from rrsim.timeslice import COMPONENT_FIELDS
@@ -54,5 +57,28 @@ def test_round_tables_cover_the_workload_pids(key):
     _, w = dataset(key)
     table = ROUNDS[key]
     assert key[2] in POLICY_NAMES
-    assert sorted(table) == sorted(w.pids)
-    assert all(sum(table[p.pid]) == p.burst for p in w)
+    assert [sum(quanta) for quanta in table] == list(w.bursts)
+
+
+@pytest.mark.parametrize("ids", [(11, 12, 13, 14, 15), (50, 4, 35, 13, 21)])
+@pytest.mark.parametrize("key", list(ROUNDS), ids=key_id)
+def test_round_notes_follow_submission_position(key, ids, tmp_path):
+    """Renumbering a dataset renames the pids its notes name, nothing else."""
+    _, w = dataset(key)
+    renumbered = Workload(tuple(
+        ProcessSpec(pid, p.burst, p.priority) for pid, p in zip(ids, w)
+    ))
+
+    def notes(workload):
+        path = tmp_path / "w.csv"
+        path.write_text(serialize_workload(workload))
+        out = io.StringIO()
+        argv = ["simulate", "--workload", str(path), "--policy", key[2], "--paper-notes"]
+        assert run_cli(argv, out=out) == 0
+        return [line for line in out.getvalue().splitlines() if line.startswith("note: ")]
+
+    rename = dict(zip(w.pids, ids))
+    assert notes(renumbered) == [
+        re.sub(r"^note: P(\d+) ", lambda m: f"note: P{rename[int(m[1])]} ", line)
+        for line in notes(w)
+    ]

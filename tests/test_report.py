@@ -1,18 +1,37 @@
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import workloads
-from rrsim import ProcessSpec, Workload, serialize_workload, simulate, workload
+from rrsim import (
+    DEFAULT_STATIC_OTS,
+    ProcessSpec,
+    Workload,
+    compute_components,
+    compute_metrics,
+    format_average,
+    generate_workload,
+    policy_from_name,
+    serialize_workload,
+    simulate,
+    workload,
+)
+from rrsim import report
 from rrsim.metrics import MetricsError
 from rrsim.report import (
+    metrics_to_dict,
     render_gantt,
     run_cli,
     trace_from_dict,
     trace_to_dict,
 )
+from rrsim.timeslice import COMPONENT_FIELDS
+from rrsim.workload import ORDERS
 from rrsim.schedulers import classic_rr_policy, fcfs_policy, proposed_policy
 
 
@@ -119,12 +138,23 @@ class TestTraceJson:
             (lambda d: d["segments"][0].update(round=7), "round of P3 is 7, expected 1"),
             (lambda d: next(s for s in d["segments"] if s["round"] == 2).update(round=1),
              "is 1, expected 2"),
+            (lambda d: d["workload"][0].update(burst=0),
+             r"workload row 0: non-positive burst 0 \(P1\)"),
+            (lambda d: d["workload"][1].update(id=0),
+             "workload row 1: process id must be a positive integer, got 0"),
+            (lambda d: d["workload"][2].update(priority=0),
+             r"workload row 2: priority must be >= 1, got 0 \(P3\)"),
+            (lambda d: d["workload"][1].update(id=1),
+             "trace field 'workload': duplicate process id 1"),
+            (lambda d: d["workload"].clear(),
+             "trace field 'workload': workload must contain at least one process"),
         ],
         ids=["completion", "gap", "past-quantum", "string-end", "float-end", "bool-round",
              "missing-quantum", "string-burst", "missing-priority", "float-completion",
              "missing-segments", "missing-workload", "missing-completion", "missing-policy",
              "list-segment", "list-workload-row", "list-completion", "non-pid-key",
-             "int-policy", "first-round-7", "second-visit-round-1"],
+             "int-policy", "first-round-7", "second-visit-round-1", "zero-burst", "zero-id",
+             "zero-priority", "duplicate-id", "empty-workload"],
     )
     def test_load_rejects_an_invalid_trace(self, random_w, edit, message):
         trace = simulate(random_w, proposed_policy(random_w))
@@ -361,3 +391,136 @@ class TestCli:
         trace = simulate(increasing_w, classic_rr_policy(increasing_w, 2))
         assert data["traces"]["rr:2"] == trace_to_dict(increasing_w, "rr:2", trace)["segments"]
         assert sorted(data["traces"]) == ["fcfs", "rr:2"]
+
+
+# The writer's reference: each command's document as plain dicts and lists,
+# stated field by field, and the bytes json.dump writes for it.
+
+
+def _ref_workload(w):
+    return [{"id": p.pid, "burst": p.burst, "priority": p.priority} for p in w]
+
+
+def _ref_segments(trace):
+    return [
+        {"pid": s.pid, "start": s.start, "end": s.end, "round": s.round, "quantum": s.quantum}
+        for s in trace.segments
+    ]
+
+
+def _ref_average(value):
+    return {"display": format_average(value), "num": value.numerator, "den": value.denominator}
+
+
+def _ref_metrics(name, summary):
+    return {
+        "policy": name,
+        "avg_turnaround": _ref_average(summary.avg_turnaround),
+        "avg_waiting": _ref_average(summary.avg_waiting),
+        "context_switches": summary.context_switches,
+        "per_process": {
+            str(pid): {"turnaround": m.turnaround, "waiting": m.waiting, "response": m.response}
+            for pid, m in summary.per_process.items()
+        },
+    }
+
+
+def _ref_bytes(doc):
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+@st.composite
+def _scattered_workloads(draw):
+    """Workloads whose pids, drawn from 1..200, sort differently as strings."""
+    w = draw(workloads(max_n=8, max_burst=30))
+    pids = draw(st.lists(st.integers(1, 200), min_size=len(w), max_size=len(w), unique=True))
+    return Workload(tuple(ProcessSpec(pid, p.burst, p.priority) for pid, p in zip(pids, w)))
+
+
+class TestJsonWriter:
+    """Every ``--json`` file holds the bytes of ``json.dump(doc, sort_keys=True,
+    indent=2)`` and a newline, for the document each command exports."""
+
+    POLICIES = ("proposed", "pbdrr", "its-rr", "rr:3", "srtn", "fcfs")
+
+    @staticmethod
+    def _export(tmp, w, argv):
+        csv_path, json_path = Path(tmp) / "w.csv", Path(tmp) / "out.json"
+        csv_path.write_text(serialize_workload(w))
+        out = io.StringIO()
+        assert run_cli(argv[:1] + ["--workload", str(csv_path), "--json", str(json_path)]
+                       + argv[1:], out=out) == 0
+        return json_path.read_bytes()
+
+    def _check_simulate(self, tmp, w, name):
+        trace = simulate(w, policy_from_name(name, w))
+        summary = compute_metrics(trace, w)
+        doc = {
+            "workload": _ref_workload(w),
+            "policy": name,
+            "segments": _ref_segments(trace),
+            "completion": {str(pid): t for pid, t in trace.completion.items()},
+            "metrics": _ref_metrics(name, summary),
+        }
+        data = self._export(tmp, w, ["simulate", "--policy", name])
+        assert data == _ref_bytes(doc)
+        assert trace_from_dict(json.loads(data)) == (w, name, trace)
+        assert {**trace_to_dict(w, name, trace), "metrics": metrics_to_dict(name, summary)} == doc
+
+    @settings(max_examples=25, deadline=None)
+    @given(w=_scattered_workloads())
+    def test_simulate_every_policy(self, w):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in self.POLICIES:
+                self._check_simulate(tmp, w, name)
+
+    @settings(max_examples=25, deadline=None)
+    @given(w=_scattered_workloads())
+    def test_compare(self, w):
+        traces = {name: simulate(w, policy_from_name(name, w)) for name in self.POLICIES}
+        doc = {
+            "workload": _ref_workload(w),
+            "metrics": [_ref_metrics(n, compute_metrics(t, w)) for n, t in traces.items()],
+            "traces": {n: _ref_segments(t) for n, t in traces.items()},
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            data = self._export(tmp, w, ["compare", "--policies", ",".join(self.POLICIES)])
+        assert data == _ref_bytes(doc)
+
+    @settings(max_examples=25, deadline=None)
+    @given(w=_scattered_workloads(), static=st.sampled_from([[], ["--use-static-ots"]]))
+    def test_components_both_ots_modes(self, w, static):
+        comps = compute_components(w, static_ots=DEFAULT_STATIC_OTS if static else None)
+        doc = {
+            "workload": _ref_workload(w),
+            "range": {"num": comps[0].slice_range.numerator,
+                      "den": comps[0].slice_range.denominator},
+            "components": [
+                {"pid": p.pid, **{name: getattr(c, name) for name in COMPONENT_FIELDS}}
+                for p, c in zip(w, comps)
+            ],
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            assert self._export(tmp, w, ["components"] + static) == _ref_bytes(doc)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 30), order=st.sampled_from(ORDERS), seed=st.integers(0, 99))
+    def test_generate(self, n, order, seed):
+        w = generate_workload(n, order, (1, 100), (1, 5), seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            json_path = Path(tmp) / "out.json"
+            argv = ["generate", "--n", str(n), "--order", order, "--seed", str(seed),
+                    "--json", str(json_path)]
+            assert run_cli(argv, out=io.StringIO()) == 0
+            assert json_path.read_bytes() == _ref_bytes({"workload": _ref_workload(w)})
+
+    def test_more_rows_than_one_chunk(self, tmp_path):
+        w = Workload((ProcessSpec(12, 2500, 1), ProcessSpec(3, 2600, 2), ProcessSpec(100, 7, 1)))
+        assert len(simulate(w, policy_from_name("rr:1", w)).segments) > report._CHUNK
+        self._check_simulate(tmp_path, w, "rr:1")
+
+    def test_empty_tables(self):
+        parts = []
+        doc = {"list": report._Table(("x",), []), "keyed": report._Table((), [], keyed=True)}
+        report._write_value(parts.append, doc, "\n")
+        assert "".join(parts) == json.dumps({"list": [], "keyed": {}}, sort_keys=True, indent=2)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +47,13 @@ class TestParse:
     def test_non_integer_field(self):
         with pytest.raises(WorkloadError, match="row 2.*burst"):
             parse_workload("id,burst,priority\n1,x,1")
+
+    @pytest.mark.parametrize("value", ["1_0", "+3", "\u0661", "\uff12"],
+                             ids=["underscore", "plus", "arabic-indic", "fullwidth"])
+    def test_only_ascii_digits(self, value):
+        message = re.escape(f"row 2: burst is not an integer: '{value}'")
+        with pytest.raises(WorkloadError, match=message):
+            parse_workload(f"id,burst,priority\n1,{value},1")
 
     def test_wrong_field_count(self):
         with pytest.raises(WorkloadError, match="row 2"):
