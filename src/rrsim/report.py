@@ -18,7 +18,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 from . import references
 from .engine import DispatchSegment, ScheduleTrace, simulate
 from .metrics import MetricsError, MetricsSummary, compute_metrics, format_average
-from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, SchedulingPolicy, policy_from_name
+from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, policy_from_name
 from .timeslice import COMPONENT_FIELDS, SliceComponents, check_static_ots, compute_components
 from .workload import (
     CSV_HEADER,
@@ -27,6 +27,7 @@ from .workload import (
     Workload,
     WorkloadError,
     generate_workload,
+    integer,
     parse_workload,
     serialize_workload,
 )
@@ -338,13 +339,20 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[tuple]) -> None:
 # CLI
 
 
+def _integer_option(text: str) -> int:
+    try:
+        return integer(text)
+    except ValueError as exc:
+        # argparse reports only an ArgumentTypeError's own message
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_range(text: str) -> Tuple[int, int]:
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = map(integer, text.split(":"))
     except ValueError:
-        # argparse reports only an ArgumentTypeError's own message
         raise argparse.ArgumentTypeError(f"bad range {text!r}; expected lo:hi") from None
+    return lo, hi
 
 
 def _load_workload(path: str) -> Workload:
@@ -360,22 +368,9 @@ def _load_workload(path: str) -> Workload:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _simulate_policy(args, w: Workload) -> SchedulingPolicy:
-    name = args.policy
-    if args.quantum is not None:
-        if name != "rr":
-            raise ValueError("--quantum applies only to '--policy rr'")
-        name = f"rr:{args.quantum}"
-    elif name == "rr":
-        raise ValueError(
-            "policy 'rr' needs a quantum: use rr:<q> or --policy rr --quantum <q>"
-        )
-    return policy_from_name(name, w, args.static_ots)
-
-
 def _cmd_simulate(args, out) -> None:
     w = _load_workload(args.workload)
-    policy = _simulate_policy(args, w)
+    policy = policy_from_name(args.policy, w, args.static_ots)
     trace = simulate(w, policy)
     summary = compute_metrics(trace, w)
     print(f"policy: {policy.name}", file=out)
@@ -432,11 +427,8 @@ def _cmd_generate(args, out) -> None:
 
 def _cmd_components(args, out) -> None:
     w = _load_workload(args.workload)
-    if args.static_ots is not None and not args.use_static_ots:
-        raise ValueError("--static-ots applies only with --use-static-ots")
-    static = (args.static_ots or DEFAULT_STATIC_OTS) if args.use_static_ots else None
-    comps = compute_components(w, static_ots=static)
-    notes = references.component_notes(w, comps, static) if args.paper_notes else ()
+    comps = compute_components(w, static_ots=args.static_ots)
+    notes = references.component_notes(w, comps, args.static_ots) if args.paper_notes else ()
     print(render_components_table(w, comps, notes), file=out)
     get = attrgetter(*COMPONENT_FIELDS)
     if args.json:
@@ -466,8 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", metavar="PATH", help="write CSV copy of the output")
         if static_ots:
             p.add_argument(
-                "--static-ots", type=int, default=DEFAULT_STATIC_OTS,
-                help=f"static OTS constant used by its-rr/pbdrr (default {DEFAULT_STATIC_OTS})",
+                "--static-ots", type=_integer_option, default=DEFAULT_STATIC_OTS, metavar="N",
+                help="static OTS constant used by its-rr/pbdrr (default %(default)s)",
             )
 
     p_sim = sub.add_parser("simulate", help="run one policy and print Gantt + metrics")
@@ -476,8 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="annotate cells where published reference values differ")
     add_common(p_sim)
     p_sim.add_argument("--policy", required=True, help=" | ".join(POLICY_NAMES))
-    p_sim.add_argument("--quantum", type=int, default=None,
-                       help="quantum for '--policy rr' (alternative to rr:<q>)")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_cmp = sub.add_parser("compare", help="run several policies and print a table")
@@ -487,26 +477,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=_cmd_compare)
 
     p_gen = sub.add_parser("generate", help="emit a synthetic workload CSV")
-    p_gen.add_argument("--n", type=int, required=True)
+    p_gen.add_argument("--n", type=_integer_option, required=True)
     p_gen.add_argument("--order", choices=ORDERS, required=True)
     p_gen.add_argument("--burst-range", type=_parse_range, default=(1, 100),
                        metavar="LO:HI")
     p_gen.add_argument("--priority-range", type=_parse_range, default=(1, 5),
                        metavar="LO:HI")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_integer_option, default=0)
     add_common(p_gen, static_ots=False)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_cmp2 = sub.add_parser("components", help="print the slice-component table")
     p_cmp2.add_argument("--workload", required=True, metavar="CSV")
-    p_cmp2.add_argument("--use-static-ots", action="store_true",
-                        help="use the static OTS constant instead of the dynamic one")
     p_cmp2.add_argument("--paper-notes", action="store_true",
                         help="annotate cells where published reference values differ")
     add_common(p_cmp2, static_ots=False)
-    p_cmp2.add_argument("--static-ots", type=int,
-                        help=f"static OTS constant for --use-static-ots"
-                        f" (default {DEFAULT_STATIC_OTS})")
+    p_cmp2.add_argument("--static-ots", type=_integer_option, metavar="N",
+                        help="use this static OTS constant instead of the Range OTS")
     p_cmp2.set_defaults(func=_cmd_components)
 
     return parser

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .timeslice import compute_components
-from .workload import Workload
+from .workload import Workload, integer
 
 DEFAULT_STATIC_OTS = 4
 
@@ -81,7 +81,7 @@ def _parse_quantum(q: str) -> int:
     if not q:
         raise ValueError("policy 'rr' needs a quantum: use rr:<q>")
     try:
-        return int(q)
+        return integer(q)
     except ValueError:
         raise ValueError(f"bad quantum in policy name {'rr:' + q!r}") from None
 

@@ -79,13 +79,14 @@ def workload(bursts, priorities=None) -> Workload:
     ))
 
 
-def _parse_int(field: str, value: str, row_no: int) -> int:
-    """An optional ``-`` and ASCII digits; ``int`` alone would also take
-    ``+3``, ``1_0`` and non-ASCII digits."""
-    text = value.strip()
-    digits = text[1:] if text.startswith("-") else text
+def integer(text: str, what: str = "value") -> int:
+    """The one integer syntax of workload CSV fields and CLI options: an
+    optional ``-`` and the ASCII digits ``0-9``, with surrounding whitespace.
+    ``int`` alone would also take ``+3``, ``1_0`` and non-ASCII digits.
+    Raises ``ValueError`` naming ``what`` for any other text."""
+    digits = text.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise WorkloadError(f"row {row_no}: {field} is not an integer: {value!r}")
+        raise ValueError(f"{what} is not an integer: {text!r}")
     return int(text)
 
 
@@ -111,20 +112,18 @@ def parse_workload(text: str) -> Workload:
             raise WorkloadError(
                 f"row {row_no}: expected {len(header)} fields, got {len(row)}"
             )
-        pid = _parse_int("id", row[0], row_no)
-        burst = _parse_int("burst", row[1], row_no)
-        priority = _parse_int("priority", row[2], row_no)
         try:
-            processes.append(ProcessSpec(pid, burst, priority))
-        except WorkloadError as exc:
+            processes.append(ProcessSpec(
+                integer(row[0], "id"), integer(row[1], "burst"), integer(row[2], "priority")
+            ))
+            arrival = integer(row[3], "arrival") if has_arrival else 0
+        except ValueError as exc:
             raise WorkloadError(f"row {row_no}: {exc}") from None
-        if has_arrival:
-            arrival = _parse_int("arrival", row[3], row_no)
-            if arrival != 0:
-                raise WorkloadError(
-                    f"row {row_no}: nonzero arrival time {arrival} is unsupported by"
-                    " the model (all processes are present at t=0)"
-                )
+        if arrival:
+            raise WorkloadError(
+                f"row {row_no}: nonzero arrival time {arrival} is unsupported by"
+                " the model (all processes are present at t=0)"
+            )
 
     return Workload(tuple(processes))
 

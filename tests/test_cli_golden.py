@@ -34,7 +34,7 @@ def _cases():
             "compare", "--workload", csv, "--policies", ",".join(POLICIES)]
         cases[f"components {ds}"] = ["components", "--workload", csv]
         cases[f"components static {ds}"] = [
-            "components", "--workload", csv, "--use-static-ots"]
+            "components", "--workload", csv, "--static-ots", "4"]
         # --paper-notes wherever a published table may apply
         for policy in ("proposed", "pbdrr"):
             cases[f"simulate {policy} {ds} paper-notes"] = [
@@ -42,7 +42,7 @@ def _cases():
         cases[f"components {ds} paper-notes"] = [
             "components", "--workload", csv, "--paper-notes"]
         cases[f"components static {ds} paper-notes"] = [
-            "components", "--workload", csv, "--use-static-ots", "--paper-notes"]
+            "components", "--workload", csv, "--static-ots", "4", "--paper-notes"]
     for order in ("increasing", "decreasing", "random"):
         cases[f"generate {order}"] = [
             "generate", "--n", "12", "--order", order, "--burst-range", "1:60",

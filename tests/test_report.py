@@ -1,10 +1,13 @@
+import argparse
+import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import workloads
@@ -24,6 +27,7 @@ from rrsim import (
 from rrsim import report
 from rrsim.metrics import MetricsError
 from rrsim.report import (
+    build_parser,
     metrics_to_dict,
     render_gantt,
     run_cli,
@@ -33,6 +37,9 @@ from rrsim.report import (
 from rrsim.timeslice import COMPONENT_FIELDS
 from rrsim.workload import ORDERS
 from rrsim.schedulers import classic_rr_policy, fcfs_policy, proposed_policy
+
+ROOT = Path(__file__).resolve().parent.parent
+RANDOM_CSV = str(ROOT / "data" / "random.csv")
 
 
 @pytest.fixture
@@ -267,12 +274,13 @@ class TestCli:
         assert "note: P4 round quanta: published (4, 6, 9, 15, 7)" in out
 
     def test_rr_quantum_flag(self, increasing_csv, capsys):
+        # rr:<q> is the one spelling of a fixed quantum
         rc = run_cli([
             "simulate", "--workload", increasing_csv,
             "--policy", "rr", "--quantum", "4",
         ])
-        assert rc == 0
-        assert "policy: rr:4" in capsys.readouterr().out
+        assert rc == 2
+        assert "unrecognized arguments: --quantum 4" in capsys.readouterr().err
 
     def test_unknown_policy_fails(self, increasing_csv, capsys):
         rc = run_cli(["simulate", "--workload", increasing_csv, "--policy", "mlfq"])
@@ -293,8 +301,7 @@ class TestCli:
 
     def test_static_ots_zero_is_an_error_line(self, random_csv, capsys):
         rc = run_cli([
-            "components", "--workload", random_csv,
-            "--use-static-ots", "--static-ots", "0",
+            "components", "--workload", random_csv, "--static-ots", "0",
         ])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -315,20 +322,19 @@ class TestCli:
         value = argv[-1]
         assert capsys.readouterr().err == f"error: static OTS must be >= 1, got {value}\n"
 
-    def test_components_static_ots_needs_use_static_ots(self, random_csv, capsys):
+    def test_components_static_ots_selects_the_static_table(self, random_csv, capsys):
         rc = run_cli(["components", "--workload", random_csv, "--static-ots", "7"])
-        assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: --static-ots applies only with --use-static-ots\n"
-        )
+        assert rc == 0
+        rows = capsys.readouterr().out.splitlines()[2:7]
+        assert [row.split()[3] for row in rows] == ["7"] * 5
 
-    def test_quantum_only_with_rr(self, increasing_csv, capsys):
+    def test_quantum_flag_is_unrecognized_with_any_policy(self, increasing_csv, capsys):
         rc = run_cli([
             "simulate", "--workload", increasing_csv,
             "--policy", "fcfs", "--quantum", "3",
         ])
-        assert rc == 1
-        assert "--quantum applies only to '--policy rr'" in capsys.readouterr().err
+        assert rc == 2
+        assert "unrecognized arguments: --quantum 3" in capsys.readouterr().err
 
     def test_non_utf8_workload(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
@@ -352,12 +358,9 @@ class TestCli:
     def test_rr_without_quantum(self, increasing_csv, capsys):
         rc = run_cli(["simulate", "--workload", increasing_csv, "--policy", "rr"])
         assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: policy 'rr' needs a quantum: use rr:<q> or --policy rr --quantum <q>\n"
-        )
+        assert capsys.readouterr().err == "error: policy 'rr' needs a quantum: use rr:<q>\n"
 
     def test_compare_rr_without_quantum(self, increasing_csv, capsys):
-        # compare has no --policy/--quantum, so the message names only rr:<q>
         rc = run_cli(["compare", "--workload", increasing_csv, "--policies", "fcfs,rr"])
         assert rc == 1
         assert capsys.readouterr().err == "error: policy 'rr' needs a quantum: use rr:<q>\n"
@@ -488,7 +491,8 @@ class TestJsonWriter:
         assert data == _ref_bytes(doc)
 
     @settings(max_examples=25, deadline=None)
-    @given(w=_scattered_workloads(), static=st.sampled_from([[], ["--use-static-ots"]]))
+    @given(w=_scattered_workloads(),
+           static=st.sampled_from([[], ["--static-ots", str(DEFAULT_STATIC_OTS)]]))
     def test_components_both_ots_modes(self, w, static):
         comps = compute_components(w, static_ots=DEFAULT_STATIC_OTS if static else None)
         doc = {
@@ -524,3 +528,99 @@ class TestJsonWriter:
         doc = {"list": report._Table(("x",), []), "keyed": report._Table((), [], keyed=True)}
         report._write_value(parts.append, doc, "\n")
         assert "".join(parts) == json.dumps({"list": [], "keyed": {}}, sort_keys=True, indent=2)
+
+
+# Each slot where the CLI reads an integer: (option named by a usage error,
+# or None where a bad number is an error line, argv around the text).  A range
+# follows its option after "=", since argparse takes a separate "-0:60" for an
+# option; a whole value is a word of its own, since argparse before 3.13 reads
+# "--n=--" as an empty list.
+_NUMBER_SLOTS = {
+    "simulate rr:<q>": (None, lambda t: [
+        "simulate", "--workload", RANDOM_CSV, "--policy", f"rr:{t}"]),
+    "compare rr:<q>": (None, lambda t: [
+        "compare", "--workload", RANDOM_CSV, "--policies", f"fcfs,rr:{t}"]),
+    "simulate --static-ots": ("--static-ots", lambda t: [
+        "simulate", "--workload", RANDOM_CSV, "--policy", "pbdrr", "--static-ots", t]),
+    "compare --static-ots": ("--static-ots", lambda t: [
+        "compare", "--workload", RANDOM_CSV, "--policies", "pbdrr,its-rr",
+        "--static-ots", t]),
+    "components --static-ots": ("--static-ots", lambda t: [
+        "components", "--workload", RANDOM_CSV, "--static-ots", t]),
+    "generate --n": ("--n", lambda t: ["generate", "--order", "random", "--n", t]),
+    "generate --seed": ("--seed", lambda t: [
+        "generate", "--n", "4", "--order", "random", "--seed", t]),
+    "generate --burst-range lo": ("--burst-range", lambda t: [
+        "generate", "--n", "4", "--order", "random", f"--burst-range={t}:60"]),
+    "generate --burst-range hi": ("--burst-range", lambda t: [
+        "generate", "--n", "4", "--order", "random", f"--burst-range=1:{t}"]),
+    "generate --priority-range lo": ("--priority-range", lambda t: [
+        "generate", "--n", "4", "--order", "random", f"--priority-range={t}:5"]),
+    "generate --priority-range hi": ("--priority-range", lambda t: [
+        "generate", "--n", "4", "--order", "random", f"--priority-range=1:{t}"]),
+}
+
+
+def _run_cli(argv):
+    """(exit code, stdout, stderr, JSON bytes or None) of one CLI run."""
+    with tempfile.TemporaryDirectory() as tmp:
+        json_path = Path(tmp) / "out.json"
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run_cli(argv + ["--json", str(json_path)], out=out)
+        data = json_path.read_bytes() if json_path.exists() else None
+    return rc, out.getvalue(), err.getvalue(), data
+
+
+class TestIntegerSyntax:
+    """Every integer the CLI reads has the syntax of a workload CSV field: an
+    optional ``-`` and ASCII digits, with surrounding spaces."""
+
+    @pytest.mark.parametrize("slot", sorted(_NUMBER_SLOTS))
+    @settings(max_examples=40, deadline=None)
+    @given(text=st.text("0123456789-+_ \uff12\u0663x", max_size=6))
+    @example(text="1_0")
+    @example(text="+3")
+    @example(text="\uff12")  # fullwidth two
+    @example(text="\u0663")  # Arabic-Indic three
+    def test_one_syntax_at_every_number(self, slot, text):
+        if slot == "generate --n":
+            # n processes are allocated, and no resource bound applies yet
+            assume(sum(c.isdigit() for c in text) <= 2)
+        option, argv = _NUMBER_SLOTS[slot]
+        rc, out, err, data = _run_cli(argv(text))
+        if re.fullmatch(r"-?[0-9]+", text.strip()):
+            assert (rc, out, err, data) == _run_cli(argv(str(int(text))))
+        elif option is None:
+            assert rc == 1
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert rc == 2
+            assert err.startswith("usage: ")
+            assert f"error: argument {option}: " in err
+
+
+def _subcommands():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestParserAndReadme:
+    @pytest.mark.parametrize(
+        "command", [[]] + [[name] for name in _subcommands()], ids=lambda c: "".join(c) or "rrsim"
+    )
+    def test_help_exits_zero(self, command, capsys):
+        assert run_cli(command + ["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: rrsim")
+
+    def test_readme_names_every_option(self):
+        defined = {
+            name
+            for parser in _subcommands().values()
+            for action in parser._actions
+            for name in action.option_strings
+            if name.startswith("--")
+        }
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        cli = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+        assert set(re.findall(r"--[a-z][a-z-]*", cli)) == defined - {"--help"}

@@ -257,7 +257,8 @@ class TestPolicyFromName:
     def test_valid_names(self, name, expected, increasing_w):
         assert policy_from_name(name, increasing_w).name == expected
 
-    @pytest.mark.parametrize("name", ["mlfq", "rr:x", "rr:", ""])
+    # the quantum has the integer syntax of a CSV field: no "+", "_" or non-ASCII digits
+    @pytest.mark.parametrize("name", ["mlfq", "rr:x", "rr:", "", "rr:1_0", "rr:+3", "rr:\uff12"])
     def test_invalid_names(self, name, increasing_w):
         with pytest.raises(ValueError):
             policy_from_name(name, increasing_w)
