@@ -17,10 +17,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .schedulers import SchedulingPolicy
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DispatchSegment:
     """One contiguous CPU grant.  ``quantum`` is the TQ assigned for the grant;
-    the executed span ``end - start`` never exceeds it."""
+    the executed span ``end - start`` never exceeds it.  Treat it as read-only:
+    it is slotted rather than frozen for speed, and is not hashable."""
 
     pid: int
     start: int
@@ -80,7 +81,7 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
                     tq = left
                 else:
                     quantum[pid] = 2 * tq if sc[pid] else tq + (tq + 1) // 2
-            run = min(tq, left)
+            run = tq if tq < left else left
             segments.append(DispatchSegment(pid, clock, clock + run, round_no, tq))
             clock += run
             rbt[pid] = left - run

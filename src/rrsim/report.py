@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter, itemgetter
@@ -140,8 +141,7 @@ def render_comparison(results: Sequence[Tuple[str, MetricsSummary]]) -> str:
 # writes with sorted keys and a two-space indent, and a newline; _plain gives
 # the dicts and lists that json reads back.
 
-# segment fields in DispatchSegment order
-SEGMENT_FIELDS = ("pid", "start", "end", "round", "quantum")
+SEGMENT_FIELDS = tuple(f.name for f in fields(DispatchSegment))
 _METRIC_FIELDS = ("turnaround", "waiting", "response")
 _CHUNK = 4096  # rows per write, so a long trace's text is never held whole
 
@@ -454,6 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, static_ots=True):
+        p.set_defaults(parser=p)
         p.add_argument("--json", metavar="PATH", help="write JSON copy of the output")
         p.add_argument("--csv", metavar="PATH", help="write CSV copy of the output")
         if static_ots:
@@ -504,6 +505,10 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # before Python 3.13, argparse stores "--opt=--" as [] without calling its type
+        for action in args.parser._actions:
+            if getattr(args, action.dest, None) == []:
+                args.parser.error(f"argument {action.option_strings[0]}: expected one argument")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

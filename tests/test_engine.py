@@ -1,3 +1,4 @@
+import dataclasses
 import random as random_module
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 
 from conftest import workloads
 from rrsim import SchedulingPolicy, simulate, workload
+from rrsim.report import SEGMENT_FIELDS
 from rrsim.schedulers import (
     classic_rr_policy,
     fcfs_policy,
@@ -41,6 +43,19 @@ class TestDynamicQuantum:
         policy = SchedulingPolicy("x", False, {1: its}, {1: sc})
         trace = simulate(workload([burst]), policy)
         assert [s.quantum for s in trace.segments] == quanta
+
+
+class TestSegmentContract:
+    def test_slotted_dataclass(self, random_w):
+        trace = simulate(random_w, proposed_policy(random_w))
+        last = trace.segments[-1]
+        # slots are what makes a segment cheap to build; losing them fails here
+        assert not hasattr(last, "__dict__")
+        assert tuple(f.name for f in dataclasses.fields(last)) == SEGMENT_FIELDS
+        assert dataclasses.replace(last) == last
+        longer = dataclasses.replace(last, end=last.end + 1)
+        changed = dataclasses.replace(trace, segments=trace.segments[:-1] + (longer,))
+        assert changed != trace
 
 
 class TestSimulateGolden:

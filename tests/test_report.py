@@ -624,3 +624,49 @@ class TestParserAndReadme:
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         cli = readme.split("\n## CLI\n")[1].split("\n## ")[0]
         assert set(re.findall(r"--[a-z][a-z-]*", cli)) == defined - {"--help"}
+
+
+# A valid command line for each subcommand; a new subcommand needs one here.
+_VALID_ARGV = {
+    "simulate": ["--workload", RANDOM_CSV, "--policy", "fcfs"],
+    "compare": ["--workload", RANDOM_CSV, "--policies", "fcfs"],
+    "generate": ["--n", "3", "--order", "random"],
+    "components": ["--workload", RANDOM_CSV],
+}
+_LONG_OPTIONS = [
+    (command, option)
+    for command, parser in _subcommands().items()
+    for action in parser._actions
+    for option in action.option_strings
+    if option.startswith("--")
+]
+
+
+class TestDashDashValue:
+    """Before Python 3.13, argparse reads an option written ``--opt=--`` as an
+    empty list without calling its type; from 3.13 on, as the text ``--``."""
+
+    @pytest.mark.parametrize(
+        "command, option", _LONG_OPTIONS, ids=[c + o for c, o in _LONG_OPTIONS]
+    )
+    def test_one_error_line(self, command, option, tmp_path, monkeypatch, capsys):
+        # where "--" is read as a path, it names a directory: no file is
+        # written, and reading it fails
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "--").mkdir()
+        argv = list(_VALID_ARGV[command])
+        if option in argv:
+            i = argv.index(option)
+            del argv[i:i + 2]
+        rc = run_cli([command, *argv, f"{option}=--"])
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert "Traceback" not in err
+        if rc == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert rc == 2
+            assert err.startswith(f"usage: rrsim {command} ")
+            assert [line for line in lines if "error:" in line] == [lines[-1]]
+            assert lines[-1].startswith(f"rrsim {command}: error: argument ")
+            assert option in lines[-1]
