@@ -106,7 +106,7 @@ def bench_cell(n, name, tmp):
         "counts": {
             "workload.rows": len(w),
             "engine.segments": segments,
-            "engine.rounds": trace.segments[-1].round,
+            "engine.rounds": trace.segments.round[-1],
             "report.bytes_out": bytes_out,
         },
         "engine.ns_per_segment": round(1e9 * best["engine.simulate"] / segments, 1),

@@ -2,7 +2,7 @@
 robin combined with shortest-remaining-time ordering, the comparator
 policies it is benchmarked against, and workload/metrics/report tooling."""
 
-from .engine import DispatchSegment, ScheduleTrace, simulate
+from .engine import DispatchSegment, ScheduleTrace, Segments, simulate
 from .metrics import MetricsSummary, ProcessMetrics, compute_metrics, format_average
 from .schedulers import (
     DEFAULT_STATIC_OTS,
@@ -31,6 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DispatchSegment",
     "ScheduleTrace",
+    "Segments",
     "simulate",
     "MetricsSummary",
     "ProcessMetrics",

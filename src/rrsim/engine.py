@@ -8,8 +8,10 @@ pure function of (workload, policy).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Tuple
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import TYPE_CHECKING, Dict, Iterable
 
 from .workload import Workload
 
@@ -30,16 +32,63 @@ class DispatchSegment:
     quantum: int
 
 
+SEGMENT_FIELDS = tuple(f.name for f in fields(DispatchSegment))
+
+
+class Segments(Sequence):
+    """Time-ordered segments as five parallel int columns, one attribute per
+    field of :class:`DispatchSegment`; ``columns`` gives them in
+    ``SEGMENT_FIELDS`` order.  Indexing and iteration build segments on
+    demand, and a slice is a tuple of them.  Treat the columns as read-only."""
+
+    __slots__ = SEGMENT_FIELDS
+
+    def __init__(self, rows: Iterable[Sequence[int]] = ()) -> None:
+        """Columns from rows of ints in ``SEGMENT_FIELDS`` order."""
+        columns = [list(c) for c in zip(*rows)] or [[] for _ in SEGMENT_FIELDS]
+        self.pid, self.start, self.end, self.round, self.quantum = columns
+
+    @property
+    def columns(self) -> tuple:
+        return self.pid, self.start, self.end, self.round, self.quantum
+
+    def __len__(self) -> int:
+        return len(self.pid)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(DispatchSegment, *(c[i] for c in self.columns)))
+        return DispatchSegment(*(c[i] for c in self.columns))
+
+    def __iter__(self):
+        return map(DispatchSegment, *self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Segments):
+            return NotImplemented
+        return self.columns == other.columns
+
+    def __repr__(self) -> str:
+        return f"Segments({list(zip(*self.columns))!r})"
+
+
 @dataclass(frozen=True)
 class ScheduleTrace:
-    """Complete schedule: time-ordered segments plus per-process completion times."""
+    """Complete schedule: time-ordered segments plus per-process completion
+    times.  ``segments`` may be given as any iterable of
+    :class:`DispatchSegment`; it is held as :class:`Segments`."""
 
-    segments: Tuple[DispatchSegment, ...]
+    segments: Segments
     completion: Dict[int, int]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.segments, Segments):
+            rows = map(attrgetter(*SEGMENT_FIELDS), self.segments)
+            object.__setattr__(self, "segments", Segments(rows))
 
     @property
     def makespan(self) -> int:
-        return self.segments[-1].end
+        return self.segments.end[-1]
 
 
 def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
@@ -65,7 +114,9 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
     quantum = base if sc is None else {
         pid: its if sc[pid] else (its + 1) // 2 for pid, its in base.items()
     }
-    segments = []
+    segments = Segments()
+    add_start, add_end = segments.start.append, segments.end.append
+    add_quantum = segments.quantum.append
     completion = {}
     clock = 0
     round_no = 1
@@ -73,6 +124,8 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
     while live:
         if policy.srtn_order:
             live.sort(key=lambda pid: (rbt[pid], pid))
+        segments.pid += live  # one grant per live process per round
+        segments.round += [round_no] * len(live)
         for pid in live:
             left = rbt[pid]
             tq = quantum[pid]
@@ -82,11 +135,13 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
                 else:
                     quantum[pid] = 2 * tq if sc[pid] else tq + (tq + 1) // 2
             run = tq if tq < left else left
-            segments.append(DispatchSegment(pid, clock, clock + run, round_no, tq))
+            add_start(clock)
             clock += run
+            add_end(clock)
+            add_quantum(tq)
             rbt[pid] = left - run
             if run == left:
                 completion[pid] = clock
         live = [pid for pid in live if rbt[pid]]
         round_no += 1
-    return ScheduleTrace(tuple(segments), completion)
+    return ScheduleTrace(segments, completion)

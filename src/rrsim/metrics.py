@@ -34,7 +34,7 @@ class MetricsSummary:
 
 def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
     """Turnaround / waiting / response per process, exact averages and the
-    context-switch count, from one walk over the segments.  All arrivals are
+    context-switch count, from one walk over the segment columns.  All arrivals are
     at t=0, so TAT equals completion.  Raises :class:`MetricsError` unless the
     segments run back to back from t=0, each for 1 to ``quantum`` units, each
     process runs exactly its burst, and ``trace.completion`` holds the end of
@@ -45,22 +45,22 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
     runs = 0  # maximal runs of one process; each after the first is a switch
     clock = 0
     prev = None
-    for seg in trace.segments:
-        pid = seg.pid
+    segs = trace.segments
+    for pid, start, end, quantum in zip(segs.pid, segs.start, segs.end, segs.quantum):
         if pid not in executed:
             raise MetricsError(f"trace references unknown process P{pid}")
-        if seg.start != clock:
-            raise MetricsError(f"P{pid} segment starts at {seg.start}, expected {clock}")
-        if not 0 < seg.end - clock <= seg.quantum:
+        if start != clock:
+            raise MetricsError(f"P{pid} segment starts at {start}, expected {clock}")
+        if not 0 < end - clock <= quantum:
             raise MetricsError(
-                f"P{pid} segment [{clock}, {seg.end}) is not 1..{seg.quantum} units"
+                f"P{pid} segment [{clock}, {end}) is not 1..{quantum} units"
             )
         if pid != prev:
             runs += 1
             first_start.setdefault(pid, clock)
             prev = pid
-        executed[pid] += seg.end - clock
-        clock = last_end[pid] = seg.end
+        executed[pid] += end - clock
+        clock = last_end[pid] = end
 
     per_process = {}
     for p in w:

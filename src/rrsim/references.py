@@ -96,8 +96,8 @@ def quantum_notes(
     if published is None:
         return []
     actual: Dict[int, List[int]] = {p.pid: [] for p in w}
-    for seg in trace.segments:
-        actual[seg.pid].append(seg.quantum)
+    for pid, quantum in zip(trace.segments.pid, trace.segments.quantum):
+        actual[pid].append(quantum)
     notes = []
     for pid, quanta in zip(w.pids, published):
         got = tuple(actual[pid])

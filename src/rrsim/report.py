@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from fractions import Fraction
 from itertools import islice
 from operator import attrgetter, itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import references
-from .engine import DispatchSegment, ScheduleTrace, simulate
+from .engine import SEGMENT_FIELDS, ScheduleTrace, Segments, simulate
 from .metrics import MetricsError, MetricsSummary, compute_metrics, format_average
 from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, policy_from_name
 from .timeslice import COMPONENT_FIELDS, SliceComponents, check_static_ots, compute_components
@@ -42,12 +41,12 @@ def merge_segments(trace: ScheduleTrace) -> List[Tuple[int, int, int]]:
     """Time-ordered (pid, start, end) runs with back-to-back grants of the
     same process coalesced."""
     merged: List[Tuple[int, int, int]] = []
-    for seg in trace.segments:
-        if merged and merged[-1][0] == seg.pid and merged[-1][2] == seg.start:
-            pid, start, _ = merged[-1]
-            merged[-1] = (pid, start, seg.end)
+    segs = trace.segments
+    for pid, start, end in zip(segs.pid, segs.start, segs.end):
+        if merged and merged[-1][0] == pid and merged[-1][2] == start:
+            merged[-1] = (pid, merged[-1][1], end)
         else:
-            merged.append((seg.pid, seg.start, seg.end))
+            merged.append((pid, start, end))
     return merged
 
 
@@ -141,7 +140,6 @@ def render_comparison(results: Sequence[Tuple[str, MetricsSummary]]) -> str:
 # writes with sorted keys and a two-space indent, and a newline; _plain gives
 # the dicts and lists that json reads back.
 
-SEGMENT_FIELDS = tuple(f.name for f in fields(DispatchSegment))
 _METRIC_FIELDS = ("turnaround", "waiting", "response")
 _CHUNK = 4096  # rows per write, so a long trace's text is never held whole
 
@@ -160,7 +158,7 @@ def _workload_table(w: Workload) -> _Table:
 
 
 def _segment_table(trace: ScheduleTrace) -> _Table:
-    return _Table(SEGMENT_FIELDS, map(attrgetter(*SEGMENT_FIELDS), trace.segments))
+    return _Table(SEGMENT_FIELDS, zip(*trace.segments.columns))
 
 
 def _fraction_to_dict(value: Fraction) -> Dict[str, int]:
@@ -255,7 +253,7 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
         w = Workload(tuple(procs))
     except WorkloadError as exc:  # no rows, or an id given twice
         raise MetricsError(f"trace field 'workload': {exc}") from None
-    segments = tuple(DispatchSegment(*_ints(s, SEGMENT_FIELDS, "segment")) for s in segs)
+    segments = Segments(_ints(s, SEGMENT_FIELDS, "segment") for s in segs)
     pids = {str(pid): pid for pid in w.pids}
     for key in done:
         if key not in pids:
@@ -264,11 +262,11 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
     trace = ScheduleTrace(segments, completion)
     compute_metrics(trace, w)
     visits = dict.fromkeys(w.pids, 0)  # compute_metrics rejected unknown pids
-    for seg in segments:
-        visits[seg.pid] += 1
-        if seg.round != visits[seg.pid]:
+    for pid, round_no in zip(segments.pid, segments.round):
+        visits[pid] += 1
+        if round_no != visits[pid]:
             raise MetricsError(
-                f"segment round of P{seg.pid} is {seg.round}, expected {visits[seg.pid]}"
+                f"segment round of P{pid} is {round_no}, expected {visits[pid]}"
             )
     return w, policy, trace
 

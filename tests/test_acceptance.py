@@ -150,18 +150,18 @@ POLICY_MAKERS = [
 
 
 def _check_workload_properties(w):
+    """Reads the trace's columns, so no segment objects are built."""
     total = sum(w.bursts)
     waits = {}
     for name, make in POLICY_MAKERS:
         trace = simulate(w, make(w))
         assert simulate(w, make(w)) == trace  # determinism
-        assert trace.segments[0].start == 0
-        for prev, cur in zip(trace.segments, trace.segments[1:]):
-            assert prev.end == cur.start
+        segs = trace.segments
+        assert segs.start == [0] + segs.end[:-1]  # back to back from t=0
         assert trace.makespan == total
         executed = {p.pid: 0 for p in w}
-        for seg in trace.segments:
-            executed[seg.pid] += seg.end - seg.start
+        for pid, start, end in zip(segs.pid, segs.start, segs.end):
+            executed[pid] += end - start
         for p in w:
             assert executed[p.pid] == p.burst
         summary = compute_metrics(trace, w)
@@ -170,9 +170,9 @@ def _check_workload_properties(w):
         waits[name] = summary.avg_waiting
         if name == "fcfs":
             assert summary.context_switches == len(w) - 1
-            fcfs_shape = [(s.pid, s.start, s.end) for s in trace.segments]
-    big_rr = simulate(w, classic_rr_policy(w, max(w.bursts)))
-    assert [(s.pid, s.start, s.end) for s in big_rr.segments] == fcfs_shape
+            fcfs_shape = (segs.pid, segs.start, segs.end)
+    big_rr = simulate(w, classic_rr_policy(w, max(w.bursts))).segments
+    assert (big_rr.pid, big_rr.start, big_rr.end) == fcfs_shape
     assert waits["srtn"] == min(waits.values())
 
 

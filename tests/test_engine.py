@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import workloads
-from rrsim import SchedulingPolicy, simulate, workload
-from rrsim.report import SEGMENT_FIELDS
+from rrsim import ScheduleTrace, SchedulingPolicy, compute_metrics, simulate, workload
+from rrsim.report import SEGMENT_FIELDS, trace_to_dict
 from rrsim.schedulers import (
     classic_rr_policy,
     fcfs_policy,
@@ -15,6 +15,7 @@ from rrsim.schedulers import (
     srtn_policy,
     static_its_rr_policy,
 )
+from step_oracle import step_simulate
 
 ALL_POLICIES = [
     proposed_policy,
@@ -56,6 +57,48 @@ class TestSegmentContract:
         longer = dataclasses.replace(last, end=last.end + 1)
         changed = dataclasses.replace(trace, segments=trace.segments[:-1] + (longer,))
         assert changed != trace
+
+    @pytest.mark.parametrize("make_policy", ALL_POLICIES)
+    def test_columns_read_as_a_sequence(self, illustration_w, make_policy):
+        policy = make_policy(illustration_w)
+        trace = simulate(illustration_w, policy)
+        segs = trace.segments
+        rows = tuple(segs)
+        assert ScheduleTrace(rows, trace.completion) == trace
+        assert list(segs) == list(step_simulate(illustration_w, policy).segments)
+        assert len(segs) == len(rows) == len(segs.pid) > 0
+        for i in range(-len(segs), len(segs)):
+            assert segs[i] == rows[i]
+        for cut in (slice(None), slice(1, -1), slice(None, None, -2), slice(2, 2),
+                    slice(-1, None), slice(len(rows) + 5)):
+            assert segs[cut] == rows[cut]
+        with pytest.raises(IndexError):
+            segs[len(segs)]
+
+    def test_column_order_is_segment_fields(self, random_w):
+        trace = simulate(random_w, proposed_policy(random_w))
+        segs = trace.segments
+        assert segs.columns == tuple(getattr(segs, name) for name in SEGMENT_FIELDS)
+        for i, seg in enumerate(segs):
+            assert [getattr(seg, name) for name in SEGMENT_FIELDS] == [
+                getattr(segs, name)[i] for name in SEGMENT_FIELDS
+            ]
+        exported = trace_to_dict(random_w, "proposed", trace)["segments"]
+        assert exported == [dataclasses.asdict(seg) for seg in segs]
+
+    def test_empty_trace_has_empty_columns(self):
+        segs = ScheduleTrace((), {}).segments
+        assert segs.columns == ([], [], [], [], [])
+        assert len(segs) == 0 and tuple(segs) == () and segs[:] == ()
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=workloads())
+    def test_trace_rebuilt_from_segments_is_equal(self, w):
+        for make_policy in ALL_POLICIES:
+            trace = simulate(w, make_policy(w))
+            rebuilt = ScheduleTrace(tuple(trace.segments), trace.completion)
+            assert rebuilt == trace
+            assert compute_metrics(rebuilt, w) == compute_metrics(trace, w)
 
 
 class TestSimulateGolden:
