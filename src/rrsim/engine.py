@@ -9,9 +9,9 @@ pure function of (workload, policy).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable
+from typing import TYPE_CHECKING, Dict, Iterable, List
 
 from .workload import Workload
 
@@ -35,22 +35,24 @@ class DispatchSegment:
 SEGMENT_FIELDS = tuple(f.name for f in fields(DispatchSegment))
 
 
+@dataclass(slots=True)
 class Segments(Sequence):
-    """Time-ordered segments as five parallel int columns, one attribute per
-    field of :class:`DispatchSegment`; ``columns`` gives them in
-    ``SEGMENT_FIELDS`` order.  Indexing and iteration build segments on
+    """Time-ordered segments as five parallel int columns, in ``SEGMENT_FIELDS``
+    order.  Indexing and iteration build :class:`DispatchSegment` objects on
     demand, and a slice is a tuple of them.  Treat the columns as read-only."""
 
-    __slots__ = SEGMENT_FIELDS
+    pid: List[int] = field(default_factory=list)
+    start: List[int] = field(default_factory=list)
+    end: List[int] = field(default_factory=list)
+    round: List[int] = field(default_factory=list)
+    quantum: List[int] = field(default_factory=list)
 
-    def __init__(self, rows: Iterable[Sequence[int]] = ()) -> None:
+    columns = property(attrgetter(*SEGMENT_FIELDS))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[int]]) -> Segments:
         """Columns from rows of ints in ``SEGMENT_FIELDS`` order."""
-        columns = [list(c) for c in zip(*rows)] or [[] for _ in SEGMENT_FIELDS]
-        self.pid, self.start, self.end, self.round, self.quantum = columns
-
-    @property
-    def columns(self) -> tuple:
-        return self.pid, self.start, self.end, self.round, self.quantum
+        return cls(*map(list, zip(*rows)))
 
     def __len__(self) -> int:
         return len(self.pid)
@@ -60,23 +62,12 @@ class Segments(Sequence):
             return tuple(map(DispatchSegment, *(c[i] for c in self.columns)))
         return DispatchSegment(*(c[i] for c in self.columns))
 
-    def __iter__(self):
-        return map(DispatchSegment, *self.columns)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Segments):
-            return NotImplemented
-        return self.columns == other.columns
-
-    def __repr__(self) -> str:
-        return f"Segments({list(zip(*self.columns))!r})"
-
 
 @dataclass(frozen=True)
 class ScheduleTrace:
-    """Complete schedule: time-ordered segments plus per-process completion
-    times.  ``segments`` may be given as any iterable of
-    :class:`DispatchSegment`; it is held as :class:`Segments`."""
+    """Complete schedule: time-ordered segments, given as any iterable of
+    :class:`DispatchSegment` and held as :class:`Segments`, plus per-process
+    completion times."""
 
     segments: Segments
     completion: Dict[int, int]
@@ -84,7 +75,7 @@ class ScheduleTrace:
     def __post_init__(self) -> None:
         if not isinstance(self.segments, Segments):
             rows = map(attrgetter(*SEGMENT_FIELDS), self.segments)
-            object.__setattr__(self, "segments", Segments(rows))
+            object.__setattr__(self, "segments", Segments.from_rows(rows))
 
     @property
     def makespan(self) -> int:
@@ -115,8 +106,7 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
         pid: its if sc[pid] else (its + 1) // 2 for pid, its in base.items()
     }
     segments = Segments()
-    add_start, add_end = segments.start.append, segments.end.append
-    add_quantum = segments.quantum.append
+    add_end, add_quantum = segments.end.append, segments.quantum.append
     completion = {}
     clock = 0
     round_no = 1
@@ -135,7 +125,6 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
                 else:
                     quantum[pid] = 2 * tq if sc[pid] else tq + (tq + 1) // 2
             run = tq if tq < left else left
-            add_start(clock)
             clock += run
             add_end(clock)
             add_quantum(tq)
@@ -144,4 +133,5 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
                 completion[pid] = clock
         live = [pid for pid in live if rbt[pid]]
         round_no += 1
+    segments.start += [0] + segments.end[:-1]  # grants run back to back
     return ScheduleTrace(segments, completion)

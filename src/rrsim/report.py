@@ -41,12 +41,14 @@ def merge_segments(trace: ScheduleTrace) -> List[Tuple[int, int, int]]:
     """Time-ordered (pid, start, end) runs with back-to-back grants of the
     same process coalesced."""
     merged: List[Tuple[int, int, int]] = []
+    last = None
     segs = trace.segments
     for pid, start, end in zip(segs.pid, segs.start, segs.end):
-        if merged and merged[-1][0] == pid and merged[-1][2] == start:
-            merged[-1] = (pid, merged[-1][1], end)
+        if last and last[0] == pid and last[2] == start:
+            last = merged[-1] = (pid, last[1], end)
         else:
-            merged.append((pid, start, end))
+            last = (pid, start, end)
+            merged.append(last)
     return merged
 
 
@@ -253,7 +255,7 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
         w = Workload(tuple(procs))
     except WorkloadError as exc:  # no rows, or an id given twice
         raise MetricsError(f"trace field 'workload': {exc}") from None
-    segments = Segments(_ints(s, SEGMENT_FIELDS, "segment") for s in segs)
+    segments = Segments.from_rows(_ints(s, SEGMENT_FIELDS, "segment") for s in segs)
     pids = {str(pid): pid for pid in w.pids}
     for key in done:
         if key not in pids:
@@ -262,12 +264,10 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
     trace = ScheduleTrace(segments, completion)
     compute_metrics(trace, w)
     visits = dict.fromkeys(w.pids, 0)  # compute_metrics rejected unknown pids
-    for pid, round_no in zip(segments.pid, segments.round):
+    for pid, rnd in zip(segments.pid, segments.round):
         visits[pid] += 1
-        if round_no != visits[pid]:
-            raise MetricsError(
-                f"segment round of P{pid} is {round_no}, expected {visits[pid]}"
-            )
+        if rnd != visits[pid]:
+            raise MetricsError(f"segment round of P{pid} is {rnd}, expected {visits[pid]}")
     return w, policy, trace
 
 

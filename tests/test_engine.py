@@ -78,6 +78,7 @@ class TestSegmentContract:
     def test_column_order_is_segment_fields(self, random_w):
         trace = simulate(random_w, proposed_policy(random_w))
         segs = trace.segments
+        assert tuple(f.name for f in dataclasses.fields(segs)) == SEGMENT_FIELDS
         assert segs.columns == tuple(getattr(segs, name) for name in SEGMENT_FIELDS)
         for i, seg in enumerate(segs):
             assert [getattr(seg, name) for name in SEGMENT_FIELDS] == [
