@@ -7,19 +7,23 @@ Usage: bench.py [--out PATH] [N ...]    (default N: 10 100 1000 10000)
 Each n is a ``generate`` workload with the CLI's defaults (bursts 1..100,
 priorities 1..5, seed 0) in random burst order, run under each policy, with
 ``rr:7`` for ``rr:<q>``.  Each layer of the CLI's call sequence is timed
-in-process under the span names of ``perfbench/tracing.py`` (``LAYERS``),
-taking the best of 3 runs, and so is the CLI as a subprocess, end to end.
+in-process under the span names of ``perfbench/tracing.py`` (``LAYERS``):
+each layer's time per call is the best of 3 repeats of as many calls as
+``timeit``'s autorange takes to fill 0.2 s, with the garbage collector on as
+in a CLI run.  The CLI is timed as a subprocess, end to end, best of 3.
 Each CLI export is read back with ``trace_from_dict`` and must equal the
 in-process trace; any difference ends the script with exit 1.  Writes JSON
 to PATH, or to stdout, and one line per cell to stderr.
 """
 import argparse
+import gc
 import json
 import os
 import platform
 import subprocess
 import sys
 import tempfile
+import timeit
 from pathlib import Path
 from time import perf_counter
 
@@ -47,15 +51,23 @@ POLICIES = tuple("rr:7" if name == "rr:<q>" else name for name in POLICY_NAMES)
 SLICE_OTS = {"proposed": None, "pbdrr": DEFAULT_STATIC_OTS, "its-rr": DEFAULT_STATIC_OTS}
 
 
+def best_seconds(call):
+    """Seconds per call of ``call``: the best of ``REPEATS`` timings of the
+    call count that ``timeit``'s autorange picks (1, 2, 5, 10, 20, ... calls,
+    until they take 0.2 s), with the garbage collector on."""
+    timer = timeit.Timer(call, setup=gc.enable)
+    number, _ = timer.autorange()
+    return min(timer.repeat(REPEATS, number)) / number
+
+
 def layered_run(text, name, json_path):
-    """One pass through the layers in the CLI's order: (seconds per span
-    name, trace, workload, policy name)."""
+    """The layers in the CLI's order, each called once for its value and then
+    timed: (seconds per call by span name, trace, workload, policy name)."""
     spans = {}
 
     def timed(span, call):
-        start = perf_counter()
         value = call()
-        spans[span] = perf_counter() - start
+        spans[span] = best_seconds(call)
         return value
 
     w = timed("workload.parse", lambda: parse_workload(text))
@@ -87,11 +99,7 @@ def bench_cell(n, name, tmp):
     text = serialize_workload(generate_workload(n, "random", (1, 100), (1, 5), 0))
     csv_path, json_path = str(tmp / "w.csv"), str(tmp / "out.json")
     Path(csv_path).write_text(text, encoding="utf-8")
-    best = {}
-    for _ in range(REPEATS):
-        spans, trace, w, policy_name = layered_run(text, name, json_path)
-        for span, sec in spans.items():
-            best[span] = min(best.get(span, sec), sec)
+    best, trace, w, policy_name = layered_run(text, name, json_path)
     bytes_out = os.path.getsize(json_path)
     cli_s = min(cli_run(csv_path, name, json_path) for _ in range(REPEATS))
     with open(json_path, encoding="utf-8") as fh:
@@ -151,8 +159,9 @@ def main(argv=None):
         "workload": {"order": "random", "burst_range": [1, 100], "priority_range": [1, 5],
                      "seed": 0},
         "repeats": REPEATS,
-        "timing": "best of repeats; layers in-process with perf_counter, cli_ms as a"
-                  " subprocess including interpreter start-up",
+        "timing": "layers in-process: best of repeats of timeit's autorange call count,"
+                  " per call; cli_ms: best of repeats as a subprocess including"
+                  " interpreter start-up",
         "cells": cells,
     }
     text = json.dumps(doc, indent=2) + "\n"

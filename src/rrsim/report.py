@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import islice
-from operator import attrgetter, itemgetter
+from itertools import compress, islice
+from operator import attrgetter, itemgetter, ne
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import references
@@ -37,39 +37,36 @@ from .workload import (
 # rendering
 
 
+def _runs(trace: ScheduleTrace) -> Tuple[List[int], List[int], List[int]]:
+    """The (pid, start, end) columns of the time-ordered runs.  A run starts
+    at the first segment, at a change of pid and at a gap, so back-to-back
+    grants of one process coalesce."""
+    pid, start, end = attrgetter("pid", "start", "end")(trace.segments)
+    cut = list(map(ne, zip(pid, end), zip(islice(pid, 1, None), islice(start, 1, None))))
+    return (list(compress(pid, [True, *cut])), list(compress(start, [True, *cut])),
+            list(compress(end, [*cut, True])))
+
+
 def merge_segments(trace: ScheduleTrace) -> List[Tuple[int, int, int]]:
-    """Time-ordered (pid, start, end) runs with back-to-back grants of the
-    same process coalesced."""
-    merged: List[Tuple[int, int, int]] = []
-    last = None
-    segs = trace.segments
-    for pid, start, end in zip(segs.pid, segs.start, segs.end):
-        if last and last[0] == pid and last[2] == start:
-            last = merged[-1] = (pid, last[1], end)
-        else:
-            last = (pid, start, end)
-            merged.append(last)
-    return merged
+    """Time-ordered (pid, start, end) runs; back-to-back grants of a pid coalesce."""
+    return list(zip(*_runs(trace)))
 
 
 def render_gantt(trace: ScheduleTrace) -> str:
-    """ASCII Gantt chart: one row of process labels over one row of boundary
-    timestamps; back-to-back grants of the same process render as one cell."""
-    merged = merge_segments(trace)
-    labels = [f"P{pid}" for pid, _, _ in merged]
-    boundaries = [str(merged[0][1])] + [str(end) for _, _, end in merged]
-
-    label_line = "|"
-    positions = [0]
-    for i, label in enumerate(labels):
-        width = max(len(label) + 2, len(boundaries[i]), len(boundaries[i + 1]))
-        label_line += " " + label + " " * (width - len(label) - 1) + "|"
-        positions.append(len(label_line) - 1)
-    time_line = ""
-    for pos, boundary in zip(positions, boundaries):
-        pad = max(pos - len(time_line), 1 if time_line else 0)
-        time_line += " " * pad + boundary
-    return label_line + "\n" + time_line.rstrip()
+    """ASCII Gantt chart: process labels over boundary times, one cell per run.
+    Each cell is ``max(len(label) + 2, len(left time), len(right time))`` wide,
+    so every time starts right under the ``|`` that opens its cell (the last
+    under the closing ``|``), and each row is one join over the cells."""
+    pids, starts, ends = _runs(trace)
+    label = {pid: f" P{pid}" for pid in set(pids)}  # with the space after its "|"
+    room = {pid: len(text) + 1 for pid, text in label.items()}
+    times = [str(starts[0]), *map(str, ends)]
+    sizes = list(map(len, times))
+    widths = list(map(max, map(room.__getitem__, pids), sizes, islice(sizes, 1, None)))
+    del starts, ends, sizes
+    label_row = "|".join(map(str.ljust, map(label.__getitem__, pids), widths))
+    time_row = " ".join(map(str.ljust, times, widths))
+    return f"|{label_row}|\n{time_row} {times[-1]}"
 
 
 def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:

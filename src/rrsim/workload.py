@@ -93,8 +93,10 @@ def integer(text: str, what: str = "value") -> int:
 def parse_workload(text: str) -> Workload:
     """Parse CSV with header ``id,burst,priority`` (an optional ``arrival`` column is
     accepted but must be zero everywhere; the model has no arrival events)."""
-    rows = list(csv.reader(text.splitlines()))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
+    try:
+        rows = [r for r in csv.reader(text.splitlines()) if any(cell.strip() for cell in r)]
+    except csv.Error as exc:  # a NUL before Python 3.11, or an over-long field
+        raise WorkloadError(f"bad CSV: {exc}") from None
     if not rows:
         raise WorkloadError("empty workload CSV")
     header = tuple(cell.strip().lower() for cell in rows[0])

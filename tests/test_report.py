@@ -10,10 +10,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import gantt_reference
 from conftest import workloads
 from rrsim import (
     DEFAULT_STATIC_OTS,
+    DispatchSegment,
     ProcessSpec,
+    ScheduleTrace,
     Workload,
     compute_components,
     compute_metrics,
@@ -28,6 +31,7 @@ from rrsim import report
 from rrsim.metrics import MetricsError
 from rrsim.report import (
     build_parser,
+    merge_segments,
     metrics_to_dict,
     render_gantt,
     run_cli,
@@ -36,7 +40,7 @@ from rrsim.report import (
 )
 from rrsim.timeslice import COMPONENT_FIELDS
 from rrsim.workload import ORDERS
-from rrsim.schedulers import classic_rr_policy, fcfs_policy, proposed_policy
+from rrsim.schedulers import POLICY_NAMES, classic_rr_policy, fcfs_policy, proposed_policy
 
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_CSV = str(ROOT / "data" / "random.csv")
@@ -80,6 +84,52 @@ class TestGantt:
         trace = simulate(increasing_w, proposed_policy(increasing_w))
         _, times = render_gantt(trace).splitlines()
         assert times.split()[-1] == str(sum(increasing_w.bursts))
+
+
+# every policy, with rr:<q> at q = 1 (one cell per unit) and q = 3
+_GANTT_POLICIES = [n for n in POLICY_NAMES if n != "rr:<q>"] + ["rr:1", "rr:3"]
+
+
+@st.composite
+def _hand_built_rows(draw):
+    """(pid, start, end) rows that no policy gives: gaps, a row back at time 0
+    (so a cell's left time can be longer than its right), back-to-back rows of
+    one pid, pids of 1 to 7 digits, and a first start that may be wider than
+    its cell's label."""
+    pool = draw(st.lists(st.integers(1, 9_999_999), min_size=1, max_size=3))
+    clock = draw(st.integers(0, 10**8))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        start = clock + draw(st.sampled_from([0, 0, 1, 10**5, -clock]))
+        clock = start + draw(st.integers(1, 10**6))
+        rows.append((draw(st.sampled_from(pool)), start, clock))
+    return rows
+
+
+class TestGanttReference:
+    """``render_gantt`` and ``merge_segments`` against the cell-by-cell layout
+    of ``tests/gantt_reference.py``."""
+
+    @staticmethod
+    def check(trace, rows):
+        assert merge_segments(trace) == gantt_reference.merge_runs(rows)
+        assert render_gantt(trace) == gantt_reference.render_gantt(rows)
+
+    @pytest.mark.parametrize("name", _GANTT_POLICIES)
+    @settings(max_examples=20, deadline=None)
+    @given(w=workloads())
+    def test_simulated(self, name, w):
+        trace = simulate(w, policy_from_name(name, w))
+        segs = trace.segments
+        self.check(trace, list(zip(segs.pid, segs.start, segs.end)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_hand_built_rows())
+    @example(rows=[(1, 123456, 123457), (1, 123457, 123460), (1, 123462, 123470)])
+    @example(rows=[(7, 0, 3), (1234567, 3, 4), (7, 9, 10**9)])
+    def test_hand_built(self, rows):
+        segments = tuple(DispatchSegment(pid, s, e, 1, e - s) for pid, s, e in rows)
+        self.check(ScheduleTrace(segments, {}), rows)
 
 
 class TestTraceJson:
@@ -598,6 +648,61 @@ class TestIntegerSyntax:
             assert rc == 2
             assert err.startswith("usage: ")
             assert f"error: argument {option}: " in err
+
+
+# Field text: small numbers, or characters that make most fields invalid.
+# Three characters at most, so no burst exceeds 999 units.
+_CSV_FIELDS = st.one_of(st.integers(0, 999).map(str), st.text("09-+ x\"\0\uff12", max_size=3))
+_CSV_HEADERS = [
+    "id,burst,priority", " ID , Burst,PRIORITY", "id,burst,priority,arrival",
+    "\ufeffid,burst,priority", "id,burst", "pid,burst,priority", "",
+]
+
+
+@st.composite
+def _csv_texts(draw):
+    """Workload CSV text: a valid workload's CSV with one line replaced or
+    inserted (a header, a row of 1 to 5 odd fields, or any text) or none,
+    any line break, and maybe a few arbitrary characters at the end."""
+    lines = serialize_workload(draw(workloads(max_n=6))).splitlines()
+    junk = draw(st.one_of(
+        st.sampled_from(_CSV_HEADERS),
+        st.lists(_CSV_FIELDS, min_size=1, max_size=5).map(",".join),
+        st.text(max_size=4),
+    ))
+    i = draw(st.integers(0, len(lines) - 1))
+    lines[i:i + draw(st.sampled_from([0, 1]))] = draw(st.sampled_from([[], [junk]]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.one_of(st.just(""), st.text(max_size=3)))
+
+
+# A command line for each subcommand that reads a workload CSV, with every policy.
+_CSV_ARGV = {
+    **{f"simulate {name}": ["simulate", "--policy", name] for name in _GANTT_POLICIES},
+    "compare": ["compare", "--policies", ",".join(_GANTT_POLICIES)],
+    "components": ["components"],
+}
+
+
+class TestCsvText:
+    """Whatever the workload CSV holds, the CLI exits 0 with output, or 1
+    with one ``error:`` line and no output, and never raises."""
+
+    @pytest.mark.parametrize("case", sorted(_CSV_ARGV))
+    @settings(max_examples=10, deadline=None)
+    @given(text=_csv_texts())
+    @example(text="id,burst,priority\n1,5,1\0")  # NUL: a csv.Error before Python 3.11
+    @example(text='id,burst,priority\n1,5,"' + "x" * 140_000)  # over csv.field_size_limit()
+    def test_exit_code_and_output(self, case, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.csv"
+            path.write_bytes(text.encode("utf-8", "surrogatepass"))
+            rc, out, err, data = _run_cli([*_CSV_ARGV[case], "--workload", str(path)])
+        if rc == 0:
+            assert out and data and not err
+        else:
+            assert rc == 1 and not out and data is None
+            assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _subcommands():
