@@ -87,7 +87,7 @@ class TestGantt:
 
 
 # every policy, with rr:<q> at q = 1 (one cell per unit) and q = 3
-_GANTT_POLICIES = [n for n in POLICY_NAMES if n != "rr:<q>"] + ["rr:1", "rr:3"]
+_EVERY_POLICY = [n for n in POLICY_NAMES if n != "rr:<q>"] + ["rr:1", "rr:3"]
 
 
 @st.composite
@@ -115,7 +115,7 @@ class TestGanttReference:
         assert merge_segments(trace) == gantt_reference.merge_runs(rows)
         assert render_gantt(trace) == gantt_reference.render_gantt(rows)
 
-    @pytest.mark.parametrize("name", _GANTT_POLICIES)
+    @pytest.mark.parametrize("name", _EVERY_POLICY)
     @settings(max_examples=20, deadline=None)
     @given(w=workloads())
     def test_simulated(self, name, w):
@@ -678,8 +678,8 @@ def _csv_texts(draw):
 
 # A command line for each subcommand that reads a workload CSV, with every policy.
 _CSV_ARGV = {
-    **{f"simulate {name}": ["simulate", "--policy", name] for name in _GANTT_POLICIES},
-    "compare": ["compare", "--policies", ",".join(_GANTT_POLICIES)],
+    **{f"simulate {name}": ["simulate", "--policy", name] for name in _EVERY_POLICY},
+    "compare": ["compare", "--policies", ",".join(_EVERY_POLICY)],
     "components": ["components"],
 }
 
