@@ -6,17 +6,23 @@ Usage: bench.py [--out PATH] [N ...]    (default N: 10 100 1000 10000)
 
 Each n is a ``generate`` workload with the CLI's defaults (bursts 1..100,
 priorities 1..5, seed 0) in random burst order, run under each policy, with
-``rr:7`` for ``rr:<q>``.  Each layer of the CLI's call sequence is timed
-in-process under the span names of ``perfbench/tracing.py`` (``LAYERS``):
-each layer's time per call is the best of 3 repeats of as many calls as
+``rr:7`` for ``rr:<q>``.  ``run_cli``'s span hook times each layer in-process
+under the span names of ``perfbench/tracing.py`` (``LAYERS``), and a direct
+``compute_components`` call stands for a slice policy's
+``timeslice.components``; ``workload.parse`` includes reading the CSV file.
+Each layer's time per call is the best of 3 repeats of as many calls as
 ``timeit``'s autorange takes to fill 0.2 s, with the garbage collector on as
-in a CLI run.  The CLI is timed as a subprocess, end to end, best of 3.
+in a CLI run.  The CLI is timed as a subprocess, end to end, best of 3 after
+an untimed warm-up, with a bytecode cache in the run's temporary directory
+(``PYTHONPYCACHEPREFIX``; ``PYTHONDONTWRITEBYTECODE`` is dropped from the
+child's environment only).
 Each CLI export is read back with ``trace_from_dict`` and must equal the
 in-process trace; any difference ends the script with exit 1.  Writes JSON
 to PATH, or to stdout, and one line per cell to stderr.
 """
 import argparse
 import gc
+import io
 import json
 import os
 import platform
@@ -30,16 +36,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rrsim import (  # noqa: E402
-    DEFAULT_STATIC_OTS,
-    compute_components,
-    compute_metrics,
-    generate_workload,
-    parse_workload,
-    policy_from_name,
-    serialize_workload,
-    simulate,
-)
+from rrsim import DEFAULT_STATIC_OTS, compute_components  # noqa: E402
 from rrsim import report  # noqa: E402
 from rrsim.schedulers import POLICY_NAMES  # noqa: E402
 
@@ -60,34 +57,33 @@ def best_seconds(call):
     return min(timer.repeat(REPEATS, number)) / number
 
 
-def layered_run(text, name, json_path):
-    """The layers in the CLI's order, each called once for its value and then
-    timed: (seconds per call by span name, trace, workload, policy name)."""
-    spans = {}
+def layered_run(csv_path, name, json_path):
+    """One in-process ``simulate --json`` run, each layer called once for its
+    value and then timed: (seconds per call by span name, trace, workload,
+    policy name)."""
+    spans, values = {}, {}
 
     def timed(span, call):
-        value = call()
+        values[span] = call()
         spans[span] = best_seconds(call)
-        return value
+        return values[span]
 
-    w = timed("workload.parse", lambda: parse_workload(text))
+    argv = ["simulate", "--workload", csv_path, "--policy", name, "--json", json_path]
+    if report.run_cli(argv, io.StringIO(), timed):
+        sys.exit(f"bench.py: {' '.join(argv)} failed")
+    w = values["workload.parse"]
     if name in SLICE_OTS:
-        timed("timeslice.components", lambda: compute_components(w, static_ots=SLICE_OTS[name]))
-    policy = timed("schedulers.build", lambda: policy_from_name(name, w))
-    trace = timed("engine.simulate", lambda: simulate(w, policy))
-    summary = timed("metrics.compute", lambda: compute_metrics(trace, w))
-    timed("report.gantt", lambda: report.render_gantt(trace))
-    timed("report.table", lambda: report.render_metrics(summary, w))
-    timed("report.export", lambda: report._write_json(json_path, {
-        **report._trace_doc(w, policy.name, trace),
-        "metrics": report._metrics_doc(policy.name, summary),
-    }))
-    return spans, trace, w, policy.name
+        spans["timeslice.components"] = best_seconds(
+            lambda: compute_components(w, static_ots=SLICE_OTS[name]))
+    return spans, values["engine.simulate"], w, values["schedulers.build"].name
 
 
 def cli_run(csv_path, name, json_path):
-    """Wall seconds of ``rrsim simulate --json`` in a new interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    """Wall seconds of ``rrsim simulate --json`` in a new interpreter, which
+    caches bytecode next to the workload file."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PYTHONPYCACHEPREFIX=str(Path(csv_path).parent / "pycache"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     argv = [sys.executable, "-m", "rrsim.report", "simulate", "--workload", csv_path,
             "--policy", name, "--json", json_path]
     start = perf_counter()
@@ -96,11 +92,12 @@ def cli_run(csv_path, name, json_path):
 
 
 def bench_cell(n, name, tmp):
-    text = serialize_workload(generate_workload(n, "random", (1, 100), (1, 5), 0))
     csv_path, json_path = str(tmp / "w.csv"), str(tmp / "out.json")
-    Path(csv_path).write_text(text, encoding="utf-8")
-    best, trace, w, policy_name = layered_run(text, name, json_path)
+    report.run_cli(["generate", "--n", str(n), "--order", "random", "--csv", csv_path],
+                   io.StringIO())
+    best, trace, w, policy_name = layered_run(csv_path, name, json_path)
     bytes_out = os.path.getsize(json_path)
+    cli_run(csv_path, name, json_path)  # warm-up: fills the bytecode cache
     cli_s = min(cli_run(csv_path, name, json_path) for _ in range(REPEATS))
     with open(json_path, encoding="utf-8") as fh:
         if report.trace_from_dict(json.load(fh)) != (w, policy_name, trace):
@@ -155,13 +152,14 @@ def main(argv=None):
             "machine": platform.machine(),
             "system": platform.platform(),
             "cpus": os.cpu_count(),
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         },
         "workload": {"order": "random", "burst_range": [1, 100], "priority_range": [1, 5],
                      "seed": 0},
         "repeats": REPEATS,
         "timing": "layers in-process: best of repeats of timeit's autorange call count,"
                   " per call; cli_ms: best of repeats as a subprocess including"
-                  " interpreter start-up",
+                  " interpreter start-up, after one untimed warm-up, with a bytecode cache",
         "cells": cells,
     }
     text = json.dumps(doc, indent=2) + "\n"

@@ -11,9 +11,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter, ne
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from . import references
 from .engine import SEGMENT_FIELDS, ScheduleTrace, Segments, simulate
@@ -35,6 +37,8 @@ from .workload import (
 
 # ---------------------------------------------------------------------------
 # rendering
+
+_METRIC_FIELDS = ("turnaround", "waiting", "response")  # also the table's headers
 
 
 def _runs(trace: ScheduleTrace) -> Tuple[List[int], List[int], List[int]]:
@@ -69,31 +73,31 @@ def render_gantt(trace: ScheduleTrace) -> str:
     return f"|{label_row}|\n{time_row} {times[-1]}"
 
 
-def _render_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines)
+def _render_table(columns: Dict[str, Sequence[str]]) -> str:
+    """A text table of ``{header: cells}``: each column padded to its widest cell
+    or header, two spaces apart, a dashed rule under the headers."""
+    padded = []
+    for header, cells in columns.items():
+        width = max(len(header), max(map(len, cells), default=0))
+        padded.append(map(str.ljust, [header, "-" * width, *cells], repeat(width)))
+    return "\n".join(map(str.rstrip, map("  ".join, zip(*padded))))
+
+
+def _process_table(w: Workload, rows: Sequence[object], fields: Sequence[str],
+                   header: Callable[[str], str] = str) -> str:
+    """The process, burst and priority columns of ``w``, then each of ``fields``
+    of ``rows`` (one per process, in ``w``'s order) under ``header(field)``."""
+    columns = {"process": [f"P{pid}" for pid in w.pids], "burst": list(map(str, w.bursts)),
+               "priority": list(map(str, w.priorities))}
+    for name in fields:
+        columns[header(name)] = list(map(str, map(attrgetter(name), rows)))
+    return _render_table(columns)
 
 
 def render_metrics(summary: MetricsSummary, w: Workload) -> str:
-    rows = []
-    for p in w:
-        m = summary.per_process[p.pid]
-        rows.append([
-            f"P{p.pid}", str(p.burst), str(p.priority),
-            str(m.turnaround), str(m.waiting), str(m.response),
-        ])
-    table = _render_table(
-        ["process", "burst", "priority", "turnaround", "waiting", "response"], rows
-    )
+    per_process = list(map(summary.per_process.__getitem__, w.pids))
     return (
-        table
+        _process_table(w, per_process, _METRIC_FIELDS)
         + f"\n\navg turnaround: {format_average(summary.avg_turnaround)}"
         + f"\navg waiting:    {format_average(summary.avg_waiting)}"
         + f"\ncontext switches: {summary.context_switches}"
@@ -105,32 +109,20 @@ def render_components_table(
     comps: Sequence[SliceComponents],
     notes: Sequence[str] = (),
 ) -> str:
-    rows = [
-        [f"P{p.pid}", str(p.burst), str(p.priority)]
-        + [str(getattr(c, name)) for name in COMPONENT_FIELDS]
-        for p, c in zip(w, comps)
-    ]
-    header = ["process", "burst", "priority"] + [name.upper() for name in COMPONENT_FIELDS]
-    out = _render_table(header, rows)
+    out = _process_table(w, comps, COMPONENT_FIELDS, str.upper)
     out += f"\n\nrange: {comps[0].slice_range}"
     if notes:
         out += "\n" + "\n".join(f"note: {n}" for n in notes)
     return out
 
 
-_COMPARISON_HEADER = ("policy", "avg TAT", "avg WT", "CS")
-
-
-def _comparison_rows(results: Sequence[Tuple[str, MetricsSummary]]) -> List[Tuple[str, ...]]:
-    return [
-        (name, format_average(s.avg_turnaround), format_average(s.avg_waiting),
-         str(s.context_switches))
-        for name, s in results
-    ]
-
-
-def render_comparison(results: Sequence[Tuple[str, MetricsSummary]]) -> str:
-    return _render_table(_COMPARISON_HEADER, _comparison_rows(results))
+def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, List[str]]:
+    return {
+        "policy": list(summaries),
+        "avg TAT": [format_average(s.avg_turnaround) for s in summaries.values()],
+        "avg WT": [format_average(s.avg_waiting) for s in summaries.values()],
+        "CS": [str(s.context_switches) for s in summaries.values()],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +131,6 @@ def render_comparison(results: Sequence[Tuple[str, MetricsSummary]]) -> str:
 # writes with sorted keys and a two-space indent, and a newline; _plain gives
 # the dicts and lists that json reads back.
 
-_METRIC_FIELDS = ("turnaround", "waiting", "response")
 _CHUNK = 4096  # rows per write, so a long trace's text is never held whole
 
 
@@ -153,7 +144,7 @@ class _Table(NamedTuple):
 
 
 def _workload_table(w: Workload) -> _Table:
-    return _Table(CSV_HEADER, ((p.pid, p.burst, p.priority) for p in w))
+    return _Table(CSV_HEADER, zip(w.pids, w.bursts, w.priorities))
 
 
 def _segment_table(trace: ScheduleTrace) -> _Table:
@@ -272,11 +263,6 @@ def _chunks(texts: Iterator[str]) -> Iterator[List[str]]:
     return iter(lambda: list(islice(texts, _CHUNK)), [])
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_json(path: str, doc: object) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         _write_value(fh.write, doc, "\n")
@@ -333,6 +319,8 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[tuple]) -> None:
 # ---------------------------------------------------------------------------
 # CLI
 
+Span = Callable[[str, Callable[[], Any]], Any]  # span(layer, call) returns call()'s value
+
 
 def _integer_option(text: str) -> int:
     try:
@@ -363,81 +351,87 @@ def _load_workload(path: str) -> Workload:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _cmd_simulate(args, out) -> None:
-    w = _load_workload(args.workload)
-    policy = policy_from_name(args.policy, w, args.static_ots)
-    trace = simulate(w, policy)
-    summary = compute_metrics(trace, w)
-    print(f"policy: {policy.name}", file=out)
-    print(render_gantt(trace), file=out)
-    print(file=out)
-    print(render_metrics(summary, w), file=out)
+def _run_policy(w: Workload, name: str, static_ots: int,
+                span: Span) -> Tuple[str, ScheduleTrace, MetricsSummary]:
+    """(policy name, trace, metrics) of the policy ``name`` on ``w``."""
+    policy = span("schedulers.build", lambda: policy_from_name(name, w, static_ots))
+    trace = span("engine.simulate", lambda: simulate(w, policy))
+    return policy.name, trace, span("metrics.compute", lambda: compute_metrics(trace, w))
+
+
+def _cmd_simulate(args, out, span: Span) -> None:
+    w = span("workload.parse", lambda: _load_workload(args.workload))
+    name, trace, summary = _run_policy(w, args.policy, args.static_ots, span)
+    gantt = span("report.gantt", lambda: render_gantt(trace))
+    table = span("report.table", lambda: render_metrics(summary, w))
+    print(f"policy: {name}", gantt, "", table, sep="\n", file=out)
     if args.paper_notes:
-        for note in references.quantum_notes(w, policy.name, trace, args.static_ots):
+        for note in references.quantum_notes(w, name, trace, args.static_ots):
             print(f"note: {note}", file=out)
     if args.json:
-        _write_json(args.json, {
-            **_trace_doc(w, policy.name, trace),
-            "metrics": _metrics_doc(policy.name, summary),
-        })
+        span("report.export", lambda: _write_json(args.json, {
+            **_trace_doc(w, name, trace), "metrics": _metrics_doc(name, summary),
+        }))
     if args.csv:
-        _write_csv(args.csv, SEGMENT_FIELDS, _segment_table(trace).rows)
+        span("report.export", lambda: _write_csv(
+            args.csv, SEGMENT_FIELDS, _segment_table(trace).rows))
 
 
-def _cmd_compare(args, out) -> None:
-    w = _load_workload(args.workload)
+def _cmd_compare(args, out, span: Span) -> None:
+    w = span("workload.parse", lambda: _load_workload(args.workload))
     names = [n.strip() for n in args.policies.split(",") if n.strip()]
     if not names:
         raise ValueError("no policies given")
-    summaries, traces = [], {}
+    summaries, traces = {}, {}
     for name in names:
-        policy = policy_from_name(name, w, args.static_ots)
-        if policy.name in traces:
-            raise ValueError(f"duplicate policy {policy.name!r}")
-        traces[policy.name] = trace = simulate(w, policy)
-        summaries.append((policy.name, compute_metrics(trace, w)))
-    rows = _comparison_rows(summaries)
-    print(_render_table(_COMPARISON_HEADER, rows), file=out)
+        name, trace, summary = _run_policy(w, name, args.static_ots, span)
+        if name in traces:
+            raise ValueError(f"duplicate policy {name!r}")
+        traces[name], summaries[name] = trace, summary
+    print(span("report.table", lambda: _render_table(_comparison_columns(summaries))), file=out)
     if args.json:
-        _write_json(args.json, {
+        span("report.export", lambda: _write_json(args.json, {
             "workload": _workload_table(w),
-            "metrics": [_metrics_doc(n, s) for n, s in summaries],
+            "metrics": [_metrics_doc(n, s) for n, s in summaries.items()],
             "traces": {n: _segment_table(t) for n, t in traces.items()},
-        })
+        }))
     if args.csv:
-        _write_csv(args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"), rows)
+        span("report.export", lambda: _write_csv(
+            args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"),
+            zip(*_comparison_columns(summaries).values())))
 
 
-def _cmd_generate(args, out) -> None:
+def _cmd_generate(args, out, span: Span) -> None:
     w = generate_workload(
         args.n, args.order, args.burst_range, args.priority_range, args.seed
     )
-    text = serialize_workload(w)
-    print(text, end="", file=out)
-    if args.csv:
-        _write_text(args.csv, text)
+    print(serialize_workload(w), end="", file=out)
+    if args.csv:  # the bytes serialize_workload gives
+        span("report.export", lambda: _write_csv(args.csv, CSV_HEADER, _workload_table(w).rows))
     if args.json:
-        _write_json(args.json, {"workload": _workload_table(w)})
+        span("report.export", lambda: _write_json(args.json, {"workload": _workload_table(w)}))
 
 
-def _cmd_components(args, out) -> None:
-    w = _load_workload(args.workload)
-    comps = compute_components(w, static_ots=args.static_ots)
+def _cmd_components(args, out, span: Span) -> None:
+    w = span("workload.parse", lambda: _load_workload(args.workload))
+    comps = span("timeslice.components",
+                 lambda: compute_components(w, static_ots=args.static_ots))
     notes = references.component_notes(w, comps, args.static_ots) if args.paper_notes else ()
-    print(render_components_table(w, comps, notes), file=out)
+    print(span("report.table", lambda: render_components_table(w, comps, notes)), file=out)
     get = attrgetter(*COMPONENT_FIELDS)
     if args.json:
-        _write_json(args.json, {
+        span("report.export", lambda: _write_json(args.json, {
             "workload": _workload_table(w),
             "range": _fraction_to_dict(comps[0].slice_range),
             "components": _Table(("pid",) + COMPONENT_FIELDS, (
-                (p.pid, *get(c)) for p, c in zip(w, comps)
+                (pid, *get(c)) for pid, c in zip(w.pids, comps)
             )),
-        })
+        }))
     if args.csv:
-        _write_csv(args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS, (
-            (p.pid, p.burst, p.priority, *get(c)) for p, c in zip(w, comps)
-        ))
+        span("report.export", lambda: _write_csv(
+            args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS, (
+                (p.pid, p.burst, p.priority, *get(c)) for p, c in zip(w, comps)
+            )))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,7 +489,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_cli(argv: Optional[Sequence[str]] = None, out=None) -> int:
+def _call(layer: str, call: Callable[[], Any]) -> Any:
+    return call()
+
+
+def run_cli(argv: Optional[Sequence[str]] = None, out=None, span: Span = _call) -> int:
+    """The exit status of the CLI on ``argv``, printing to ``out`` (stdout).
+    Each layer call is made as ``span(layer, call)``, which must return
+    ``call()``'s value and may run it more than once: ``workload.parse`` (with
+    the file read), ``timeslice.components``, ``schedulers.build``,
+    ``engine.simulate``, ``metrics.compute`` and ``report.gantt/table/export``."""
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
@@ -509,7 +512,7 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None) -> int:
     try:
         # rejected even where the policy or command would not use it
         check_static_ots(getattr(args, "static_ots", None))
-        args.func(args, out)
+        args.func(args, out, span)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -92,38 +92,33 @@ def integer(text: str, what: str = "value") -> int:
 
 def parse_workload(text: str) -> Workload:
     """Parse CSV with header ``id,burst,priority`` (an optional ``arrival`` column is
-    accepted but must be zero everywhere; the model has no arrival events)."""
-    try:
-        rows = [r for r in csv.reader(text.splitlines()) if any(cell.strip() for cell in r)]
+    accepted but must be zero everywhere; the model has no arrival events).
+    Errors name a data row by its line in ``text``, blank lines counted."""
+    reader = csv.reader(text.splitlines())
+    try:  # each kept row with the number of the line it ends on
+        rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
     except csv.Error as exc:  # a NUL before Python 3.11, or an over-long field
         raise WorkloadError(f"bad CSV: {exc}") from None
     if not rows:
         raise WorkloadError("empty workload CSV")
-    header = tuple(cell.strip().lower() for cell in rows[0])
+    header = tuple(cell.strip().lower() for cell in rows[0][1])
     if header not in (CSV_HEADER, CSV_HEADER + ("arrival",)):
-        raise WorkloadError(
-            f"bad header {','.join(header)!r}; expected 'id,burst,priority'"
-        )
-    has_arrival = len(header) == 4
+        raise WorkloadError(f"bad header {','.join(header)!r}; expected 'id,burst,priority'")
     if len(rows) == 1:
         raise WorkloadError("workload CSV has no data rows")
 
     processes = []
-    for row_no, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if len(row) != len(header):
-            raise WorkloadError(
-                f"row {row_no}: expected {len(header)} fields, got {len(row)}"
-            )
+            raise WorkloadError(f"row {line}: expected {len(header)} fields, got {len(row)}")
         try:
-            processes.append(ProcessSpec(
-                integer(row[0], "id"), integer(row[1], "burst"), integer(row[2], "priority")
-            ))
-            arrival = integer(row[3], "arrival") if has_arrival else 0
+            processes.append(ProcessSpec(*map(integer, row, CSV_HEADER)))
+            arrival = integer(row[3], "arrival") if len(row) == 4 else 0
         except ValueError as exc:
-            raise WorkloadError(f"row {row_no}: {exc}") from None
+            raise WorkloadError(f"row {line}: {exc}") from None
         if arrival:
             raise WorkloadError(
-                f"row {row_no}: nonzero arrival time {arrival} is unsupported by"
+                f"row {line}: nonzero arrival time {arrival} is unsupported by"
                 " the model (all processes are present at t=0)"
             )
 

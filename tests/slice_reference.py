@@ -26,9 +26,9 @@ def ots(p, rng):
     return max(1, round_slice(Fraction(rng) / p.priority))
 
 
-def pc(p, w):
-    """1 at the workload's most urgent (numerically smallest) priority."""
-    return 1 if p.priority == min(w.priorities) else 0
+def pc(p, top):
+    """1 at the workload's most urgent (numerically smallest) priority, ``top``."""
+    return 1 if p.priority == top else 0
 
 
 def sc(i, w):
@@ -49,9 +49,10 @@ def csc(p, ots, pc, sc):
 def components(w, static_ots=None):
     """(range, ots, pc, sc, csc) for each process in submission order."""
     rng = slice_range(w)
+    top = min(w.priorities)  # once per workload, not once per process
     out = []
     for i, p in enumerate(w):
         o = ots(p, rng) if static_ots is None else static_ots
-        c_pc, c_sc = pc(p, w), sc(i, w)
+        c_pc, c_sc = pc(p, top), sc(i, w)
         out.append((rng, o, c_pc, c_sc, csc(p, o, c_pc, c_sc)))
     return out

@@ -33,7 +33,9 @@ from rrsim.report import (
     build_parser,
     merge_segments,
     metrics_to_dict,
+    render_components_table,
     render_gantt,
+    render_metrics,
     run_cli,
     trace_from_dict,
     trace_to_dict,
@@ -578,6 +580,112 @@ class TestJsonWriter:
         doc = {"list": report._Table(("x",), []), "keyed": report._Table((), [], keyed=True)}
         report._write_value(parts.append, doc, "\n")
         assert "".join(parts) == json.dumps({"list": [], "keyed": {}}, sort_keys=True, indent=2)
+
+
+_PARSE_TO_METRICS = ["workload.parse", "schedulers.build", "engine.simulate", "metrics.compute"]
+# Per command: argv, and the layers run_cli hands its span hook, in order,
+# with both --json and --csv given.
+_SPAN_RUNS = {
+    "simulate": (["--workload", RANDOM_CSV, "--policy", "proposed", "--paper-notes"],
+                 _PARSE_TO_METRICS + ["report.gantt", "report.table"] + ["report.export"] * 2),
+    "compare": (["--workload", RANDOM_CSV, "--policies", "pbdrr,rr:3"],
+                _PARSE_TO_METRICS + _PARSE_TO_METRICS[1:] + ["report.table"]
+                + ["report.export"] * 2),
+    "components": (["--workload", RANDOM_CSV, "--paper-notes"],
+                   ["workload.parse", "timeslice.components", "report.table"]
+                   + ["report.export"] * 2),
+    "generate": (["--n", "12", "--order", "decreasing"], ["report.export"] * 2),
+}
+
+
+class TestSpanHook:
+    """``run_cli`` makes each layer call through its ``span`` hook.  A hook that
+    runs each call twice, as a timer does, changes no output byte: each call,
+    the exports' included, redoes its work from its inputs."""
+
+    @staticmethod
+    def _outputs(tmp, argv, **span):
+        tmp.mkdir()
+        json_path, csv_path = tmp / "out.json", tmp / "out.csv"
+        out = io.StringIO()
+        rc = run_cli(argv + ["--json", str(json_path), "--csv", str(csv_path)], out=out, **span)
+        return rc, out.getvalue(), json_path.read_bytes(), csv_path.read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(_SPAN_RUNS))
+    def test_calling_twice_gives_the_same_bytes(self, command, tmp_path):
+        argv, layers = _SPAN_RUNS[command]
+        seen = []
+
+        def twice(layer, call):
+            seen.append(layer)
+            call()
+            return call()
+
+        plain = self._outputs(tmp_path / "plain", [command, *argv])
+        assert plain[0] == 0 and all(plain[1:])
+        assert self._outputs(tmp_path / "twice", [command, *argv], span=twice) == plain
+        assert seen == layers
+
+
+def _ref_table(header, rows):
+    """The text table laid out row by row: widths first, then each row padded."""
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    lines = [header, ["-" * width for width in widths], *rows]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip()
+        for line in lines
+    )
+
+
+def _ref_process_cells(p):
+    return [f"P{p.pid}", str(p.burst), str(p.priority)]
+
+
+# 1 to 7 digits, so that cells are both wider and narrower than their headers
+_DIGITS = st.integers(1, 7).flatmap(lambda d: st.integers(10 ** (d - 1), 10 ** d - 1))
+
+
+@st.composite
+def _wide_workloads(draw):
+    """Workloads whose pids and bursts have 1 to 7 digits."""
+    n = draw(st.integers(1, 8))
+    pids = draw(st.lists(_DIGITS, min_size=n, max_size=n, unique=True))
+    bursts = draw(st.lists(_DIGITS, min_size=n, max_size=n))
+    priorities = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    return Workload(tuple(map(ProcessSpec, pids, bursts, priorities)))
+
+
+class TestColumnTables:
+    """The column-wise tables against a row-wise reference."""
+
+    @settings(max_examples=60, deadline=None)
+    # policies whose grant count grows with the log of the burst, at most
+    @given(w=_wide_workloads(), name=st.sampled_from(["proposed", "pbdrr", "srtn", "fcfs"]))
+    def test_render_metrics(self, w, name):
+        summary = compute_metrics(simulate(w, policy_from_name(name, w)), w)
+        rows = [_ref_process_cells(p) + [
+            str(m.turnaround), str(m.waiting), str(m.response)
+        ] for p, m in zip(w, map(summary.per_process.get, w.pids))]
+        header = ["process", "burst", "priority", "turnaround", "waiting", "response"]
+        assert render_metrics(summary, w) == (
+            _ref_table(header, rows)
+            + f"\n\navg turnaround: {format_average(summary.avg_turnaround)}"
+            + f"\navg waiting:    {format_average(summary.avg_waiting)}"
+            + f"\ncontext switches: {summary.context_switches}"
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=_wide_workloads(), static_ots=st.sampled_from([None, 1, 4, 123456]),
+           notes=st.lists(st.text("ab 1", min_size=1, max_size=4), max_size=2))
+    def test_render_components_table(self, w, static_ots, notes):
+        comps = compute_components(w, static_ots=static_ots)
+        rows = [_ref_process_cells(p) + [str(getattr(c, name)) for name in COMPONENT_FIELDS]
+                for p, c in zip(w, comps)]
+        header = ["process", "burst", "priority"] + [name.upper() for name in COMPONENT_FIELDS]
+        assert render_components_table(w, comps, notes) == (
+            _ref_table(header, rows) + f"\n\nrange: {comps[0].slice_range}"
+            + "".join(f"\nnote: {note}" for note in notes)
+        )
 
 
 # Each slot where the CLI reads an integer: (option named by a usage error,

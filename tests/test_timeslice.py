@@ -82,20 +82,20 @@ class TestOts:
 
 class TestPc:
     def test_illustration(self, illustration_w):
-        flags = [ref.pc(p, illustration_w) for p in illustration_w]
+        flags = [ref.pc(p, min(illustration_w.priorities)) for p in illustration_w]
         assert flags == [0, 1, 0, 1, 1]
 
     def test_increasing(self, increasing_w):
-        flags = [ref.pc(p, increasing_w) for p in increasing_w]
+        flags = [ref.pc(p, min(increasing_w.priorities)) for p in increasing_w]
         assert flags == [0, 0, 1, 0, 0]
 
     def test_single_process_any_priority(self):
         w = workload([9], [4])
-        assert ref.pc(w.processes[0], w) == 1
+        assert ref.pc(w.processes[0], min(w.priorities)) == 1
 
     def test_keys_on_minimum_not_literal_one(self):
         w = workload([4, 9], [3, 5])
-        assert [ref.pc(p, w) for p in w] == [1, 0]
+        assert [ref.pc(p, min(w.priorities)) for p in w] == [1, 0]
 
 
 class TestSc:

@@ -75,6 +75,18 @@ class TestParse:
         with pytest.raises(WorkloadError, match="row 3.*unsupported by the model"):
             parse_workload("id,burst,priority,arrival\n1,4,1,0\n2,9,2,5")
 
+    @pytest.mark.parametrize("text, message", [
+        ("id,burst,priority\n1,4,1\n\n\n2,x,1", "row 5: burst is not an integer: 'x'"),
+        ("\n \nid,burst,priority\n1,0,1", "row 4: non-positive burst 0 (P1)"),
+        ("id,burst,priority\n\n1,4\n", "row 3: expected 3 fields, got 2"),
+        ("id,burst,priority,arrival\n\n1,4,1,0\n,,,\n2,9,2,5",
+         "row 5: nonzero arrival time 5 is unsupported"),
+        ('id,burst,priority\n1,"4\n",1\n2,4,0', "row 4: priority must be >= 1"),
+    ], ids=["blank-lines", "blank-before-header", "short-row", "blank-cells", "multi-line-field"])
+    def test_error_names_the_line_past_blank_lines(self, text, message):
+        with pytest.raises(WorkloadError, match=re.escape(message)):
+            parse_workload(text)
+
 
 class TestInvariants:
     def test_empty_workload_rejected(self):
