@@ -101,7 +101,7 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
     low = min(base, key=base.get)
     if base[low] < 1:
         raise ValueError(f"policy {policy.name!r} has quantum {base[low]} for P{low}")
-    rbt = {p.pid: p.burst for p in w}
+    rbt = dict(zip(w.pids, w.bursts))
     quantum = base if sc is None else {
         pid: its if sc[pid] else (its + 1) // 2 for pid, its in base.items()
     }
@@ -113,7 +113,8 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
     live = list(w.pids)
     while live:
         if policy.srtn_order:
-            live.sort(key=lambda pid: (rbt[pid], pid))
+            live.sort()  # so that the stable sort by rbt leaves ties in pid order
+            live.sort(key=rbt.__getitem__)
         segments.pid += live  # one grant per live process per round
         segments.round += [round_no] * len(live)
         for pid in live:

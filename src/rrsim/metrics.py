@@ -5,9 +5,12 @@ display never feeds back into any comparison.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from functools import cached_property
+from operator import sub
+from typing import Dict, Iterator, List, Tuple
 
 from .engine import ScheduleTrace
 from .workload import Workload
@@ -24,9 +27,35 @@ class ProcessMetrics:
     response: int
 
 
+@dataclass(frozen=True, eq=False)
+class PerProcessMetrics(Mapping):
+    """Read-only ``pid -> ProcessMetrics``, held as int columns in the
+    workload's submission order, which is also the iteration order.  Each
+    :class:`ProcessMetrics` is built when it is looked up."""
+
+    pids: Tuple[int, ...]
+    turnaround: List[int]
+    waiting: List[int]
+    response: List[int]
+
+    @cached_property
+    def _row(self) -> Dict[int, int]:
+        return dict(zip(self.pids, range(len(self.pids))))
+
+    def __getitem__(self, pid: int) -> ProcessMetrics:
+        i = self._row[pid]
+        return ProcessMetrics(self.turnaround[i], self.waiting[i], self.response[i])
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.pids)
+
+    def __len__(self) -> int:
+        return len(self.pids)
+
+
 @dataclass(frozen=True)
 class MetricsSummary:
-    per_process: Dict[int, ProcessMetrics]
+    per_process: PerProcessMetrics
     avg_turnaround: Fraction
     avg_waiting: Fraction
     context_switches: int
@@ -62,16 +91,11 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
         executed[pid] += end - clock
         clock = last_end[pid] = end
 
-    per_process = {}
-    for p in w:
-        if executed[p.pid] != p.burst:
-            raise MetricsError(
-                f"P{p.pid} executed {executed[p.pid]} units but has burst {p.burst}"
-            )
-        tat = last_end[p.pid]
-        per_process[p.pid] = ProcessMetrics(
-            turnaround=tat, waiting=tat - p.burst, response=first_start[p.pid]
-        )
+    pids, bursts = w.pids, w.bursts
+    if tuple(executed.values()) != bursts:  # executed holds w's pids, in order
+        pid, done, burst = next(row for row in zip(pids, executed.values(), bursts)
+                                if row[1] != row[2])
+        raise MetricsError(f"P{pid} executed {done} units but has burst {burst}")
     if trace.completion != last_end:
         pid = min(pid for pid in trace.completion.keys() | last_end.keys()
                   if trace.completion.get(pid) != last_end.get(pid))
@@ -80,13 +104,13 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
             f" but its last segment ends at {last_end.get(pid)}"
         )
 
-    n = len(w)
-    avg_tat = Fraction(sum(m.turnaround for m in per_process.values()), n)
-    avg_wt = Fraction(sum(m.waiting for m in per_process.values()), n)
+    tat = list(map(last_end.__getitem__, pids))
+    wt = list(map(sub, tat, bursts))
+    n = len(pids)
     return MetricsSummary(
-        per_process=per_process,
-        avg_turnaround=avg_tat,
-        avg_waiting=avg_wt,
+        per_process=PerProcessMetrics(pids, tat, wt, list(map(first_start.__getitem__, pids))),
+        avg_turnaround=Fraction(sum(tat), n),
+        avg_waiting=Fraction(sum(wt), n),
         context_switches=runs - 1,
     )
 

@@ -70,12 +70,12 @@ def component_notes(
     dataset or all cells agree."""
     published = COMPONENTS.get((w.bursts, w.priorities, static_ots), {})
     notes = []
-    for i, (p, c) in enumerate(zip(w, comps)):
+    for i, (pid, c) in enumerate(zip(w.pids, comps)):
         for name in COMPONENT_FIELDS:
             computed = getattr(c, name)
             if name in published and published[name][i] != computed:
                 notes.append(
-                    f"P{p.pid} {name.upper()}: published value {published[name][i]}"
+                    f"P{pid} {name.upper()}: published value {published[name][i]}"
                     f" differs from rule-derived {computed}"
                 )
     return notes
@@ -95,7 +95,7 @@ def quantum_notes(
     published = ROUNDS.get(key + (static_ots,)) or ROUNDS.get(key + (None,))
     if published is None:
         return []
-    actual: Dict[int, List[int]] = {p.pid: [] for p in w}
+    actual: Dict[int, List[int]] = {pid: [] for pid in w.pids}
     for pid, quantum in zip(trace.segments.pid, trace.segments.quantum):
         actual[pid].append(quantum)
     notes = []

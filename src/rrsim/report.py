@@ -83,21 +83,19 @@ def _render_table(columns: Dict[str, Sequence[str]]) -> str:
     return "\n".join(map(str.rstrip, map("  ".join, zip(*padded))))
 
 
-def _process_table(w: Workload, rows: Sequence[object], fields: Sequence[str],
-                   header: Callable[[str], str] = str) -> str:
-    """The process, burst and priority columns of ``w``, then each of ``fields``
-    of ``rows`` (one per process, in ``w``'s order) under ``header(field)``."""
-    columns = {"process": [f"P{pid}" for pid in w.pids], "burst": list(map(str, w.bursts)),
-               "priority": list(map(str, w.priorities))}
-    for name in fields:
-        columns[header(name)] = list(map(str, map(attrgetter(name), rows)))
-    return _render_table(columns)
+def _process_table(w: Workload, columns: Dict[str, Iterable[int]]) -> str:
+    """The process, burst and priority columns of ``w``, then ``{header: column}``
+    (one int per process, in ``w``'s order)."""
+    cells = {"process": map("P%s".__mod__, w.pids), "burst": w.bursts,
+             "priority": w.priorities, **columns}
+    return _render_table({header: list(map(str, column)) for header, column in cells.items()})
 
 
 def render_metrics(summary: MetricsSummary, w: Workload) -> str:
-    per_process = list(map(summary.per_process.__getitem__, w.pids))
+    """The per-process table and the averages of ``summary``, the metrics of ``w``."""
+    m = summary.per_process
     return (
-        _process_table(w, per_process, _METRIC_FIELDS)
+        _process_table(w, dict(zip(_METRIC_FIELDS, (m.turnaround, m.waiting, m.response))))
         + f"\n\navg turnaround: {format_average(summary.avg_turnaround)}"
         + f"\navg waiting:    {format_average(summary.avg_waiting)}"
         + f"\ncontext switches: {summary.context_switches}"
@@ -109,7 +107,9 @@ def render_components_table(
     comps: Sequence[SliceComponents],
     notes: Sequence[str] = (),
 ) -> str:
-    out = _process_table(w, comps, COMPONENT_FIELDS, str.upper)
+    out = _process_table(w, {
+        name.upper(): map(attrgetter(name), comps) for name in COMPONENT_FIELDS
+    })
     out += f"\n\nrange: {comps[0].slice_range}"
     if notes:
         out += "\n" + "\n".join(f"note: {n}" for n in notes)
@@ -136,7 +136,8 @@ _CHUNK = 4096  # rows per write, so a long trace's text is never held whole
 
 class _Table(NamedTuple):
     """Integer rows: a list of objects or, when ``keyed``, an object keyed by
-    each row's pid holding an object or, without ``fields``, one value."""
+    each row's pid holding an object or, without ``fields``, one value.  The
+    rows of a keyed table come in :func:`_key_order`."""
 
     fields: Tuple[str, ...]
     rows: Iterable[tuple]
@@ -159,25 +160,38 @@ def _average_to_dict(value: Fraction) -> Dict[str, object]:
     return {"display": format_average(value), **_fraction_to_dict(value)}
 
 
-def _trace_doc(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str, object]:
+def _key_order(pids: Sequence[int]) -> List[int]:
+    """The positions in ``pids`` in the order json's ``sort_keys`` puts the
+    pids as object keys: sorted as strings."""
+    keys = list(map(str, pids))
+    return sorted(range(len(keys)), key=keys.__getitem__)
+
+
+def _trace_doc(w: Workload, policy_name: str, trace: ScheduleTrace,
+               order: List[int]) -> Dict[str, object]:
+    """The document of a trace of ``w``, with ``order`` the :func:`_key_order`
+    of ``w.pids``."""
+    pids = list(map(w.pids.__getitem__, order))
     return {
         "workload": _workload_table(w),
         "policy": policy_name,
         "segments": _segment_table(trace),
-        "completion": _Table((), sorted(trace.completion.items()), keyed=True),
+        "completion": _Table((), zip(pids, map(trace.completion.__getitem__, pids)), keyed=True),
     }
 
 
-def _metrics_doc(name: str, summary: MetricsSummary) -> Dict[str, object]:
-    get = attrgetter(*_METRIC_FIELDS)
+def _metrics_doc(name: str, summary: MetricsSummary, order: List[int]) -> Dict[str, object]:
+    """The document of ``summary``, with ``order`` the :func:`_key_order` of its pids."""
+    m = summary.per_process
+    columns = (m.pids, m.turnaround, m.waiting, m.response)
     return {
         "policy": name,
         "avg_turnaround": _average_to_dict(summary.avg_turnaround),
         "avg_waiting": _average_to_dict(summary.avg_waiting),
         "context_switches": summary.context_switches,
-        "per_process": _Table(_METRIC_FIELDS, (
-            (pid, *get(m)) for pid, m in sorted(summary.per_process.items())
-        ), keyed=True),
+        "per_process": _Table(_METRIC_FIELDS, zip(*(
+            map(column.__getitem__, order) for column in columns
+        )), keyed=True),
     }
 
 
@@ -194,11 +208,11 @@ def _plain(value: object) -> object:
 
 
 def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str, object]:
-    return _plain(_trace_doc(w, policy_name, trace))
+    return _plain(_trace_doc(w, policy_name, trace, _key_order(w.pids)))
 
 
 def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
-    return _plain(_metrics_doc(name, summary))
+    return _plain(_metrics_doc(name, summary, _key_order(summary.per_process.pids)))
 
 
 def _field(data: Dict[str, object], name: str, kind: type, expected: str):
@@ -289,7 +303,7 @@ def _write_value(write: Callable[[str], object], value: object, nl: str) -> None
 
 def _write_table(write: Callable[[str], object], table: _Table, nl: str) -> None:
     """:func:`_write_value` for a table: one %-template per row with its keys
-    in sorted order, and pid keys sorted as strings, as ``json`` sorts them."""
+    in sorted order, as ``json`` sorts them."""
     fields, rows, keyed = table
     inner = nl + "  "
     order = sorted(range(len(fields)), key=fields.__getitem__)
@@ -298,7 +312,6 @@ def _write_table(write: Callable[[str], object], table: _Table, nl: str) -> None
     if keyed:
         row = '"%d": ' + row
         order = [0] + [i + 1 for i in order]
-        rows = sorted(rows, key=lambda r: str(r[0]))
     if order != sorted(order):
         rows = map(itemgetter(*order), rows)
     opener, closer = "{}" if keyed else "[]"
@@ -370,7 +383,8 @@ def _cmd_simulate(args, out, span: Span) -> None:
             print(f"note: {note}", file=out)
     if args.json:
         span("report.export", lambda: _write_json(args.json, {
-            **_trace_doc(w, name, trace), "metrics": _metrics_doc(name, summary),
+            **_trace_doc(w, name, trace, order := _key_order(w.pids)),
+            "metrics": _metrics_doc(name, summary, order),
         }))
     if args.csv:
         span("report.export", lambda: _write_csv(
@@ -392,7 +406,8 @@ def _cmd_compare(args, out, span: Span) -> None:
     if args.json:
         span("report.export", lambda: _write_json(args.json, {
             "workload": _workload_table(w),
-            "metrics": [_metrics_doc(n, s) for n, s in summaries.items()],
+            "metrics": list(map(_metrics_doc, summaries, summaries.values(),
+                                repeat(_key_order(w.pids)))),
             "traces": {n: _segment_table(t) for n, t in traces.items()},
         }))
     if args.csv:
@@ -430,7 +445,7 @@ def _cmd_components(args, out, span: Span) -> None:
     if args.csv:
         span("report.export", lambda: _write_csv(
             args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS, (
-                (p.pid, p.burst, p.priority, *get(c)) for p, c in zip(w, comps)
+                (*row, *get(c)) for row, c in zip(_workload_table(w).rows, comps)
             )))
 
 

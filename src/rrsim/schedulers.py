@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .timeslice import compute_components
+from .timeslice import component_columns
 from .workload import Workload, integer
 
 DEFAULT_STATIC_OTS = 4
@@ -34,10 +34,9 @@ def _its_policy(
 ) -> SchedulingPolicy:
     """Grant the dynamic quantum grown from each ITS, or the full ITS on every
     visit.  ``static_ots`` None means the Range-derived OTS."""
-    comps = compute_components(w, static_ots=static_ots)
-    its = {p.pid: c.its for p, c in zip(w, comps)}
-    sc = {p.pid: c.sc for p, c in zip(w, comps)} if dynamic else None
-    return SchedulingPolicy(name, srtn_order, its, sc)
+    c = component_columns(w, static_ots=static_ots)
+    sc = dict(zip(w.pids, c.sc)) if dynamic else None
+    return SchedulingPolicy(name, srtn_order, dict(zip(w.pids, c.its)), sc)
 
 
 def proposed_policy(w: Workload) -> SchedulingPolicy:

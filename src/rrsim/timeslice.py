@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from itertools import repeat
+from operator import add, eq, lt
+from typing import List, NamedTuple, Optional
 
 from .workload import Workload
 
@@ -53,11 +55,21 @@ def check_static_ots(static_ots: Optional[int]) -> None:
         raise ValueError(f"static OTS must be >= 1, got {static_ots}")
 
 
-def compute_components(
-    w: Workload, *, static_ots: Optional[int] = None
-) -> List[SliceComponents]:
-    """Slice components for every process in submission order, in one pass.
-    This is the one statement of the OTS, PC, SC and CSC rules:
+class ComponentColumns(NamedTuple):
+    """The slice components of a workload: its Range, and one list per
+    component in submission order.  ``its[i] == ots[i] + pc[i] + sc[i] + csc[i]``."""
+
+    slice_range: Fraction
+    ots: List[int]
+    pc: List[int]
+    sc: List[int]
+    csc: List[int]
+    its: List[int]
+
+
+def component_columns(w: Workload, *, static_ots: Optional[int] = None) -> ComponentColumns:
+    """Slice components for every process, a column at a time.  This is the
+    one statement of the OTS, PC, SC and CSC rules:
 
       * OTS = Range / priority (the paper's (Range·n) / (priority·n), where
         the process count n cancels), rounded per :func:`_round_ratio` and
@@ -72,16 +84,25 @@ def compute_components(
     """
     check_static_ots(static_ots)
     slice_range = compute_range(w)
-    num, den = slice_range.numerator, slice_range.denominator
-    top = min(w.priorities)
-    out = []
-    prev = w.processes[0].burst  # so the first process gets sc 0
-    for p in w:
-        ots = static_ots or max(1, _round_ratio(num, den * p.priority))
-        pc = 1 if p.priority == top else 0
-        sc = 1 if p.burst < prev else 0
-        balance = p.burst - (ots + pc + sc)
-        csc = p.burst if balance < 0 else balance if balance < ots else 0
-        out.append(SliceComponents(slice_range, ots, pc, sc, csc))
-        prev = p.burst
-    return out
+    bursts, priorities = w.bursts, w.priorities
+    if static_ots is None:  # one rounding per distinct priority
+        num, den = slice_range.numerator, slice_range.denominator
+        ots_of = {pr: max(1, _round_ratio(num, den * pr)) for pr in set(priorities)}
+        ots = list(map(ots_of.__getitem__, priorities))
+    else:
+        ots = [static_ots] * len(bursts)
+    pc = list(map(int, map(eq, priorities, repeat(min(priorities)))))
+    sc = [0, *map(int, map(lt, bursts[1:], bursts))]
+    fixed = list(map(add, map(add, ots, pc), sc))  # OTS + PC + SC
+    csc = [burst if burst < f else burst - f if burst - f < o else 0
+           for burst, f, o in zip(bursts, fixed, ots)]
+    return ComponentColumns(slice_range, ots, pc, sc, csc, list(map(add, fixed, csc)))
+
+
+def compute_components(
+    w: Workload, *, static_ots: Optional[int] = None
+) -> List[SliceComponents]:
+    """:func:`component_columns` as one :class:`SliceComponents` per process, in
+    submission order."""
+    c = component_columns(w, static_ots=static_ots)
+    return list(map(SliceComponents, repeat(c.slice_range), c.ots, c.pc, c.sc, c.csc))

@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import random
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterator, Tuple
+from operator import attrgetter
+from typing import Iterable, Iterator, List, Tuple
 
 CSV_HEADER = ("id", "burst", "priority")
 ORDERS = ("increasing", "decreasing", "random")
@@ -32,40 +33,58 @@ class ProcessSpec:
             raise WorkloadError(f"priority must be >= 1, got {self.priority} (P{self.pid})")
 
 
-@dataclass(frozen=True)
+_COLUMNS = ("pids", "bursts", "priorities")
+
+
+@dataclass(frozen=True, init=False)
 class Workload:
-    """Ordered set of processes; list order is the submission order and is meaningful
-    (the shortness component compares each burst against its predecessor)."""
+    """Ordered set of processes, held as three int columns; list order is the
+    submission order and is meaningful (the shortness component compares each
+    burst against its predecessor).  ``Workload(processes)`` takes
+    :class:`ProcessSpec` rows, and :attr:`processes` and iteration build them
+    on demand."""
 
-    processes: Tuple[ProcessSpec, ...]
+    pids: Tuple[int, ...]
+    bursts: Tuple[int, ...]
+    priorities: Tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not self.processes:
+    def __init__(self, processes: Iterable[ProcessSpec]) -> None:
+        processes = tuple(processes)
+        if not processes:
             raise WorkloadError("workload must contain at least one process")
-        object.__setattr__(self, "processes", tuple(self.processes))
         seen = set()
-        for p in self.processes:
+        for p in processes:
             if p.pid in seen:
                 raise WorkloadError(f"duplicate process id {p.pid}")
             seen.add(p.pid)
+        rows = map(attrgetter("pid", "burst", "priority"), processes)
+        self.__dict__.update(zip(_COLUMNS, zip(*rows)))  # as a frozen dataclass's init does
+
+    @classmethod
+    def from_columns(cls, pids: Iterable[int], bursts: Iterable[int],
+                     priorities: Iterable[int]) -> Workload:
+        """The workload of three equal-length columns in submission order, each
+        checked whole.  A failed check is redone row by row, so the error is
+        the one ``Workload(processes)`` gives for the same rows."""
+        columns = tuple(pids), tuple(bursts), tuple(priorities)
+        if len(set(map(len, columns))) > 1:
+            raise WorkloadError("pids, bursts and priorities differ in length")
+        n = len(columns[0])
+        if not (n and min(map(min, columns)) >= 1 and len(set(columns[0])) == n):
+            cls(map(ProcessSpec, *columns))  # raises the first bad row's error
+        w = cls.__new__(cls)
+        w.__dict__.update(zip(_COLUMNS, columns))
+        return w
+
+    @property
+    def processes(self) -> Tuple[ProcessSpec, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.processes)
+        return len(self.pids)
 
     def __iter__(self) -> Iterator[ProcessSpec]:
-        return iter(self.processes)
-
-    @cached_property
-    def bursts(self) -> Tuple[int, ...]:
-        return tuple(p.burst for p in self.processes)
-
-    @cached_property
-    def priorities(self) -> Tuple[int, ...]:
-        return tuple(p.priority for p in self.processes)
-
-    @cached_property
-    def pids(self) -> Tuple[int, ...]:
-        return tuple(p.pid for p in self.processes)
+        return map(ProcessSpec, self.pids, self.bursts, self.priorities)
 
 
 def workload(bursts, priorities=None) -> Workload:
@@ -74,9 +93,7 @@ def workload(bursts, priorities=None) -> Workload:
         priorities = [1] * len(bursts)
     if len(priorities) != len(bursts):
         raise WorkloadError("bursts and priorities must have equal length")
-    return Workload(tuple(
-        ProcessSpec(i + 1, b, pr) for i, (b, pr) in enumerate(zip(bursts, priorities))
-    ))
+    return Workload.from_columns(range(1, len(bursts) + 1), bursts, priorities)
 
 
 def integer(text: str, what: str = "value") -> int:
@@ -90,19 +107,48 @@ def integer(text: str, what: str = "value") -> int:
     return int(text)
 
 
+_HEADERS = (CSV_HEADER, CSV_HEADER + ("arrival",))
+
+
+def _header(row: List[str]) -> Tuple[str, ...]:
+    return tuple(cell.strip().lower() for cell in row)
+
+
 def parse_workload(text: str) -> Workload:
     """Parse CSV with header ``id,burst,priority`` (an optional ``arrival`` column is
     accepted but must be zero everywhere; the model has no arrival events).
-    Errors name a data row by its line in ``text``, blank lines counted."""
-    reader = csv.reader(text.splitlines())
-    try:  # each kept row with the number of the line it ends on
-        rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
+    Lines end where the csv module ends them: at ``\\n``, ``\\r\\n`` or ``\\r``.
+    Errors name a data row by its line in ``text``, blank lines counted.
+
+    A header row followed only by rows of ASCII digits, no cell empty, is
+    checked a column at a time.  Any other text, and any failed check, is
+    parsed again row by row, which finds the error and its row."""
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:  # a NUL before Python 3.11, or an over-long field
         raise WorkloadError(f"bad CSV: {exc}") from None
+    if len(rows) > 1 and _header(rows[0]) in _HEADERS and set(map(len, rows)) == {len(rows[0])}:
+        columns = list(zip(*rows[1:]))
+        digits = "".join(map("".join, columns))
+        if all(map(all, columns)) and digits.isascii() and digits.isdigit():
+            try:
+                pids, bursts, priorities, *arrival = [tuple(map(int, c)) for c in columns]
+                if not any(map(any, arrival)):
+                    return Workload.from_columns(pids, bursts, priorities)
+            except ValueError:  # a failed check, or more digits than int() takes
+                pass
+    return _parse_rows(text)
+
+
+def _parse_rows(text: str) -> Workload:
+    """:func:`parse_workload` one row at a time: each row's checks in turn."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    # each kept row with the number of the line it ends on
+    rows = [(reader.line_num, r) for r in reader if any(cell.strip() for cell in r)]
     if not rows:
         raise WorkloadError("empty workload CSV")
-    header = tuple(cell.strip().lower() for cell in rows[0][1])
-    if header not in (CSV_HEADER, CSV_HEADER + ("arrival",)):
+    header = _header(rows[0][1])
+    if header not in _HEADERS:
         raise WorkloadError(f"bad header {','.join(header)!r}; expected 'id,burst,priority'")
     if len(rows) == 1:
         raise WorkloadError("workload CSV has no data rows")
@@ -122,14 +168,14 @@ def parse_workload(text: str) -> Workload:
                 " the model (all processes are present at t=0)"
             )
 
-    return Workload(tuple(processes))
+    return Workload(processes)
 
 
 def serialize_workload(w: Workload) -> str:
     """Inverse of :func:`parse_workload`: exact header plus one row per process in order."""
-    lines = [",".join(CSV_HEADER)]
-    lines.extend(f"{p.pid},{p.burst},{p.priority}" for p in w)
-    return "\n".join(lines) + "\n"
+    rows = map("%s,%s,%s\n".__mod__, zip(w.pids, w.bursts, w.priorities))
+    return ",".join(CSV_HEADER) + "\n" + "".join(rows)
+
 
 
 def generate_workload(

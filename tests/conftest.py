@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import strategies as st
 
-from rrsim import workload
+from rrsim import ProcessSpec, Workload, workload
 
 
 @st.composite
@@ -14,6 +14,15 @@ def workloads(draw, max_n=10, max_burst=60, max_priority=8):
         st.lists(st.integers(1, max_priority), min_size=n, max_size=n)
     )
     return workload(bursts, priorities)
+
+
+@st.composite
+def scattered_workloads(draw, max_n=8, max_burst=30):
+    """Workloads whose pids, drawn from 1..200, are neither in submission
+    order nor sorted the same way as strings."""
+    w = draw(workloads(max_n=max_n, max_burst=max_burst))
+    pids = draw(st.lists(st.integers(1, 200), min_size=len(w), max_size=len(w), unique=True))
+    return Workload(map(ProcessSpec, pids, w.bursts, w.priorities))
 
 
 @pytest.fixture

@@ -4,8 +4,16 @@ import random as random_module
 import pytest
 from hypothesis import given, settings
 
-from conftest import workloads
-from rrsim import ScheduleTrace, SchedulingPolicy, compute_metrics, simulate, workload
+from conftest import scattered_workloads, workloads
+from rrsim import (
+    ProcessSpec,
+    ScheduleTrace,
+    SchedulingPolicy,
+    Workload,
+    compute_metrics,
+    simulate,
+    workload,
+)
 from rrsim.report import SEGMENT_FIELDS, trace_to_dict
 from rrsim.schedulers import (
     classic_rr_policy,
@@ -166,6 +174,26 @@ class TestPolicyBinding:
         policy = SchedulingPolicy("zero", False, {1: 3, 2: 0})
         with pytest.raises(ValueError, match="quantum 0 for P2"):
             simulate(workload([4, 4]), policy)
+
+
+class TestSrtnOrder:
+    """Each round, SRTN order is by remaining burst, ties by pid, whatever
+    order the processes were submitted in."""
+
+    @pytest.mark.parametrize("make_policy", [proposed_policy, srtn_policy])
+    def test_ties_go_by_pid(self, make_policy):
+        w = Workload(map(ProcessSpec, (7, 2, 9, 4, 1), (6, 6, 3, 6, 3), (1, 2, 1, 1, 3)))
+        policy = make_policy(w)
+        trace = simulate(w, policy)
+        assert trace == step_simulate(w, policy)
+        assert trace.segments.pid[:5] == [1, 9, 2, 4, 7]
+
+    @pytest.mark.parametrize("make_policy", [proposed_policy, srtn_policy])
+    @settings(max_examples=40, deadline=None)
+    @given(w=scattered_workloads(max_burst=4))  # bursts of 1..4 tie often
+    def test_matches_step_oracle(self, make_policy, w):
+        policy = make_policy(w)
+        assert simulate(w, policy) == step_simulate(w, policy)
 
 
 def assert_trace_invariants(w, trace):

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import workloads
+from conftest import scattered_workloads, workloads
 from rrsim import (
+    ProcessMetrics,
     ProcessSpec,
     Workload,
     compute_metrics,
     format_average,
+    policy_from_name,
     simulate,
     workload,
 )
@@ -18,6 +20,7 @@ from rrsim.engine import DispatchSegment, ScheduleTrace
 from rrsim.metrics import MetricsError
 from rrsim.report import merge_segments
 from rrsim.schedulers import (
+    POLICY_NAMES,
     classic_rr_policy,
     fcfs_policy,
     proposed_policy,
@@ -101,6 +104,38 @@ class TestIdentities:
         assert moved.context_switches == base.context_switches
         for p in w:
             assert moved.per_process[p.pid + 10] == base.per_process[p.pid]
+
+
+def _ref_per_process(w, trace):
+    """pid -> ProcessMetrics, one process at a time from its segments."""
+    out = {}
+    for p in w:
+        mine = [s for s in trace.segments if s.pid == p.pid]
+        out[p.pid] = ProcessMetrics(mine[-1].end, mine[-1].end - p.burst, mine[0].start)
+    return out
+
+
+class TestPerProcessMapping:
+    """``per_process`` is a read-only mapping over int columns that builds each
+    ``ProcessMetrics`` on access, and reads as the row-wise dict did."""
+
+    @pytest.mark.parametrize("name", [n.replace("<q>", "3") for n in POLICY_NAMES])
+    @settings(max_examples=25, deadline=None)
+    @given(w=scattered_workloads())
+    def test_matches_row_wise_reference(self, name, w):
+        trace = simulate(w, policy_from_name(name, w))
+        per_process = compute_metrics(trace, w).per_process
+        expected = _ref_per_process(w, trace)
+        assert dict(per_process) == expected
+        assert per_process == expected and expected == per_process
+        assert per_process != {**expected, max(w.pids) + 1: ProcessMetrics(1, 0, 0)}
+        assert len(per_process) == len(w)
+        assert list(per_process) == list(per_process.keys()) == list(w.pids)
+        assert list(per_process.values()) == list(expected.values())
+        assert w.pids[-1] in per_process and max(w.pids) + 1 not in per_process
+        with pytest.raises(KeyError):
+            per_process[max(w.pids) + 1]
+        assert per_process.get(max(w.pids) + 1) is None
 
 
 class TestValidation:

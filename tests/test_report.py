@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import random
 import re
 import tempfile
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gantt_reference
-from conftest import workloads
+from conftest import scattered_workloads, workloads
 from rrsim import (
     DEFAULT_STATIC_OTS,
     DispatchSegment,
@@ -27,7 +28,7 @@ from rrsim import (
     simulate,
     workload,
 )
-from rrsim import report
+from rrsim import ProcessMetrics, SliceComponents, report
 from rrsim.metrics import MetricsError
 from rrsim.report import (
     build_parser,
@@ -484,14 +485,6 @@ def _ref_bytes(doc):
     return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
 
 
-@st.composite
-def _scattered_workloads(draw):
-    """Workloads whose pids, drawn from 1..200, sort differently as strings."""
-    w = draw(workloads(max_n=8, max_burst=30))
-    pids = draw(st.lists(st.integers(1, 200), min_size=len(w), max_size=len(w), unique=True))
-    return Workload(tuple(ProcessSpec(pid, p.burst, p.priority) for pid, p in zip(pids, w)))
-
-
 class TestJsonWriter:
     """Every ``--json`` file holds the bytes of ``json.dump(doc, sort_keys=True,
     indent=2)`` and a newline, for the document each command exports."""
@@ -523,14 +516,14 @@ class TestJsonWriter:
         assert {**trace_to_dict(w, name, trace), "metrics": metrics_to_dict(name, summary)} == doc
 
     @settings(max_examples=25, deadline=None)
-    @given(w=_scattered_workloads())
+    @given(w=scattered_workloads())
     def test_simulate_every_policy(self, w):
         with tempfile.TemporaryDirectory() as tmp:
             for name in self.POLICIES:
                 self._check_simulate(tmp, w, name)
 
     @settings(max_examples=25, deadline=None)
-    @given(w=_scattered_workloads())
+    @given(w=scattered_workloads())
     def test_compare(self, w):
         traces = {name: simulate(w, policy_from_name(name, w)) for name in self.POLICIES}
         doc = {
@@ -543,7 +536,7 @@ class TestJsonWriter:
         assert data == _ref_bytes(doc)
 
     @settings(max_examples=25, deadline=None)
-    @given(w=_scattered_workloads(),
+    @given(w=scattered_workloads(),
            static=st.sampled_from([[], ["--static-ots", str(DEFAULT_STATIC_OTS)]]))
     def test_components_both_ots_modes(self, w, static):
         comps = compute_components(w, static_ots=DEFAULT_STATIC_OTS if static else None)
@@ -625,6 +618,31 @@ class TestSpanHook:
         assert plain[0] == 0 and all(plain[1:])
         assert self._outputs(tmp_path / "twice", [command, *argv], span=twice) == plain
         assert seen == layers
+
+
+class TestNoRowObjects:
+    """``simulate --json`` keeps per-process data in int columns from the CSV to
+    the export: it builds no ``ProcessSpec``, ``SliceComponents`` or
+    ``ProcessMetrics``, and its output is what it is when they can be built."""
+
+    @pytest.mark.parametrize("name", _EVERY_POLICY)
+    def test_simulate_json(self, name, tmp_path, monkeypatch):
+        pids = random.Random(name).sample(range(1, 300), 40)  # not sorted, as ints or strings
+        w = generate_workload(40, "random", (1, 60), (1, 5), seed=len(name))
+        csv_path = tmp_path / "w.csv"
+        csv_path.write_text(serialize_workload(Workload.from_columns(pids, w.bursts, w.priorities)))
+        argv = ["simulate", "--workload", str(csv_path), "--policy", name]
+        expected = _run_cli(argv)
+        assert expected[0] == 0
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        for row_type in (ProcessSpec, SliceComponents, ProcessMetrics):
+            monkeypatch.setattr(row_type, "__init__", refuse)
+        with pytest.raises(AssertionError, match="ProcessSpec was built"):
+            ProcessSpec(1, 1, 1)
+        assert _run_cli(argv) == expected
 
 
 def _ref_table(header, rows):

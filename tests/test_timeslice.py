@@ -13,7 +13,7 @@ from rrsim import (
     generate_workload,
     workload,
 )
-from rrsim.timeslice import _round_ratio
+from rrsim.timeslice import COMPONENT_FIELDS, _round_ratio, component_columns
 
 
 def proc(burst, priority=1):
@@ -215,9 +215,13 @@ class TestOnePassComponents:
         st.one_of(st.none(), st.integers(1, 20)),
     )
     def test_matches_per_process_helpers(self, w, static_ots):
-        assert fields(compute_components(w, static_ots=static_ots)) == ref.components(
-            w, static_ots
-        )
+        comps = compute_components(w, static_ots=static_ots)
+        assert fields(comps) == ref.components(w, static_ots)
+        columns = component_columns(w, static_ots=static_ots)
+        assert columns == (comps[0].slice_range, *(
+            [getattr(c, name) for c in comps] for name in COMPONENT_FIELDS
+        ))
+        assert all(type(x) is int for column in columns[1:] for x in column)
 
     def test_integer_ots_matches_fraction_rounding(self):
         # compute_components rounds Range / priority with Range = span / 2

@@ -1,12 +1,14 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import workloads
+import workload_reference
+from conftest import scattered_workloads, workloads
 from rrsim import (
     ProcessSpec,
+    Workload,
     WorkloadError,
     generate_workload,
     parse_workload,
@@ -86,6 +88,97 @@ class TestParse:
     def test_error_names_the_line_past_blank_lines(self, text, message):
         with pytest.raises(WorkloadError, match=re.escape(message)):
             parse_workload(text)
+
+    # str.splitlines() also breaks lines at these; the csv module does not,
+    # and neither do the line numbers in errors
+    @pytest.mark.parametrize("char", ["\x85", "\u2028", "\x0c"],
+                             ids=["next-line", "line-separator", "form-feed"])
+    def test_only_csv_line_ends_end_a_row(self, char):
+        assert parse_workload(f"id,burst,priority\n1,4{char},1\n2,5,1").bursts == (4, 5)
+        with pytest.raises(WorkloadError, match=re.escape("row 2: expected 3 fields, got 5")):
+            parse_workload(f"id,burst,priority\n1,4,1{char}2,5,1")
+        with pytest.raises(WorkloadError, match=re.escape("row 3: non-positive burst 0 (P2)")):
+            parse_workload(f"id,burst,priority\n1,4{char},1\n2,0,1")
+
+
+# Cells the column-at-a-time check turns away, so that the row-wise path
+# runs, and cells that make a row invalid.
+_ODD_CELLS = ["", " ", " 3", "4 ", "\t5\x0c", "2\x85", "+2", "-0", "-3", "007", "1_0", "x",
+              "\uff12", "\u0663"]
+_HEADERS = ["id,burst,priority", "id,burst,priority,arrival"]
+_ODD_HEADERS = [" ID , Burst,PRIORITY", "id,burst", "pid,burst,priority", ""]
+
+
+@st.composite
+def _workload_csvs(draw):
+    """Workload CSV text: a header line, then rows that are mostly plain
+    digits (pids from 1..20, so some repeat), with odd, short, long and blank
+    rows mixed in, and one kind of line end."""
+    header = draw(st.one_of(*[st.sampled_from(_HEADERS)] * 3, st.sampled_from(_ODD_HEADERS)))
+    width = 4 if header.endswith("arrival") else 3
+    plain = st.tuples(st.integers(1, 20), st.integers(1, 30), st.integers(1, 6),
+                      st.sampled_from([0] * 5 + [2])).map(lambda r: ",".join(map(str, r[:width])))
+    cell = st.one_of(st.integers(0, 30).map(str), st.sampled_from(_ODD_CELLS))
+    odd = st.lists(cell, min_size=1, max_size=5).map(",".join)
+    blank = st.sampled_from(["", " ", ",,,", " , ,"])
+    rows = draw(st.lists(st.one_of(*[plain] * 12, odd, blank), min_size=1, max_size=6))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
+
+
+class TestParseReference:
+    """``parse_workload`` checks plain-digit CSV a column at a time and
+    anything else row by row; either way it gives what the row-wise
+    reference gives: the same columns, or the same error text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_workload_csvs())
+    @example(text="id,burst,priority\n" + "1" * 5000 + ",1,1")  # past int()'s digit limit
+    @example(text="id,burst,priority\n1,4,1\n\n")
+    @example(text="\nid,burst,priority\n1,4,1")
+    # plain digits that fail a column check: the error still names its row
+    @example(text="id,burst,priority\n3,4,1\n0,5,1\n2,0,0")
+    @example(text="id,burst,priority,arrival\n1,4,1,0\n2,5,1,7")
+    @example(text="id,burst,priority\n2,4,1\n5,5,1\n2,5,1")
+    def test_matches_row_wise_reference(self, text):
+        expected = workload_reference.parse(text)
+        try:
+            w = parse_workload(text)
+        except WorkloadError as exc:
+            assert str(exc) == expected
+        else:
+            assert (w.pids, w.bursts, w.priorities) == expected
+            assert all(type(x) is int for column in expected for x in column)
+            assert w == Workload(w.processes)
+
+
+class TestColumns:
+    """A workload holds three int columns; rows are built on demand."""
+
+    @given(w=scattered_workloads())
+    def test_rows_and_columns_agree(self, w):
+        rows = w.processes
+        assert rows == tuple(w) and len(w) == len(rows)
+        assert (w.pids, w.bursts, w.priorities) == tuple(zip(*(
+            (p.pid, p.burst, p.priority) for p in rows
+        )))
+        assert Workload(rows) == Workload(list(rows)) == w
+        assert hash(Workload(rows)) == hash(w)
+        assert Workload.from_columns(w.pids, w.bursts, w.priorities) == w
+
+    @pytest.mark.parametrize("columns", [
+        ((), (), ()), ((1, 2), (3, 0), (1, 1)), ((1, 2), (3, 4), (1, -1)),
+        ((0, 2), (3, 4), (1, 1)), ((1, 2, 1), (3, 4, 5), (1, 1, 1)),
+    ], ids=["empty", "burst", "priority", "pid", "duplicate"])
+    def test_from_columns_gives_the_row_wise_error(self, columns):
+        with pytest.raises(WorkloadError) as rows:
+            Workload(map(ProcessSpec, *columns))
+        with pytest.raises(WorkloadError, match=f"^{re.escape(str(rows.value))}$"):
+            Workload.from_columns(*columns)
+
+    def test_from_columns_of_unequal_length(self):
+        with pytest.raises(WorkloadError, match="differ in length"):
+            Workload.from_columns((1, 2), (3, 4), (1,))
 
 
 class TestInvariants:
