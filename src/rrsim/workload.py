@@ -58,7 +58,7 @@ class Workload:
                 raise WorkloadError(f"duplicate process id {p.pid}")
             seen.add(p.pid)
         rows = map(attrgetter("pid", "burst", "priority"), processes)
-        self.__dict__.update(zip(_COLUMNS, zip(*rows)))  # as a frozen dataclass's init does
+        self.__dict__.update(zip(_COLUMNS, zip(*rows)))  # past the frozen __setattr__
 
     @classmethod
     def from_columns(cls, pids: Iterable[int], bursts: Iterable[int],

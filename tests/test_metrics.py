@@ -136,6 +136,8 @@ class TestPerProcessMapping:
         with pytest.raises(KeyError):
             per_process[max(w.pids) + 1]
         assert per_process.get(max(w.pids) + 1) is None
+        with pytest.raises(TypeError):
+            per_process[w.pids[0]] = expected[w.pids[0]]
 
 
 class TestValidation:

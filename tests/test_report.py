@@ -16,8 +16,10 @@ from conftest import scattered_workloads, workloads
 from rrsim import (
     DEFAULT_STATIC_OTS,
     DispatchSegment,
+    ProcessMetrics,
     ProcessSpec,
     ScheduleTrace,
+    SliceComponents,
     Workload,
     compute_components,
     compute_metrics,
@@ -28,7 +30,7 @@ from rrsim import (
     simulate,
     workload,
 )
-from rrsim import ProcessMetrics, SliceComponents, report
+from rrsim import report
 from rrsim.metrics import MetricsError
 from rrsim.report import (
     build_parser,
