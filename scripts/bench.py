@@ -8,7 +8,7 @@ Each n is a ``generate`` workload with the CLI's defaults (bursts 1..100,
 priorities 1..5, seed 0) in random burst order, run under each policy, with
 ``rr:7`` for ``rr:<q>``.  ``run_cli``'s span hook times each layer in-process
 under the span names of ``perfbench/tracing.py`` (``LAYERS``), and a direct
-``component_columns`` call, the one a slice policy's build makes, stands for
+``compute_components`` call, the one a slice policy's build makes, stands for
 its ``timeslice.components``; ``workload.parse`` includes reading the CSV file.
 Each layer's time per call is the best of 3 repeats of as many calls as
 ``timeit``'s autorange takes to fill 0.2 s, with the garbage collector on as
@@ -36,15 +36,14 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rrsim import DEFAULT_STATIC_OTS  # noqa: E402
+from rrsim import DEFAULT_STATIC_OTS, compute_components  # noqa: E402
 from rrsim import report  # noqa: E402
 from rrsim.schedulers import POLICY_NAMES  # noqa: E402
-from rrsim.timeslice import component_columns  # noqa: E402
 
 REPEATS = 3
 SIZES = (10, 100, 1000, 10000)
 POLICIES = tuple("rr:7" if name == "rr:<q>" else name for name in POLICY_NAMES)
-# The static OTS each slice policy's build passes to component_columns
+# The static OTS each slice policy's build passes to compute_components
 # (None: the Range OTS); the other policies compute no slice components.
 SLICE_OTS = {"proposed": None, "pbdrr": DEFAULT_STATIC_OTS, "its-rr": DEFAULT_STATIC_OTS}
 
@@ -75,7 +74,7 @@ def layered_run(csv_path, name, json_path):
     w = values["workload.parse"]
     if name in SLICE_OTS:
         spans["timeslice.components"] = best_seconds(
-            lambda: component_columns(w, static_ots=SLICE_OTS[name]))
+            lambda: compute_components(w, static_ots=SLICE_OTS[name]))
     return spans, values["engine.simulate"], w, values["schedulers.build"].name
 
 

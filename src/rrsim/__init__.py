@@ -3,7 +3,7 @@ robin combined with shortest-remaining-time ordering, the comparator
 policies it is benchmarked against, and workload/metrics/report tooling."""
 
 from .engine import DispatchSegment, ScheduleTrace, Segments, simulate
-from .metrics import MetricsSummary, ProcessMetrics, compute_metrics, format_average
+from .metrics import MetricsSummary, compute_metrics, format_average
 from .schedulers import (
     DEFAULT_STATIC_OTS,
     SchedulingPolicy,
@@ -34,7 +34,6 @@ __all__ = [
     "Segments",
     "simulate",
     "MetricsSummary",
-    "ProcessMetrics",
     "compute_metrics",
     "format_average",
     "DEFAULT_STATIC_OTS",

@@ -5,12 +5,10 @@ display never feeds back into any comparison.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import sub
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 from .engine import ScheduleTrace
 from .workload import Workload
@@ -21,36 +19,14 @@ class MetricsError(ValueError):
 
 
 @dataclass(frozen=True)
-class ProcessMetrics:
-    turnaround: int
-    waiting: int
-    response: int
-
-
-@dataclass(frozen=True, eq=False)
-class PerProcessMetrics(Mapping):
-    """Read-only ``pid -> ProcessMetrics``, held as int columns in the
-    workload's submission order, which is also the iteration order.  Each
-    :class:`ProcessMetrics` is built when it is looked up."""
+class PerProcessMetrics:
+    """Turnaround, waiting and response of each process, as int columns in the
+    workload's submission order."""
 
     pids: Tuple[int, ...]
     turnaround: List[int]
     waiting: List[int]
     response: List[int]
-
-    @cached_property
-    def _row(self) -> Dict[int, int]:
-        return dict(zip(self.pids, range(len(self.pids))))
-
-    def __getitem__(self, pid: int) -> ProcessMetrics:
-        i = self._row[pid]
-        return ProcessMetrics(self.turnaround[i], self.waiting[i], self.response[i])
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.pids)
-
-    def __len__(self) -> int:
-        return len(self.pids)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ this module to annotate cells where the published figure differs.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .engine import ScheduleTrace
 from .timeslice import COMPONENT_FIELDS, SliceComponents
@@ -62,17 +62,17 @@ ROUNDS = {
 
 def component_notes(
     w: Workload,
-    comps: Sequence[SliceComponents],
+    comps: SliceComponents,
     static_ots: Optional[int] = None,
 ) -> List[str]:
     """Footnotes for component cells where the published table disagrees with
-    the rule-faithful computation.  Empty when the workload is not a benchmark
-    dataset or all cells agree."""
+    the rule-faithful computation, process by process in submission order.
+    Empty when the workload is not a benchmark dataset or all cells agree."""
     published = COMPONENTS.get((w.bursts, w.priorities, static_ots), {})
     notes = []
-    for i, (pid, c) in enumerate(zip(w.pids, comps)):
+    for i, pid in enumerate(w.pids):
         for name in COMPONENT_FIELDS:
-            computed = getattr(c, name)
+            computed = getattr(comps, name)[i]
             if name in published and published[name][i] != computed:
                 notes.append(
                     f"P{pid} {name.upper()}: published value {published[name][i]}"

@@ -102,15 +102,10 @@ def render_metrics(summary: MetricsSummary, w: Workload) -> str:
     )
 
 
-def render_components_table(
-    w: Workload,
-    comps: Sequence[SliceComponents],
-    notes: Sequence[str] = (),
-) -> str:
-    out = _process_table(w, {
-        name.upper(): map(attrgetter(name), comps) for name in COMPONENT_FIELDS
-    })
-    out += f"\n\nrange: {comps[0].slice_range}"
+def render_components_table(w: Workload, comps: SliceComponents,
+                            notes: Sequence[str] = ()) -> str:
+    out = _process_table(w, {name.upper(): getattr(comps, name) for name in COMPONENT_FIELDS})
+    out += f"\n\nrange: {comps.slice_range}"
     if notes:
         out += "\n" + "\n".join(f"note: {n}" for n in notes)
     return out
@@ -433,20 +428,17 @@ def _cmd_components(args, out, span: Span) -> None:
                  lambda: compute_components(w, static_ots=args.static_ots))
     notes = references.component_notes(w, comps, args.static_ots) if args.paper_notes else ()
     print(span("report.table", lambda: render_components_table(w, comps, notes)), file=out)
-    get = attrgetter(*COMPONENT_FIELDS)
+    columns = [getattr(comps, name) for name in COMPONENT_FIELDS]
     if args.json:
         span("report.export", lambda: _write_json(args.json, {
             "workload": _workload_table(w),
-            "range": _fraction_to_dict(comps[0].slice_range),
-            "components": _Table(("pid",) + COMPONENT_FIELDS, (
-                (pid, *get(c)) for pid, c in zip(w.pids, comps)
-            )),
+            "range": _fraction_to_dict(comps.slice_range),
+            "components": _Table(("pid",) + COMPONENT_FIELDS, zip(w.pids, *columns)),
         }))
     if args.csv:
         span("report.export", lambda: _write_csv(
-            args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS, (
-                (*row, *get(c)) for row, c in zip(_workload_table(w).rows, comps)
-            )))
+            args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS,
+            zip(w.pids, w.bursts, w.priorities, *columns)))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .timeslice import component_columns
+from .timeslice import compute_components
 from .workload import Workload, integer
 
 DEFAULT_STATIC_OTS = 4
@@ -34,7 +34,7 @@ def _its_policy(
 ) -> SchedulingPolicy:
     """Grant the dynamic quantum grown from each ITS, or the full ITS on every
     visit.  ``static_ots`` None means the Range-derived OTS."""
-    c = component_columns(w, static_ots=static_ots)
+    c = compute_components(w, static_ots=static_ots)
     sc = dict(zip(w.pids, c.sc)) if dynamic else None
     return SchedulingPolicy(name, srtn_order, dict(zip(w.pids, c.its)), sc)
 

@@ -11,27 +11,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from operator import add, eq, lt
-from typing import List, NamedTuple, Optional
+from typing import List, Optional
 
 from .workload import Workload
 
-# the slice components of one process, in table order; ITS is their sum
+# the component columns of a SliceComponents, in table order; ITS is their sum
 COMPONENT_FIELDS = ("ots", "pc", "sc", "csc", "its")
-
-
-@dataclass(frozen=True)
-class SliceComponents:
-    """Slice breakdown for one process.  ``its == ots + pc + sc + csc`` always."""
-
-    slice_range: Fraction
-    ots: int
-    pc: int
-    sc: int
-    csc: int
-
-    @property
-    def its(self) -> int:
-        return self.ots + self.pc + self.sc + self.csc
 
 
 def _round_ratio(num: int, den: int) -> int:
@@ -55,9 +40,11 @@ def check_static_ots(static_ots: Optional[int]) -> None:
         raise ValueError(f"static OTS must be >= 1, got {static_ots}")
 
 
-class ComponentColumns(NamedTuple):
-    """The slice components of a workload: its Range, and one list per
-    component in submission order.  ``its[i] == ots[i] + pc[i] + sc[i] + csc[i]``."""
+@dataclass(frozen=True)
+class SliceComponents:
+    """The slice components of a workload: its Range, and one int list per
+    component in submission order.  ``its[i] == ots[i] + pc[i] + sc[i] + csc[i]``;
+    ``len()`` is the process count."""
 
     slice_range: Fraction
     ots: List[int]
@@ -66,10 +53,14 @@ class ComponentColumns(NamedTuple):
     csc: List[int]
     its: List[int]
 
+    def __len__(self) -> int:
+        return len(self.its)
 
-def component_columns(w: Workload, *, static_ots: Optional[int] = None) -> ComponentColumns:
-    """Slice components for every process, a column at a time.  This is the
-    one statement of the OTS, PC, SC and CSC rules:
+
+def compute_components(w: Workload, *, static_ots: Optional[int] = None) -> SliceComponents:
+    """The slice components of every process of ``w``, as one record of int
+    columns in submission order.  This is the one statement of the OTS, PC, SC
+    and CSC rules:
 
       * OTS = Range / priority (the paper's (Range·n) / (priority·n), where
         the process count n cancels), rounded per :func:`_round_ratio` and
@@ -96,13 +87,4 @@ def component_columns(w: Workload, *, static_ots: Optional[int] = None) -> Compo
     fixed = list(map(add, map(add, ots, pc), sc))  # OTS + PC + SC
     csc = [burst if burst < f else burst - f if burst - f < o else 0
            for burst, f, o in zip(bursts, fixed, ots)]
-    return ComponentColumns(slice_range, ots, pc, sc, csc, list(map(add, fixed, csc)))
-
-
-def compute_components(
-    w: Workload, *, static_ots: Optional[int] = None
-) -> List[SliceComponents]:
-    """:func:`component_columns` as one :class:`SliceComponents` per process, in
-    submission order."""
-    c = component_columns(w, static_ots=static_ots)
-    return list(map(SliceComponents, repeat(c.slice_range), c.ots, c.pc, c.sc, c.csc))
+    return SliceComponents(slice_range, ots, pc, sc, csc, list(map(add, fixed, csc)))

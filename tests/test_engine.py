@@ -259,7 +259,7 @@ class TestSimulateInvariants:
             )
             from rrsim import compute_components
 
-            sc = {p.pid: c.sc for p, c in zip(w, compute_components(w))}
+            sc = dict(zip(w.pids, compute_components(w).sc))
             trace = simulate(w, proposed_policy(w))
             per_pid = {}
             for seg in trace.segments:

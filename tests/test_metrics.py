@@ -1,3 +1,4 @@
+import dataclasses
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from conftest import scattered_workloads, workloads
 from rrsim import (
-    ProcessMetrics,
     ProcessSpec,
     Workload,
     compute_metrics,
@@ -41,8 +41,8 @@ class TestGolden:
     def test_single_process(self):
         w = workload([9])
         summary = compute_metrics(simulate(w, fcfs_policy(w)), w)
-        m = summary.per_process[1]
-        assert (m.turnaround, m.waiting, m.response) == (9, 0, 0)
+        m = summary.per_process
+        assert (m.pids, m.turnaround, m.waiting, m.response) == ((1,), [9], [0], [0])
         assert summary.context_switches == 0
 
 
@@ -83,11 +83,13 @@ class TestIdentities:
         assert summary.context_switches == len(merge_segments(trace)) - 1
         mean_burst = Fraction(sum(w.bursts), len(w))
         assert summary.avg_waiting == summary.avg_turnaround - mean_burst
-        for p in w:
-            m = summary.per_process[p.pid]
-            assert m.waiting >= 0
-            assert m.response <= m.waiting
-            assert m.turnaround == m.waiting + p.burst
+        m = summary.per_process
+        for burst, turnaround, waiting, response in zip(
+            w.bursts, m.turnaround, m.waiting, m.response
+        ):
+            assert waiting >= 0
+            assert response <= waiting
+            assert turnaround == waiting + burst
 
     @settings(max_examples=30, deadline=None)
     @given(w=workloads(max_n=6))
@@ -102,42 +104,38 @@ class TestIdentities:
         assert moved.avg_turnaround == base.avg_turnaround
         assert moved.avg_waiting == base.avg_waiting
         assert moved.context_switches == base.context_switches
-        for p in w:
-            assert moved.per_process[p.pid + 10] == base.per_process[p.pid]
+        b, m = base.per_process, moved.per_process
+        assert m.pids == tuple(pid + 10 for pid in b.pids)
+        assert (m.turnaround, m.waiting, m.response) == (b.turnaround, b.waiting, b.response)
 
 
 def _ref_per_process(w, trace):
-    """pid -> ProcessMetrics, one process at a time from its segments."""
+    """pid -> (turnaround, waiting, response), one process at a time from its
+    segments."""
     out = {}
     for p in w:
         mine = [s for s in trace.segments if s.pid == p.pid]
-        out[p.pid] = ProcessMetrics(mine[-1].end, mine[-1].end - p.burst, mine[0].start)
+        out[p.pid] = (mine[-1].end, mine[-1].end - p.burst, mine[0].start)
     return out
 
 
 class TestPerProcessMapping:
-    """``per_process`` is a read-only mapping over int columns that builds each
-    ``ProcessMetrics`` on access, and reads as the row-wise dict did."""
+    """``per_process`` maps the workload's pids, in submission order, to int
+    metric columns that read as the row-wise dict did."""
 
     @pytest.mark.parametrize("name", [n.replace("<q>", "3") for n in POLICY_NAMES])
     @settings(max_examples=25, deadline=None)
     @given(w=scattered_workloads())
     def test_matches_row_wise_reference(self, name, w):
         trace = simulate(w, policy_from_name(name, w))
-        per_process = compute_metrics(trace, w).per_process
+        m = compute_metrics(trace, w).per_process
         expected = _ref_per_process(w, trace)
-        assert dict(per_process) == expected
-        assert per_process == expected and expected == per_process
-        assert per_process != {**expected, max(w.pids) + 1: ProcessMetrics(1, 0, 0)}
-        assert len(per_process) == len(w)
-        assert list(per_process) == list(per_process.keys()) == list(w.pids)
-        assert list(per_process.values()) == list(expected.values())
-        assert w.pids[-1] in per_process and max(w.pids) + 1 not in per_process
-        with pytest.raises(KeyError):
-            per_process[max(w.pids) + 1]
-        assert per_process.get(max(w.pids) + 1) is None
-        with pytest.raises(TypeError):
-            per_process[w.pids[0]] = expected[w.pids[0]]
+        assert m.pids == w.pids
+        assert dict(zip(m.pids, zip(m.turnaround, m.waiting, m.response))) == expected
+        assert all(type(x) is int for column in (m.turnaround, m.waiting, m.response)
+                   for x in column)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.waiting = m.response
 
 
 class TestValidation:

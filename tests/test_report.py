@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import random
 import re
 import tempfile
@@ -16,10 +17,8 @@ from conftest import scattered_workloads, workloads
 from rrsim import (
     DEFAULT_STATIC_OTS,
     DispatchSegment,
-    ProcessMetrics,
     ProcessSpec,
     ScheduleTrace,
-    SliceComponents,
     Workload,
     compute_components,
     compute_metrics,
@@ -49,6 +48,7 @@ from rrsim.schedulers import POLICY_NAMES, classic_rr_policy, fcfs_policy, propo
 
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_CSV = str(ROOT / "data" / "random.csv")
+ILLUSTRATION_CSV = str(ROOT / "data" / "illustration.csv")
 
 
 @pytest.fixture
@@ -471,14 +471,15 @@ def _ref_average(value):
 
 
 def _ref_metrics(name, summary):
+    m = summary.per_process
     return {
         "policy": name,
         "avg_turnaround": _ref_average(summary.avg_turnaround),
         "avg_waiting": _ref_average(summary.avg_waiting),
         "context_switches": summary.context_switches,
         "per_process": {
-            str(pid): {"turnaround": m.turnaround, "waiting": m.waiting, "response": m.response}
-            for pid, m in summary.per_process.items()
+            str(pid): {"turnaround": tat, "waiting": wt, "response": rt}
+            for pid, tat, wt, rt in zip(m.pids, m.turnaround, m.waiting, m.response)
         },
     }
 
@@ -544,11 +545,11 @@ class TestJsonWriter:
         comps = compute_components(w, static_ots=DEFAULT_STATIC_OTS if static else None)
         doc = {
             "workload": _ref_workload(w),
-            "range": {"num": comps[0].slice_range.numerator,
-                      "den": comps[0].slice_range.denominator},
+            "range": {"num": comps.slice_range.numerator,
+                      "den": comps.slice_range.denominator},
             "components": [
-                {"pid": p.pid, **{name: getattr(c, name) for name in COMPONENT_FIELDS}}
-                for p, c in zip(w, comps)
+                {"pid": p.pid, **{name: getattr(comps, name)[i] for name in COMPONENT_FIELDS}}
+                for i, p in enumerate(w)
             ],
         }
         with tempfile.TemporaryDirectory() as tmp:
@@ -623,28 +624,59 @@ class TestSpanHook:
 
 
 class TestNoRowObjects:
-    """``simulate --json`` keeps per-process data in int columns from the CSV to
-    the export: it builds no ``ProcessSpec``, ``SliceComponents`` or
-    ``ProcessMetrics``, and its output is what it is when they can be built."""
+    """The CLI keeps per-process data in int columns from the CSV to the
+    export: ``simulate --json``, ``components --json --csv --paper-notes`` and
+    ``compare --json --csv`` build no ``ProcessSpec``, and their output is what
+    it is when one can be built."""
 
-    @pytest.mark.parametrize("name", _EVERY_POLICY)
-    def test_simulate_json(self, name, tmp_path, monkeypatch):
-        pids = random.Random(name).sample(range(1, 300), 40)  # not sorted, as ints or strings
-        w = generate_workload(40, "random", (1, 60), (1, 5), seed=len(name))
+    @staticmethod
+    def _scattered_csv(tmp_path, seed):
+        pids = random.Random(seed).sample(range(1, 300), 40)  # not sorted, as ints or strings
+        w = generate_workload(40, "random", (1, 60), (1, 5), seed=len(seed))
         csv_path = tmp_path / "w.csv"
         csv_path.write_text(serialize_workload(Workload.from_columns(pids, w.bursts, w.priorities)))
-        argv = ["simulate", "--workload", str(csv_path), "--policy", name]
-        expected = _run_cli(argv)
-        assert expected[0] == 0
+        return str(csv_path)
 
+    @staticmethod
+    def _refuse_rows(monkeypatch):
         def refuse(self, *args, **kwargs):
             raise AssertionError(f"a {type(self).__name__} was built")
 
-        for row_type in (ProcessSpec, SliceComponents, ProcessMetrics):
-            monkeypatch.setattr(row_type, "__init__", refuse)
+        monkeypatch.setattr(ProcessSpec, "__init__", refuse)
         with pytest.raises(AssertionError, match="ProcessSpec was built"):
             ProcessSpec(1, 1, 1)
+
+    @pytest.mark.parametrize("name", _EVERY_POLICY)
+    def test_simulate_json(self, name, tmp_path, monkeypatch):
+        argv = ["simulate", "--workload", self._scattered_csv(tmp_path, name), "--policy", name]
+        expected = _run_cli(argv)
+        assert expected[0] == 0
+        self._refuse_rows(monkeypatch)
         assert _run_cli(argv) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["components", "--paper-notes"], ["compare", "--policies", ",".join(_EVERY_POLICY)],
+    ], ids=lambda argv: argv[0])
+    def test_components_and_compare_json_csv(self, argv, tmp_path, monkeypatch):
+        # the published illustration table has cells that differ, so notes print
+        runs = [argv + ["--workload", path, "--json", str(tmp_path / "out.json"),
+                        "--csv", str(tmp_path / "out.csv")]
+                for path in (self._scattered_csv(tmp_path, argv[0]), ILLUSTRATION_CSV)]
+
+        def outputs(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = run_cli(argv, out=out)
+            files = [(tmp_path / name).read_bytes() for name in ("out.json", "out.csv")]
+            return rc, out.getvalue(), err.getvalue(), files
+
+        expected = list(map(outputs, runs))
+        for rc, out, err, _ in expected:
+            assert rc == 0 and out and not err
+        if argv[0] == "components":
+            assert "note: " in expected[1][1]
+        self._refuse_rows(monkeypatch)
+        assert list(map(outputs, runs)) == expected
 
 
 def _ref_table(header, rows):
@@ -683,9 +715,9 @@ class TestColumnTables:
     @given(w=_wide_workloads(), name=st.sampled_from(["proposed", "pbdrr", "srtn", "fcfs"]))
     def test_render_metrics(self, w, name):
         summary = compute_metrics(simulate(w, policy_from_name(name, w)), w)
-        rows = [_ref_process_cells(p) + [
-            str(m.turnaround), str(m.waiting), str(m.response)
-        ] for p, m in zip(w, map(summary.per_process.get, w.pids))]
+        m = summary.per_process
+        rows = [_ref_process_cells(p) + list(map(str, metrics))
+                for p, *metrics in zip(w, m.turnaround, m.waiting, m.response)]
         header = ["process", "burst", "priority", "turnaround", "waiting", "response"]
         assert render_metrics(summary, w) == (
             _ref_table(header, rows)
@@ -699,11 +731,11 @@ class TestColumnTables:
            notes=st.lists(st.text("ab 1", min_size=1, max_size=4), max_size=2))
     def test_render_components_table(self, w, static_ots, notes):
         comps = compute_components(w, static_ots=static_ots)
-        rows = [_ref_process_cells(p) + [str(getattr(c, name)) for name in COMPONENT_FIELDS]
-                for p, c in zip(w, comps)]
+        rows = [_ref_process_cells(p) + [str(getattr(comps, name)[i]) for name in COMPONENT_FIELDS]
+                for i, p in enumerate(w)]
         header = ["process", "burst", "priority"] + [name.upper() for name in COMPONENT_FIELDS]
         assert render_components_table(w, comps, notes) == (
-            _ref_table(header, rows) + f"\n\nrange: {comps[0].slice_range}"
+            _ref_table(header, rows) + f"\n\nrange: {comps.slice_range}"
             + "".join(f"\nnote: {note}" for note in notes)
         )
 
@@ -903,3 +935,53 @@ class TestDashDashValue:
             assert [line for line in lines if "error:" in line] == [lines[-1]]
             assert lines[-1].startswith(f"rrsim {command}: error: argument ")
             assert option in lines[-1]
+
+
+# Text for the argv slots that take a name, or an option the CLI may not have:
+# a valid name, or characters of policy, order and option names, case, ":",
+# ",", "=", "." and a fullwidth digit.  Digits are few, so no number is large.
+_NAME_TEXT = st.one_of(
+    st.sampled_from([n.replace("<q>", "3") for n in POLICY_NAMES] + list(ORDERS)),
+    st.text("proseditbcfnamwkjlvR:,-=. 1２", max_size=12),
+)
+# Each slot: argv around the text, a valid command line otherwise.
+_NAME_SLOTS = {
+    "simulate --policy": lambda t: ["simulate", "--workload", RANDOM_CSV, "--policy", t],
+    "compare --policies": lambda t: ["compare", "--workload", RANDOM_CSV, "--policies", t],
+    "generate --order": lambda t: ["generate", "--n", "4", "--order", t],
+    **{f"{command} --<option>": (lambda t, c=command: [c, *_VALID_ARGV[c], "--" + t])
+       for command in _VALID_ARGV},
+}
+
+
+class TestNameText:
+    """Whatever text a name slot or an extra option holds, the CLI exits 0 with
+    output, or 1 with one ``error:`` line, or 2 with a usage message that
+    ends in its one error line, and never raises."""
+
+    @pytest.mark.parametrize("slot", sorted(_NAME_SLOTS))
+    @settings(max_examples=15, deadline=None)
+    @given(text=_NAME_TEXT)
+    @example(text="rr")
+    @example(text="RR:２")
+    @example(text="fcfs,FCFS")
+    @example(text="j=.")  # --json names a directory
+    def test_exit_code_and_one_error_line(self, slot, text):
+        # an extra option may be read as generate's --n: few processes
+        assume(sum(c.isdigit() for c in text) <= 2)
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)  # an option read as --json or --csv writes its file here
+            try:
+                rc, out, err, _ = _run_cli(_NAME_SLOTS[slot](text))
+            finally:
+                os.chdir(cwd)
+        lines = err.splitlines()
+        if rc == 0:
+            assert out and not err
+        elif rc == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert rc == 2 and err.startswith("usage: rrsim")
+            assert [line for line in lines if "error:" in line] == [lines[-1]]
+            assert re.match(r"rrsim( [a-z]+)?: error: ", lines[-1])

@@ -11,9 +11,12 @@ from rrsim import (
     compute_components,
     compute_range,
     generate_workload,
+    pbdrr_policy,
+    proposed_policy,
+    static_its_rr_policy,
     workload,
 )
-from rrsim.timeslice import COMPONENT_FIELDS, _round_ratio, component_columns
+from rrsim.timeslice import COMPONENT_FIELDS, _round_ratio
 
 
 def proc(burst, priority=1):
@@ -110,7 +113,7 @@ class TestSc:
 
     @given(workloads())
     def test_patterns(self, w):
-        flags = [c.sc for c in compute_components(w)]
+        flags = compute_components(w).sc
         assert flags[0] == 0
         bursts = w.bursts
         for i in range(1, len(w)):
@@ -142,70 +145,72 @@ class TestCsc:
 class TestComponents:
     def test_illustration_vectors(self, illustration_w):
         comps = compute_components(illustration_w)
-        assert [c.ots for c in comps] == [11, 33, 17, 33, 33]
-        assert [c.pc for c in comps] == [0, 1, 0, 1, 1]
-        assert [c.sc for c in comps] == [0, 0, 1, 0, 1]
-        assert [c.csc for c in comps] == [0, 26, 12, 9, 5]
-        assert [c.its for c in comps] == [11, 60, 30, 43, 40]
+        assert comps.ots == [11, 33, 17, 33, 33]
+        assert comps.pc == [0, 1, 0, 1, 1]
+        assert comps.sc == [0, 0, 1, 0, 1]
+        assert comps.csc == [0, 26, 12, 9, 5]
+        assert comps.its == [11, 60, 30, 43, 40]
 
     def test_increasing_vectors(self, increasing_w):
         comps = compute_components(increasing_w)
-        assert [c.ots for c in comps] == [7, 5, 14, 4, 3]
-        assert [c.pc for c in comps] == [0, 0, 1, 0, 0]
-        assert [c.sc for c in comps] == [0, 0, 0, 0, 0]
-        assert [c.csc for c in comps] == [5, 0, 1, 0, 0]
-        assert [c.its for c in comps] == [12, 5, 16, 4, 3]
+        assert comps.ots == [7, 5, 14, 4, 3]
+        assert comps.pc == [0, 0, 1, 0, 0]
+        assert comps.sc == [0, 0, 0, 0, 0]
+        assert comps.csc == [5, 0, 1, 0, 0]
+        assert comps.its == [12, 5, 16, 4, 3]
 
     def test_random_vectors(self, random_w):
         comps = compute_components(random_w)
-        assert [c.ots for c in comps] == [10, 31, 16, 8, 6]
-        assert [c.pc for c in comps] == [0, 1, 0, 0, 0]
-        assert [c.sc for c in comps] == [0, 0, 1, 0, 1]
-        assert [c.csc for c in comps] == [1, 21, 8, 0, 0]
-        assert [c.its for c in comps] == [11, 53, 25, 8, 7]
+        assert comps.ots == [10, 31, 16, 8, 6]
+        assert comps.pc == [0, 1, 0, 0, 0]
+        assert comps.sc == [0, 0, 1, 0, 1]
+        assert comps.csc == [1, 21, 8, 0, 0]
+        assert comps.its == [11, 53, 25, 8, 7]
 
     def test_static_ots_increasing(self, increasing_w):
         comps = compute_components(increasing_w, static_ots=4)
-        assert [c.ots for c in comps] == [4] * 5
-        assert [c.its for c in comps] == [5, 4, 5, 4, 4]
+        assert comps.ots == [4] * 5
+        assert comps.its == [5, 4, 5, 4, 4]
 
     def test_static_ots_random(self, random_w):
         comps = compute_components(random_w, static_ots=4)
-        assert [c.its for c in comps] == [4, 5, 8, 4, 5]
-        assert [c.csc for c in comps] == [0, 0, 3, 0, 0]
+        assert comps.its == [4, 5, 8, 4, 5]
+        assert comps.csc == [0, 0, 3, 0, 0]
 
     @given(st.integers(1, 100))
     def test_single_process(self, b):
         # range = burst, ots = burst, pc = 1, sc = 0, balance = -1 -> csc = burst
-        comps = compute_components(workload([b]))
-        c = comps[0]
-        assert (c.slice_range, c.ots, c.pc, c.sc, c.csc) == (b, b, 1, 0, b)
-        assert c.its == 2 * b + 1
-        assert c.its >= b
+        c = compute_components(workload([b]))
+        assert (c.slice_range, c.ots, c.pc, c.sc, c.csc) == (b, [b], [1], [0], [b])
+        assert c.its == [2 * b + 1]
+        assert c.its[0] >= b
 
     @given(workloads())
     def test_its_additivity(self, w):
-        for c in compute_components(w):
-            assert c.its == c.ots + c.pc + c.sc + c.csc
+        c = compute_components(w)
+        for its, ots, pc, sc, csc in zip(c.its, c.ots, c.pc, c.sc, c.csc):
+            assert its == ots + pc + sc + csc
 
     @given(workloads())
     def test_csc_guarantees_one_dispatch_finish(self, w):
-        for p, c in zip(w, compute_components(w)):
-            if c.csc > 0:
-                assert c.its >= p.burst
+        c = compute_components(w)
+        for burst, csc, its in zip(w.bursts, c.csc, c.its):
+            if csc > 0:
+                assert its >= burst
 
     @given(workloads())
     def test_bounds(self, w):
-        for c in compute_components(w):
-            assert c.ots >= 1
-            assert c.pc in (0, 1)
-            assert c.sc in (0, 1)
-            assert c.csc >= 0
-            assert c.its >= 1
+        c = compute_components(w)
+        assert min(c.ots) >= 1
+        assert set(c.pc) <= {0, 1}
+        assert set(c.sc) <= {0, 1}
+        assert min(c.csc) >= 0
+        assert min(c.its) >= 1
 
 
 def fields(comps):
-    return [(c.slice_range, c.ots, c.pc, c.sc, c.csc) for c in comps]
+    """The rows of ``comps``, as ``slice_reference.components`` gives them."""
+    return list(zip([comps.slice_range] * len(comps), comps.ots, comps.pc, comps.sc, comps.csc))
 
 
 class TestOnePassComponents:
@@ -217,11 +222,17 @@ class TestOnePassComponents:
     def test_matches_per_process_helpers(self, w, static_ots):
         comps = compute_components(w, static_ots=static_ots)
         assert fields(comps) == ref.components(w, static_ots)
-        columns = component_columns(w, static_ots=static_ots)
-        assert columns == (comps[0].slice_range, *(
-            [getattr(c, name) for c in comps] for name in COMPONENT_FIELDS
-        ))
-        assert all(type(x) is int for column in columns[1:] for x in column)
+        assert len(comps) == len(w)
+        columns = [getattr(comps, name) for name in COMPONENT_FIELDS]
+        assert all(len(column) == len(w) for column in columns)
+        assert all(type(x) is int for column in columns for x in column)
+        policies = ([proposed_policy(w)] if static_ots is None else
+                    [pbdrr_policy(w, static_ots), static_its_rr_policy(w, static_ots)])
+        for policy in policies:
+            assert policy.base == dict(zip(w.pids, comps.its))
+            # its-rr grants the full ITS on every visit, so it reads no SC
+            sc = None if policy.name == "its-rr" else dict(zip(w.pids, comps.sc))
+            assert policy.sc == sc
 
     def test_integer_ots_matches_fraction_rounding(self):
         # compute_components rounds Range / priority with Range = span / 2
