@@ -17,7 +17,6 @@ from .schedulers import (
 )
 from .timeslice import SliceComponents, compute_components, compute_range
 from .workload import (
-    ProcessSpec,
     Workload,
     WorkloadError,
     generate_workload,
@@ -48,7 +47,6 @@ __all__ = [
     "SliceComponents",
     "compute_components",
     "compute_range",
-    "ProcessSpec",
     "Workload",
     "WorkloadError",
     "generate_workload",

@@ -25,9 +25,9 @@ from .timeslice import COMPONENT_FIELDS, SliceComponents, check_static_ots, comp
 from .workload import (
     CSV_HEADER,
     ORDERS,
-    ProcessSpec,
     Workload,
     WorkloadError,
+    check_process,
     generate_workload,
     integer,
     parse_workload,
@@ -49,11 +49,6 @@ def _runs(trace: ScheduleTrace) -> Tuple[List[int], List[int], List[int]]:
     cut = list(map(ne, zip(pid, end), zip(islice(pid, 1, None), islice(start, 1, None))))
     return (list(compress(pid, [True, *cut])), list(compress(start, [True, *cut])),
             list(compress(end, [*cut, True])))
-
-
-def merge_segments(trace: ScheduleTrace) -> List[Tuple[int, int, int]]:
-    """Time-ordered (pid, start, end) runs; back-to-back grants of a pid coalesce."""
-    return list(zip(*_runs(trace)))
 
 
 def render_gantt(trace: ScheduleTrace) -> str:
@@ -244,12 +239,14 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
     policy = _field(data, "policy", str, "a string")
     procs = []
     for i, row in enumerate(rows):
+        process = _ints(row, CSV_HEADER, "workload")
         try:
-            procs.append(ProcessSpec(*_ints(row, CSV_HEADER, "workload")))
+            check_process(*process)
         except WorkloadError as exc:
             raise MetricsError(f"workload row {i}: {exc}") from None
+        procs.append(process)
     try:
-        w = Workload(tuple(procs))
+        w = Workload(*(zip(*procs) if procs else ((), (), ())))
     except WorkloadError as exc:  # no rows, or an id given twice
         raise MetricsError(f"trace field 'workload': {exc}") from None
     segments = Segments.from_rows(_ints(s, SEGMENT_FIELDS, "segment") for s in segs)
@@ -347,16 +344,17 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 
 def _load_workload(path: str) -> Workload:
+    shown = path if path.isprintable() else repr(path)  # a line break cannot split the error
     try:
         # utf-8-sig: spreadsheet exports often start with a byte-order mark
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read workload file {path}: {exc}") from None
+        raise ValueError(f"cannot read workload file {shown}: {exc}") from None
     try:
         return parse_workload(text)
     except WorkloadError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{shown}: {exc}") from None
 
 
 def _run_policy(w: Workload, name: str, static_ots: int,
@@ -376,12 +374,12 @@ def _cmd_simulate(args, out, span: Span) -> None:
     if args.paper_notes:
         for note in references.quantum_notes(w, name, trace, args.static_ots):
             print(f"note: {note}", file=out)
-    if args.json:
+    if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {
             **_trace_doc(w, name, trace, order := _key_order(w.pids)),
             "metrics": _metrics_doc(name, summary, order),
         }))
-    if args.csv:
+    if args.csv is not None:
         span("report.export", lambda: _write_csv(
             args.csv, SEGMENT_FIELDS, _segment_table(trace).rows))
 
@@ -398,14 +396,14 @@ def _cmd_compare(args, out, span: Span) -> None:
             raise ValueError(f"duplicate policy {name!r}")
         traces[name], summaries[name] = trace, summary
     print(span("report.table", lambda: _render_table(_comparison_columns(summaries))), file=out)
-    if args.json:
+    if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {
             "workload": _workload_table(w),
             "metrics": list(map(_metrics_doc, summaries, summaries.values(),
                                 repeat(_key_order(w.pids)))),
             "traces": {n: _segment_table(t) for n, t in traces.items()},
         }))
-    if args.csv:
+    if args.csv is not None:
         span("report.export", lambda: _write_csv(
             args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"),
             zip(*_comparison_columns(summaries).values())))
@@ -416,9 +414,9 @@ def _cmd_generate(args, out, span: Span) -> None:
         args.n, args.order, args.burst_range, args.priority_range, args.seed
     )
     print(serialize_workload(w), end="", file=out)
-    if args.csv:  # the bytes serialize_workload gives
+    if args.csv is not None:  # the bytes serialize_workload gives
         span("report.export", lambda: _write_csv(args.csv, CSV_HEADER, _workload_table(w).rows))
-    if args.json:
+    if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {"workload": _workload_table(w)}))
 
 
@@ -429,13 +427,13 @@ def _cmd_components(args, out, span: Span) -> None:
     notes = references.component_notes(w, comps, args.static_ots) if args.paper_notes else ()
     print(span("report.table", lambda: render_components_table(w, comps, notes)), file=out)
     columns = [getattr(comps, name) for name in COMPONENT_FIELDS]
-    if args.json:
+    if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {
             "workload": _workload_table(w),
             "range": _fraction_to_dict(comps.slice_range),
             "components": _Table(("pid",) + COMPONENT_FIELDS, zip(w.pids, *columns)),
         }))
-    if args.csv:
+    if args.csv is not None:
         span("report.export", lambda: _write_csv(
             args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS,
             zip(w.pids, w.bursts, w.priorities, *columns)))

@@ -5,8 +5,7 @@ import csv
 import io
 import random
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Iterator, List, Tuple
+from typing import List, Tuple
 
 CSV_HEADER = ("id", "burst", "priority")
 ORDERS = ("increasing", "decreasing", "random")
@@ -16,84 +15,60 @@ class WorkloadError(ValueError):
     """Raised for structurally invalid workloads or malformed workload CSV."""
 
 
-@dataclass(frozen=True)
-class ProcessSpec:
-    """One process: integer id, CPU burst in time units, user priority (1 = most urgent)."""
-
-    pid: int
-    burst: int
-    priority: int
-
-    def __post_init__(self) -> None:
-        if self.pid < 1:
-            raise WorkloadError(f"process id must be a positive integer, got {self.pid}")
-        if self.burst < 1:
-            raise WorkloadError(f"non-positive burst {self.burst} (P{self.pid})")
-        if self.priority < 1:
-            raise WorkloadError(f"priority must be >= 1, got {self.priority} (P{self.pid})")
+def check_process(pid: int, burst: int, priority: int) -> None:
+    """The rules of one process: id, CPU burst in time units and user priority
+    (1 = most urgent) are each at least 1."""
+    if pid < 1:
+        raise WorkloadError(f"process id must be a positive integer, got {pid}")
+    if burst < 1:
+        raise WorkloadError(f"non-positive burst {burst} (P{pid})")
+    if priority < 1:
+        raise WorkloadError(f"priority must be >= 1, got {priority} (P{pid})")
 
 
 _COLUMNS = ("pids", "bursts", "priorities")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class Workload:
     """Ordered set of processes, held as three int columns; list order is the
     submission order and is meaningful (the shortness component compares each
-    burst against its predecessor).  ``Workload(processes)`` takes
-    :class:`ProcessSpec` rows, and :attr:`processes` and iteration build them
-    on demand."""
+    burst against its predecessor).  ``Workload(pids, bursts, priorities)``
+    takes any iterables and stores tuples."""
 
     pids: Tuple[int, ...]
     bursts: Tuple[int, ...]
     priorities: Tuple[int, ...]
 
-    def __init__(self, processes: Iterable[ProcessSpec]) -> None:
-        processes = tuple(processes)
-        if not processes:
-            raise WorkloadError("workload must contain at least one process")
-        seen = set()
-        for p in processes:
-            if p.pid in seen:
-                raise WorkloadError(f"duplicate process id {p.pid}")
-            seen.add(p.pid)
-        rows = map(attrgetter("pid", "burst", "priority"), processes)
-        self.__dict__.update(zip(_COLUMNS, zip(*rows)))  # past the frozen __setattr__
-
-    @classmethod
-    def from_columns(cls, pids: Iterable[int], bursts: Iterable[int],
-                     priorities: Iterable[int]) -> Workload:
-        """The workload of three equal-length columns in submission order, each
-        checked whole.  A failed check is redone row by row, so the error is
-        the one ``Workload(processes)`` gives for the same rows."""
-        columns = tuple(pids), tuple(bursts), tuple(priorities)
+    def __post_init__(self) -> None:
+        """Check the columns whole: equal lengths, then at least one process,
+        then each value (row by row through :func:`check_process`, so the
+        first bad row's error is raised), then unique ids."""
+        columns = tuple(self.pids), tuple(self.bursts), tuple(self.priorities)
+        self.__dict__.update(zip(_COLUMNS, columns))  # past the frozen __setattr__
         if len(set(map(len, columns))) > 1:
             raise WorkloadError("pids, bursts and priorities differ in length")
-        n = len(columns[0])
-        if not (n and min(map(min, columns)) >= 1 and len(set(columns[0])) == n):
-            cls(map(ProcessSpec, *columns))  # raises the first bad row's error
-        w = cls.__new__(cls)
-        w.__dict__.update(zip(_COLUMNS, columns))
-        return w
-
-    @property
-    def processes(self) -> Tuple[ProcessSpec, ...]:
-        return tuple(self)
+        if not columns[0]:
+            raise WorkloadError("workload must contain at least one process")
+        if min(map(min, columns)) < 1:
+            for row in zip(*columns):
+                check_process(*row)
+        if len(set(columns[0])) < len(columns[0]):
+            seen = set()
+            for pid in columns[0]:
+                if pid in seen:
+                    raise WorkloadError(f"duplicate process id {pid}")
+                seen.add(pid)
 
     def __len__(self) -> int:
         return len(self.pids)
-
-    def __iter__(self) -> Iterator[ProcessSpec]:
-        return map(ProcessSpec, self.pids, self.bursts, self.priorities)
 
 
 def workload(bursts, priorities=None) -> Workload:
     """Convenience constructor: ids 1..n in order, default priority 1."""
     if priorities is None:
         priorities = [1] * len(bursts)
-    if len(priorities) != len(bursts):
-        raise WorkloadError("bursts and priorities must have equal length")
-    return Workload.from_columns(range(1, len(bursts) + 1), bursts, priorities)
+    return Workload(range(1, len(bursts) + 1), bursts, priorities)
 
 
 def integer(text: str, what: str = "value") -> int:
@@ -134,7 +109,7 @@ def parse_workload(text: str) -> Workload:
             try:
                 pids, bursts, priorities, *arrival = [tuple(map(int, c)) for c in columns]
                 if not any(map(any, arrival)):
-                    return Workload.from_columns(pids, bursts, priorities)
+                    return Workload(pids, bursts, priorities)
             except ValueError:  # a failed check, or more digits than int() takes
                 pass
     return _parse_rows(text)
@@ -158,7 +133,8 @@ def _parse_rows(text: str) -> Workload:
         if len(row) != len(header):
             raise WorkloadError(f"row {line}: expected {len(header)} fields, got {len(row)}")
         try:
-            processes.append(ProcessSpec(*map(integer, row, CSV_HEADER)))
+            process = tuple(map(integer, row, CSV_HEADER))
+            check_process(*process)
             arrival = integer(row[3], "arrival") if len(row) == 4 else 0
         except ValueError as exc:
             raise WorkloadError(f"row {line}: {exc}") from None
@@ -167,8 +143,9 @@ def _parse_rows(text: str) -> Workload:
                 f"row {line}: nonzero arrival time {arrival} is unsupported by"
                 " the model (all processes are present at t=0)"
             )
+        processes.append(process)
 
-    return Workload(processes)
+    return Workload(*zip(*processes))
 
 
 def serialize_workload(w: Workload) -> str:

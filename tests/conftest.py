@@ -1,7 +1,17 @@
+from collections import namedtuple
+
 import pytest
 from hypothesis import strategies as st
 
-from rrsim import ProcessSpec, Workload, workload
+from rrsim import Workload, workload
+
+Process = namedtuple("Process", "pid burst priority")
+
+
+def process_rows(w):
+    """The processes of ``w`` one at a time, in submission order, for
+    references and assertions that state a rule row by row."""
+    return list(map(Process, w.pids, w.bursts, w.priorities))
 
 
 @st.composite
@@ -22,7 +32,7 @@ def scattered_workloads(draw, max_n=8, max_burst=30):
     order nor sorted the same way as strings."""
     w = draw(workloads(max_n=max_n, max_burst=max_burst))
     pids = draw(st.lists(st.integers(1, 200), min_size=len(w), max_size=len(w), unique=True))
-    return Workload(map(ProcessSpec, pids, w.bursts, w.priorities))
+    return Workload(pids, w.bursts, w.priorities)
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ library's one-pass integer version cannot hide in a helper that both share.
 """
 from fractions import Fraction
 
+from conftest import process_rows
+
 
 def round_slice(value):
     """Round a nonnegative slice length to whole time units: up once the
@@ -51,7 +53,7 @@ def components(w, static_ots=None):
     rng = slice_range(w)
     top = min(w.priorities)  # once per workload, not once per process
     out = []
-    for i, p in enumerate(w):
+    for i, p in enumerate(process_rows(w)):
         o = ots(p, rng) if static_ots is None else static_ots
         c_pc, c_sc = pc(p, top), sc(i, w)
         out.append((rng, o, c_pc, c_sc, csc(p, o, c_pc, c_sc)))

@@ -26,7 +26,7 @@ def grant(policy, pid, round_no, prev_tq, rbt):
 
 
 def step_simulate(w, policy):
-    rbt = {p.pid: p.burst for p in w}  # in submission order
+    rbt = dict(zip(w.pids, w.bursts))  # in submission order
     prev_tq = {}
     segments = []
     clock = 0

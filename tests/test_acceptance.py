@@ -159,11 +159,10 @@ def _check_workload_properties(w):
         segs = trace.segments
         assert segs.start == [0] + segs.end[:-1]  # back to back from t=0
         assert trace.makespan == total
-        executed = {p.pid: 0 for p in w}
+        executed = dict.fromkeys(w.pids, 0)
         for pid, start, end in zip(segs.pid, segs.start, segs.end):
             executed[pid] += end - start
-        for p in w:
-            assert executed[p.pid] == p.burst
+        assert executed == dict(zip(w.pids, w.bursts))
         summary = compute_metrics(trace, w)
         assert min(summary.per_process.waiting) >= 0
         assert summary.avg_waiting == summary.avg_turnaround - Fraction(total, len(w))

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 
 from conftest import scattered_workloads, workloads
 from rrsim import (
-    ProcessSpec,
     ScheduleTrace,
     SchedulingPolicy,
     Workload,
@@ -14,7 +13,7 @@ from rrsim import (
     simulate,
     workload,
 )
-from rrsim.report import SEGMENT_FIELDS, trace_to_dict
+from rrsim.report import SEGMENT_FIELDS, _runs, trace_to_dict
 from rrsim.schedulers import (
     classic_rr_policy,
     fcfs_policy,
@@ -138,11 +137,9 @@ class TestSimulateGolden:
     def test_single_process_runs_back_to_back(self, make_policy):
         # quantum-limited policies may need several grants, but with no
         # competition they coalesce into one merged run ending at the burst
-        from rrsim.report import merge_segments
-
         w = workload([9], [2])
         trace = simulate(w, make_policy(w))
-        assert merge_segments(trace) == [(1, 0, 9)]
+        assert list(zip(*_runs(trace))) == [(1, 0, 9)]
         assert trace.completion == {1: 9}
 
     @pytest.mark.parametrize("make_policy", [lambda w: srtn_policy(w),
@@ -182,7 +179,7 @@ class TestSrtnOrder:
 
     @pytest.mark.parametrize("make_policy", [proposed_policy, srtn_policy])
     def test_ties_go_by_pid(self, make_policy):
-        w = Workload(map(ProcessSpec, (7, 2, 9, 4, 1), (6, 6, 3, 6, 3), (1, 2, 1, 1, 3)))
+        w = Workload((7, 2, 9, 4, 1), (6, 6, 3, 6, 3), (1, 2, 1, 1, 3))
         policy = make_policy(w)
         trace = simulate(w, policy)
         assert trace == step_simulate(w, policy)
@@ -204,7 +201,7 @@ def assert_trace_invariants(w, trace):
         assert prev.end == cur.start
     assert trace.makespan == total
     # per-segment sanity and per-process conservation
-    executed = {p.pid: 0 for p in w}
+    executed = dict.fromkeys(w.pids, 0)
     last_round = {}
     per_round_seen = {}
     for seg in trace.segments:
@@ -217,11 +214,9 @@ def assert_trace_invariants(w, trace):
         key = (seg.round, seg.pid)
         assert key not in per_round_seen
         per_round_seen[key] = True
-    for p in w:
-        assert executed[p.pid] == p.burst
-        assert trace.completion[p.pid] == max(
-            s.end for s in trace.segments if s.pid == p.pid
-        )
+    assert executed == dict(zip(w.pids, w.bursts))
+    for pid in w.pids:
+        assert trace.completion[pid] == max(s.end for s in trace.segments if s.pid == pid)
 
 
 class TestSimulateInvariants:

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scattered_workloads, workloads
+import gantt_reference
+from conftest import process_rows, scattered_workloads, workloads
 from rrsim import (
-    ProcessSpec,
     Workload,
     compute_metrics,
     format_average,
@@ -18,7 +18,7 @@ from rrsim import (
 )
 from rrsim.engine import DispatchSegment, ScheduleTrace
 from rrsim.metrics import MetricsError
-from rrsim.report import merge_segments
+from rrsim.report import _runs
 from rrsim.schedulers import (
     POLICY_NAMES,
     classic_rr_policy,
@@ -54,7 +54,7 @@ class TestContextSwitches:
             DispatchSegment(2, 5, 9, 2, 4),
         )
         trace = ScheduleTrace(segments, {1: 5, 2: 9})
-        assert merge_segments(trace) == [(1, 0, 5), (2, 5, 9)]
+        assert list(zip(*_runs(trace))) == [(1, 0, 5), (2, 5, 9)]
         assert compute_metrics(trace, workload([5, 4])).context_switches == 1
 
     def test_all_one_process(self):
@@ -80,7 +80,9 @@ class TestIdentities:
     def test_avg_wt_identity_and_bounds(self, make_policy, w):
         trace = simulate(w, make_policy(w))
         summary = compute_metrics(trace, w)
-        assert summary.context_switches == len(merge_segments(trace)) - 1
+        segs = trace.segments
+        runs = gantt_reference.merge_runs(zip(segs.pid, segs.start, segs.end))
+        assert summary.context_switches == len(runs) - 1
         mean_burst = Fraction(sum(w.bursts), len(w))
         assert summary.avg_waiting == summary.avg_turnaround - mean_burst
         m = summary.per_process
@@ -96,9 +98,7 @@ class TestIdentities:
     def test_pid_relabeling_permutes_metrics(self, w):
         # fcfs ignores labels, so shifting every pid by 10 must shift the
         # per-process table identically and leave aggregates untouched
-        shifted = Workload(tuple(
-            ProcessSpec(p.pid + 10, p.burst, p.priority) for p in w
-        ))
+        shifted = Workload((pid + 10 for pid in w.pids), w.bursts, w.priorities)
         base = compute_metrics(simulate(w, fcfs_policy(w)), w)
         moved = compute_metrics(simulate(shifted, fcfs_policy(shifted)), shifted)
         assert moved.avg_turnaround == base.avg_turnaround
@@ -113,7 +113,7 @@ def _ref_per_process(w, trace):
     """pid -> (turnaround, waiting, response), one process at a time from its
     segments."""
     out = {}
-    for p in w:
+    for p in process_rows(w):
         mine = [s for s in trace.segments if s.pid == p.pid]
         out[p.pid] = (mine[-1].end, mine[-1].end - p.burst, mine[0].start)
     return out

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from rrsim import ProcessSpec, Workload, parse_workload, serialize_workload
+from rrsim import Workload, parse_workload, serialize_workload
 from rrsim.report import run_cli
 from rrsim.references import COMPONENTS, ROUNDS
 from rrsim.schedulers import POLICY_NAMES
@@ -65,9 +65,7 @@ def test_round_tables_cover_the_workload_pids(key):
 def test_round_notes_follow_submission_position(key, ids, tmp_path):
     """Renumbering a dataset renames the pids its notes name, nothing else."""
     _, w = dataset(key)
-    renumbered = Workload(tuple(
-        ProcessSpec(pid, p.burst, p.priority) for pid, p in zip(ids, w)
-    ))
+    renumbered = Workload(ids, w.bursts, w.priorities)
 
     def notes(workload):
         path = tmp_path / "w.csv"

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,11 +14,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gantt_reference
-from conftest import scattered_workloads, workloads
+from conftest import process_rows, scattered_workloads, workloads
 from rrsim import (
     DEFAULT_STATIC_OTS,
     DispatchSegment,
-    ProcessSpec,
     ScheduleTrace,
     Workload,
     compute_components,
@@ -33,7 +33,6 @@ from rrsim import report
 from rrsim.metrics import MetricsError
 from rrsim.report import (
     build_parser,
-    merge_segments,
     metrics_to_dict,
     render_components_table,
     render_gantt,
@@ -112,12 +111,12 @@ def _hand_built_rows(draw):
 
 
 class TestGanttReference:
-    """``render_gantt`` and ``merge_segments`` against the cell-by-cell layout
-    of ``tests/gantt_reference.py``."""
+    """``render_gantt`` and its runs against the cell-by-cell layout of
+    ``tests/gantt_reference.py``."""
 
     @staticmethod
     def check(trace, rows):
-        assert merge_segments(trace) == gantt_reference.merge_runs(rows)
+        assert list(zip(*report._runs(trace))) == gantt_reference.merge_runs(rows)
         assert render_gantt(trace) == gantt_reference.render_gantt(rows)
 
     @pytest.mark.parametrize("name", _EVERY_POLICY)
@@ -158,9 +157,7 @@ class TestTraceJson:
         pids = data.draw(st.lists(
             st.integers(1, 10**6), min_size=len(w), max_size=len(w), unique=True
         ))
-        w = Workload(tuple(
-            ProcessSpec(pid, p.burst, p.priority) for pid, p in zip(pids, w)
-        ))
+        w = Workload(pids, w.bursts, w.priorities)
         trace = simulate(w, proposed_policy(w))
         w2, _, trace2 = trace_from_dict(
             json.loads(json.dumps(trace_to_dict(w, "proposed", trace)))
@@ -456,7 +453,7 @@ class TestCli:
 
 
 def _ref_workload(w):
-    return [{"id": p.pid, "burst": p.burst, "priority": p.priority} for p in w]
+    return [{"id": p.pid, "burst": p.burst, "priority": p.priority} for p in process_rows(w)]
 
 
 def _ref_segments(trace):
@@ -549,7 +546,7 @@ class TestJsonWriter:
                       "den": comps.slice_range.denominator},
             "components": [
                 {"pid": p.pid, **{name: getattr(comps, name)[i] for name in COMPONENT_FIELDS}}
-                for i, p in enumerate(w)
+                for i, p in enumerate(process_rows(w))
             ],
         }
         with tempfile.TemporaryDirectory() as tmp:
@@ -567,7 +564,7 @@ class TestJsonWriter:
             assert json_path.read_bytes() == _ref_bytes({"workload": _ref_workload(w)})
 
     def test_more_rows_than_one_chunk(self, tmp_path):
-        w = Workload((ProcessSpec(12, 2500, 1), ProcessSpec(3, 2600, 2), ProcessSpec(100, 7, 1)))
+        w = Workload((12, 3, 100), (2500, 2600, 7), (1, 2, 1))
         assert len(simulate(w, policy_from_name("rr:1", w)).segments) > report._CHUNK
         self._check_simulate(tmp_path, w, "rr:1")
 
@@ -625,26 +622,26 @@ class TestSpanHook:
 
 class TestNoRowObjects:
     """The CLI keeps per-process data in int columns from the CSV to the
-    export: ``simulate --json``, ``components --json --csv --paper-notes`` and
-    ``compare --json --csv`` build no ``ProcessSpec``, and their output is what
-    it is when one can be built."""
+    export: on a valid CSV, ``simulate --json``, ``components --json --csv
+    --paper-notes`` and ``compare --json --csv`` never check a process row by
+    row, and their output is what it is when they may."""
 
     @staticmethod
     def _scattered_csv(tmp_path, seed):
         pids = random.Random(seed).sample(range(1, 300), 40)  # not sorted, as ints or strings
         w = generate_workload(40, "random", (1, 60), (1, 5), seed=len(seed))
         csv_path = tmp_path / "w.csv"
-        csv_path.write_text(serialize_workload(Workload.from_columns(pids, w.bursts, w.priorities)))
+        csv_path.write_text(serialize_workload(Workload(pids, w.bursts, w.priorities)))
         return str(csv_path)
 
     @staticmethod
     def _refuse_rows(monkeypatch):
-        def refuse(self, *args, **kwargs):
-            raise AssertionError(f"a {type(self).__name__} was built")
+        def refuse(*row):
+            raise AssertionError(f"row {row} was checked")
 
-        monkeypatch.setattr(ProcessSpec, "__init__", refuse)
-        with pytest.raises(AssertionError, match="ProcessSpec was built"):
-            ProcessSpec(1, 1, 1)
+        monkeypatch.setattr(sys.modules[Workload.__module__], "check_process", refuse)
+        with pytest.raises(AssertionError, match=re.escape("row (0, 1, 1) was checked")):
+            Workload((0,), (1,), (1,))
 
     @pytest.mark.parametrize("name", _EVERY_POLICY)
     def test_simulate_json(self, name, tmp_path, monkeypatch):
@@ -704,7 +701,7 @@ def _wide_workloads(draw):
     pids = draw(st.lists(_DIGITS, min_size=n, max_size=n, unique=True))
     bursts = draw(st.lists(_DIGITS, min_size=n, max_size=n))
     priorities = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
-    return Workload(tuple(map(ProcessSpec, pids, bursts, priorities)))
+    return Workload(pids, bursts, priorities)
 
 
 class TestColumnTables:
@@ -717,7 +714,7 @@ class TestColumnTables:
         summary = compute_metrics(simulate(w, policy_from_name(name, w)), w)
         m = summary.per_process
         rows = [_ref_process_cells(p) + list(map(str, metrics))
-                for p, *metrics in zip(w, m.turnaround, m.waiting, m.response)]
+                for p, *metrics in zip(process_rows(w), m.turnaround, m.waiting, m.response)]
         header = ["process", "burst", "priority", "turnaround", "waiting", "response"]
         assert render_metrics(summary, w) == (
             _ref_table(header, rows)
@@ -732,7 +729,7 @@ class TestColumnTables:
     def test_render_components_table(self, w, static_ots, notes):
         comps = compute_components(w, static_ots=static_ots)
         rows = [_ref_process_cells(p) + [str(getattr(comps, name)[i]) for name in COMPONENT_FIELDS]
-                for i, p in enumerate(w)]
+                for i, p in enumerate(process_rows(w))]
         header = ["process", "burst", "priority"] + [name.upper() for name in COMPONENT_FIELDS]
         assert render_components_table(w, comps, notes) == (
             _ref_table(header, rows) + f"\n\nrange: {comps.slice_range}"
@@ -985,3 +982,70 @@ class TestNameText:
             assert rc == 2 and err.startswith("usage: rrsim")
             assert [line for line in lines if "error:" in line] == [lines[-1]]
             assert re.match(r"rrsim( [a-z]+)?: error: ", lines[-1])
+
+
+class TestEmptyPath:
+    """An empty export path names no file: the export fails with one error
+    line, rather than being taken as no export at all."""
+
+    @pytest.mark.parametrize("command, option", [
+        ("simulate", "--json"), ("compare", "--json"), ("components", "--csv"),
+        ("generate", "--json"),
+    ], ids=lambda x: x)
+    def test_one_error_line(self, command, option, capsys):
+        assert run_cli([command, *_VALID_ARGV[command], f"{option}="], out=io.StringIO()) == 1
+        assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+# Text for the path slots: any characters, with line breaks, NUL, "/", "."
+# and unencodable surrogates among them.  A path is the temporary directory,
+# "/" and the text, so with ".." refused no path leaves the directory or names
+# a device; the empty text stays the empty path.
+_PATH_TEXT = st.text(
+    st.one_of(st.characters(), st.sampled_from("/./\n\r\x00\x85 \udc80\ud800 -=")),
+    max_size=12,
+).filter(lambda t: ".." not in t)
+# Each slot: argv around the path, and whether the path is a workload CSV
+# that is read (else an export that is written).
+_PATH_SLOTS = {
+    "simulate --workload": (True, lambda p: ["simulate", "--workload", p, "--policy", "rr:2"]),
+    "components --workload": (True, lambda p: ["components", "--workload", p]),
+    **{f"{command} {option}": (False, lambda p, c=command, o=option: [c, *_VALID_ARGV[c], o, p])
+       for command in _VALID_ARGV for option in ("--json", "--csv")},
+}
+
+
+class TestPathText:
+    """Whatever text a path names, the CLI exits 0 with its export written, or
+    1 with one ``error:`` line, or 2 with a usage message that ends in its one
+    error line, and never raises."""
+
+    @pytest.mark.parametrize("slot", sorted(_PATH_SLOTS))
+    @settings(max_examples=15, deadline=None)
+    @given(text=_PATH_TEXT)
+    @example(text="")
+    @example(text=".")  # the directory itself
+    @example(text="a\nb/c.csv")  # a line break, and no such directory
+    @example(text="x" * 300)  # a name too long
+    @example(text="\ud800")
+    def test_exit_code_and_one_error_line(self, slot, text):
+        reads, argv = _PATH_SLOTS[slot]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = text and f"{tmp}/{text}"
+            if reads:
+                with contextlib.suppress(OSError, ValueError):
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(Path(ILLUSTRATION_CSV).read_text(encoding="utf-8"))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = run_cli(argv(path), out=out)
+            written = reads or os.path.isfile(path)
+        err = err.getvalue()
+        lines = err.splitlines()
+        if rc == 0:
+            assert out.getvalue() and not err and written
+        elif rc == 1:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        else:
+            assert rc == 2 and err.startswith("usage: rrsim")
+            assert [line for line in lines if "error:" in line] == [lines[-1]]

@@ -3,7 +3,7 @@ import random as random_module
 import pytest
 from hypothesis import given, settings
 
-from conftest import workloads
+from conftest import process_rows, workloads
 from rrsim import compute_metrics, policy_from_name, simulate, workload
 from rrsim.schedulers import (
     SchedulingPolicy,
@@ -179,7 +179,7 @@ class TestSrtn:
         trace = simulate(w, srtn_policy(w))
         clock = 0
         expected = {}
-        for p in sorted(w, key=lambda p: (p.burst, p.pid)):
+        for p in sorted(process_rows(w), key=lambda p: (p.burst, p.pid)):
             clock += p.burst
             expected[p.pid] = clock
         assert trace.completion == expected

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slice_reference as ref
-from conftest import workloads
+from conftest import Process, process_rows, workloads
 from rrsim import (
-    ProcessSpec,
     compute_components,
     compute_range,
     generate_workload,
@@ -20,7 +19,7 @@ from rrsim.timeslice import COMPONENT_FIELDS, _round_ratio
 
 
 def proc(burst, priority=1):
-    return ProcessSpec(1, burst, priority)
+    return Process(1, burst, priority)
 
 
 class TestRange:
@@ -85,20 +84,20 @@ class TestOts:
 
 class TestPc:
     def test_illustration(self, illustration_w):
-        flags = [ref.pc(p, min(illustration_w.priorities)) for p in illustration_w]
+        flags = [ref.pc(p, min(illustration_w.priorities)) for p in process_rows(illustration_w)]
         assert flags == [0, 1, 0, 1, 1]
 
     def test_increasing(self, increasing_w):
-        flags = [ref.pc(p, min(increasing_w.priorities)) for p in increasing_w]
+        flags = [ref.pc(p, min(increasing_w.priorities)) for p in process_rows(increasing_w)]
         assert flags == [0, 0, 1, 0, 0]
 
     def test_single_process_any_priority(self):
         w = workload([9], [4])
-        assert ref.pc(w.processes[0], min(w.priorities)) == 1
+        assert ref.pc(process_rows(w)[0], min(w.priorities)) == 1
 
     def test_keys_on_minimum_not_literal_one(self):
         w = workload([4, 9], [3, 5])
-        assert [ref.pc(p, min(w.priorities)) for p in w] == [1, 0]
+        assert [ref.pc(p, min(w.priorities)) for p in process_rows(w)] == [1, 0]
 
 
 class TestSc:

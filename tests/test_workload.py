@@ -4,10 +4,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rrsim
 import workload_reference
 from conftest import scattered_workloads, workloads
 from rrsim import (
-    ProcessSpec,
     Workload,
     WorkloadError,
     generate_workload,
@@ -15,6 +15,7 @@ from rrsim import (
     serialize_workload,
     workload,
 )
+from rrsim.workload import check_process
 
 
 class TestParse:
@@ -28,7 +29,7 @@ class TestParse:
     def test_single_process(self):
         w = parse_workload("id,burst,priority\n1,7,1")
         assert len(w) == 1
-        assert w.processes[0] == ProcessSpec(1, 7, 1)
+        assert (w.pids, w.bursts, w.priorities) == ((1,), (7,), (1,))
 
     def test_crlf_endings(self):
         w = parse_workload("id,burst,priority\r\n1,7,1\r\n2,3,2\r\n")
@@ -149,36 +150,36 @@ class TestParseReference:
         else:
             assert (w.pids, w.bursts, w.priorities) == expected
             assert all(type(x) is int for column in expected for x in column)
-            assert w == Workload(w.processes)
+            assert w == Workload(*expected)
 
 
 class TestColumns:
-    """A workload holds three int columns; rows are built on demand."""
+    """A workload is its three int columns, built from any iterables."""
 
     @given(w=scattered_workloads())
     def test_rows_and_columns_agree(self, w):
-        rows = w.processes
-        assert rows == tuple(w) and len(w) == len(rows)
-        assert (w.pids, w.bursts, w.priorities) == tuple(zip(*(
-            (p.pid, p.burst, p.priority) for p in rows
-        )))
-        assert Workload(rows) == Workload(list(rows)) == w
-        assert hash(Workload(rows)) == hash(w)
-        assert Workload.from_columns(w.pids, w.bursts, w.priorities) == w
+        rows = list(zip(w.pids, w.bursts, w.priorities))
+        assert Workload(*zip(*rows)) == w and len(w) == len(rows)
+        same = Workload(list(w.pids), iter(w.bursts), (p for p in w.priorities))
+        assert same == w and hash(same) == hash(w)
+        assert list(map(type, (same.pids, same.bursts, same.priorities))) == [tuple] * 3
 
-    @pytest.mark.parametrize("columns", [
-        ((), (), ()), ((1, 2), (3, 0), (1, 1)), ((1, 2), (3, 4), (1, -1)),
-        ((0, 2), (3, 4), (1, 1)), ((1, 2, 1), (3, 4, 5), (1, 1, 1)),
+    # The first bad row's error, its fields checked in column order, comes
+    # before a duplicate id, as when the rows are checked one at a time.
+    @pytest.mark.parametrize("columns, message", [
+        (((), (), ()), "workload must contain at least one process"),
+        (((1, 2, 2), (3, 0, -1), (1, 1, 1)), "non-positive burst 0 (P2)"),
+        (((1, 2), (3, 4), (1, -1)), "priority must be >= 1, got -1 (P2)"),
+        (((0, 2), (3, 0), (1, 1)), "process id must be a positive integer, got 0"),
+        (((1, 2, 1, 2), (3, 4, 5, 6), (1, 1, 1, 1)), "duplicate process id 1"),
     ], ids=["empty", "burst", "priority", "pid", "duplicate"])
-    def test_from_columns_gives_the_row_wise_error(self, columns):
-        with pytest.raises(WorkloadError) as rows:
-            Workload(map(ProcessSpec, *columns))
-        with pytest.raises(WorkloadError, match=f"^{re.escape(str(rows.value))}$"):
-            Workload.from_columns(*columns)
+    def test_from_columns_gives_the_row_wise_error(self, columns, message):
+        with pytest.raises(WorkloadError, match=f"^{re.escape(message)}$"):
+            Workload(*columns)
 
     def test_from_columns_of_unequal_length(self):
-        with pytest.raises(WorkloadError, match="differ in length"):
-            Workload.from_columns((1, 2), (3, 4), (1,))
+        with pytest.raises(WorkloadError, match="^pids, bursts and priorities differ in length$"):
+            Workload((1, 2), (3, 4), (1,))
 
 
 class TestInvariants:
@@ -186,10 +187,16 @@ class TestInvariants:
         with pytest.raises(WorkloadError, match="at least one"):
             workload([])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(WorkloadError, match="^pids, bursts and priorities differ in length$"):
+            workload([1, 2], [1])
+
     @pytest.mark.parametrize("burst,priority", [(0, 1), (-3, 1), (5, 0), (5, -1)])
     def test_bad_process_fields(self, burst, priority):
-        with pytest.raises(WorkloadError):
-            ProcessSpec(1, burst, priority)
+        with pytest.raises(WorkloadError) as row:
+            check_process(1, burst, priority)
+        with pytest.raises(WorkloadError, match=f"^{re.escape(str(row.value))}$"):
+            Workload((1,), (burst,), (priority,))
 
     @given(workloads())
     def test_serialize_parse_round_trip(self, w):
@@ -253,3 +260,12 @@ class TestGenerate:
     def test_invalid_arguments(self, kwargs):
         with pytest.raises(WorkloadError):
             generate_workload(seed=0, **kwargs)
+
+
+def test_every_public_name_resolves():
+    """Each name in ``rrsim.__all__`` is defined, and ``import *`` takes them all."""
+    for name in rrsim.__all__:
+        assert getattr(rrsim, name) is not None
+    namespace = {}
+    exec("from rrsim import *", namespace)
+    assert set(rrsim.__all__) <= set(namespace)
