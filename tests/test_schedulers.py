@@ -262,3 +262,33 @@ class TestPolicyFromName:
     def test_invalid_names(self, name, increasing_w):
         with pytest.raises(ValueError):
             policy_from_name(name, increasing_w)
+
+    # checked in this order: a quantum is missing, then malformed, then below 1;
+    # any other name is unknown
+    @pytest.mark.parametrize("name,message", [
+        ("rr", "policy 'rr' needs a quantum: use rr:<q>"),
+        ("rr:", "policy 'rr' needs a quantum: use rr:<q>"),
+        ("rr:x", "bad quantum in policy name 'rr:x'"),
+        ("rr:1_0", "bad quantum in policy name 'rr:1_0'"),
+        ("rr:+3", "bad quantum in policy name 'rr:+3'"),
+        ("rr:２", "bad quantum in policy name 'rr:２'"),
+        ("rr:7:3", "bad quantum in policy name 'rr:7:3'"),
+        ("rr:0", "quantum must be >= 1, got 0"),
+        ("rr:-3", "quantum must be >= 1, got -3"),
+        ("mlfq", "unknown policy 'mlfq'; "
+                 "expected one of proposed, pbdrr, its-rr, rr:<q>, srtn, fcfs"),
+        ("", "unknown policy ''; "
+             "expected one of proposed, pbdrr, its-rr, rr:<q>, srtn, fcfs"),
+        ("proposed:3", "unknown policy 'proposed:3'; "
+                       "expected one of proposed, pbdrr, its-rr, rr:<q>, srtn, fcfs"),
+    ])
+    def test_error_text(self, name, message, increasing_w):
+        with pytest.raises(ValueError) as exc:
+            policy_from_name(name, increasing_w)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name,expected", [
+        (" FCFS ", "fcfs"), ("RR:05", "rr:5"), ("rr: 7", "rr:7"), ("Its-RR", "its-rr"),
+    ])
+    def test_normalised_names(self, name, expected, increasing_w):
+        assert policy_from_name(name, increasing_w).name == expected
