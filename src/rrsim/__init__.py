@@ -7,13 +7,7 @@ from .metrics import MetricsSummary, compute_metrics, format_average
 from .schedulers import (
     DEFAULT_STATIC_OTS,
     SchedulingPolicy,
-    classic_rr_policy,
-    fcfs_policy,
-    pbdrr_policy,
     policy_from_name,
-    proposed_policy,
-    srtn_policy,
-    static_its_rr_policy,
 )
 from .timeslice import SliceComponents, compute_components, compute_range
 from .workload import (
@@ -37,13 +31,7 @@ __all__ = [
     "format_average",
     "DEFAULT_STATIC_OTS",
     "SchedulingPolicy",
-    "classic_rr_policy",
-    "fcfs_policy",
-    "pbdrr_policy",
     "policy_from_name",
-    "proposed_policy",
-    "srtn_policy",
-    "static_its_rr_policy",
     "SliceComponents",
     "compute_components",
     "compute_range",

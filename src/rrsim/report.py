@@ -3,7 +3,9 @@
 Subcommands: ``simulate`` (one workload, one policy), ``compare`` (one
 workload, several policies), ``generate`` (synthetic workload CSV), and
 ``components`` (the OTS/PC/SC/CSC/ITS table).  ``--json``/``--csv`` write
-machine-readable copies of whatever is printed.
+machine-readable copies of whatever is printed.  A command prints only after
+every export it was asked for is written, so a failed export prints nothing
+but its ``error:`` line (an export written before it stays written).
 """
 from __future__ import annotations
 
@@ -370,10 +372,10 @@ def _cmd_simulate(args, out, span: Span) -> None:
     name, trace, summary = _run_policy(w, args.policy, args.static_ots, span)
     gantt = span("report.gantt", lambda: render_gantt(trace))
     table = span("report.table", lambda: render_metrics(summary, w))
-    print(f"policy: {name}", gantt, "", table, sep="\n", file=out)
+    lines = [f"policy: {name}", gantt, "", table]
     if args.paper_notes:
-        for note in references.quantum_notes(w, name, trace, args.static_ots):
-            print(f"note: {note}", file=out)
+        lines += [f"note: {note}"
+                  for note in references.quantum_notes(w, name, trace, args.static_ots)]
     if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {
             **_trace_doc(w, name, trace, order := _key_order(w.pids)),
@@ -382,6 +384,7 @@ def _cmd_simulate(args, out, span: Span) -> None:
     if args.csv is not None:
         span("report.export", lambda: _write_csv(
             args.csv, SEGMENT_FIELDS, _segment_table(trace).rows))
+    print(*lines, sep="\n", file=out)
 
 
 def _cmd_compare(args, out, span: Span) -> None:
@@ -395,7 +398,8 @@ def _cmd_compare(args, out, span: Span) -> None:
         if name in traces:
             raise ValueError(f"duplicate policy {name!r}")
         traces[name], summaries[name] = trace, summary
-    print(span("report.table", lambda: _render_table(_comparison_columns(summaries))), file=out)
+    columns = _comparison_columns(summaries)
+    table = span("report.table", lambda: _render_table(columns))
     if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {
             "workload": _workload_table(w),
@@ -406,18 +410,19 @@ def _cmd_compare(args, out, span: Span) -> None:
     if args.csv is not None:
         span("report.export", lambda: _write_csv(
             args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"),
-            zip(*_comparison_columns(summaries).values())))
+            zip(*columns.values())))
+    print(table, file=out)
 
 
 def _cmd_generate(args, out, span: Span) -> None:
     w = generate_workload(
         args.n, args.order, args.burst_range, args.priority_range, args.seed
     )
-    print(serialize_workload(w), end="", file=out)
     if args.csv is not None:  # the bytes serialize_workload gives
         span("report.export", lambda: _write_csv(args.csv, CSV_HEADER, _workload_table(w).rows))
     if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {"workload": _workload_table(w)}))
+    print(serialize_workload(w), end="", file=out)
 
 
 def _cmd_components(args, out, span: Span) -> None:
@@ -425,7 +430,7 @@ def _cmd_components(args, out, span: Span) -> None:
     comps = span("timeslice.components",
                  lambda: compute_components(w, static_ots=args.static_ots))
     notes = references.component_notes(w, comps, args.static_ots) if args.paper_notes else ()
-    print(span("report.table", lambda: render_components_table(w, comps, notes)), file=out)
+    table = span("report.table", lambda: render_components_table(w, comps, notes))
     columns = [getattr(comps, name) for name in COMPONENT_FIELDS]
     if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {
@@ -437,6 +442,7 @@ def _cmd_components(args, out, span: Span) -> None:
         span("report.export", lambda: _write_csv(
             args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS,
             zip(w.pids, w.bursts, w.priorities, *columns)))
+    print(table, file=out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,84 +29,37 @@ class SchedulingPolicy:
     sc: Optional[Dict[int, int]] = None
 
 
-def _its_policy(
-    name: str, w: Workload, static_ots: Optional[int], *, srtn_order: bool, dynamic: bool
-) -> SchedulingPolicy:
-    """Grant the dynamic quantum grown from each ITS, or the full ITS on every
-    visit.  ``static_ots`` None means the Range-derived OTS."""
-    c = compute_components(w, static_ots=static_ots)
-    sc = dict(zip(w.pids, c.sc)) if dynamic else None
-    return SchedulingPolicy(name, srtn_order, dict(zip(w.pids, c.its)), sc)
-
-
-def proposed_policy(w: Workload) -> SchedulingPolicy:
-    """Dynamic RR + SRTN: ascending-rbt order each round, ITS-derived quantum."""
-    return _its_policy("proposed", w, None, srtn_order=True, dynamic=True)
-
-
-def pbdrr_policy(w: Workload, static_ots: int = DEFAULT_STATIC_OTS) -> SchedulingPolicy:
-    """Priority-based dynamic RR comparator: fixed submission order every round,
-    same dynamic quantum rules, but ITS built from a static OTS constant."""
-    return _its_policy("pbdrr", w, static_ots, srtn_order=False, dynamic=True)
-
-
-def static_its_rr_policy(
-    w: Workload, static_ots: int = DEFAULT_STATIC_OTS
-) -> SchedulingPolicy:
-    """Static-ITS RR comparator: cyclic submission order, the full ITS granted
-    on every visit, no quantum growth and no finish-early rule."""
-    return _its_policy("its-rr", w, static_ots, srtn_order=False, dynamic=False)
-
-
-def classic_rr_policy(w: Workload, q: int) -> SchedulingPolicy:
-    """Textbook round robin with a fixed quantum."""
-    if q < 1:
-        raise ValueError(f"quantum must be >= 1, got {q}")
-    return SchedulingPolicy(f"rr:{q}", False, dict.fromkeys(w.pids, q))
-
-
-def srtn_policy(w: Workload) -> SchedulingPolicy:
-    """Shortest remaining time next.  With every arrival at t=0 this runs the
-    processes to completion in ascending-burst order (ties by pid)."""
-    return SchedulingPolicy("srtn", True, dict(zip(w.pids, w.bursts)))
-
-
-def fcfs_policy(w: Workload) -> SchedulingPolicy:
-    """First come first served: submission order, one grant per process."""
-    return SchedulingPolicy("fcfs", False, dict(zip(w.pids, w.bursts)))
-
-
-def _parse_quantum(q: str) -> int:
-    if not q:
-        raise ValueError("policy 'rr' needs a quantum: use rr:<q>")
-    try:
-        return integer(q)
-    except ValueError:
-        raise ValueError(f"bad quantum in policy name {'rr:' + q!r}") from None
-
-
-# policy name -> factory(workload, static OTS, the text after "rr:")
-_POLICIES = {
-    "proposed": lambda w, ots, q: proposed_policy(w),
-    "pbdrr": lambda w, ots, q: pbdrr_policy(w, ots),
-    "its-rr": lambda w, ots, q: static_its_rr_policy(w, ots),
-    "rr:<q>": lambda w, ots, q: classic_rr_policy(w, _parse_quantum(q)),
-    "srtn": lambda w, ots, q: srtn_policy(w),
-    "fcfs": lambda w, ots, q: fcfs_policy(w),
-}
-POLICY_NAMES = tuple(_POLICIES)
+# slice policy -> (dispatch in SRTN order, the quantum grows from the ITS)
+_SLICE_POLICIES = {"proposed": (True, True), "pbdrr": (False, True), "its-rr": (False, False)}
+POLICY_NAMES = (*_SLICE_POLICIES, "rr:<q>", "srtn", "fcfs")
 
 
 def policy_from_name(
     name: str, w: Workload, static_ots: int = DEFAULT_STATIC_OTS
 ) -> SchedulingPolicy:
-    """Resolve a policy name: one of :data:`POLICY_NAMES`, case-insensitive,
-    with ``rr:<q>`` naming a fixed quantum such as ``rr:7``."""
+    """The policy ``name`` for ``w``: one of :data:`POLICY_NAMES`,
+    case-insensitive, with ``rr:<q>`` naming a fixed quantum such as ``rr:7``.
+    ``proposed`` builds its ITS from the Range OTS, ``pbdrr`` and ``its-rr``
+    from ``static_ots``; ``srtn`` and ``fcfs`` grant each burst whole."""
     name = name.strip().lower()
     key, _, q = name.partition(":")
-    make = _POLICIES.get("rr:<q>" if key == "rr" else name)
-    if make is None:
+    if key == "rr":
+        if not q:
+            raise ValueError("policy 'rr' needs a quantum: use rr:<q>")
+        try:
+            quantum = integer(q)
+        except ValueError:
+            raise ValueError(f"bad quantum in policy name {name!r}") from None
+        if quantum < 1:
+            raise ValueError(f"quantum must be >= 1, got {quantum}")
+        return SchedulingPolicy(f"rr:{quantum}", False, dict.fromkeys(w.pids, quantum))
+    if name in ("srtn", "fcfs"):
+        return SchedulingPolicy(name, name == "srtn", dict(zip(w.pids, w.bursts)))
+    if name not in _SLICE_POLICIES:
         raise ValueError(
             f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
         )
-    return make(w, static_ots, q)
+    srtn_order, grows = _SLICE_POLICIES[name]
+    c = compute_components(w, static_ots=None if name == "proposed" else static_ots)
+    sc = dict(zip(w.pids, c.sc)) if grows else None
+    return SchedulingPolicy(name, srtn_order, dict(zip(w.pids, c.its)), sc)

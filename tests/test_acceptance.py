@@ -12,16 +12,9 @@ from rrsim import (
     compute_components,
     compute_metrics,
     compute_range,
+    policy_from_name,
     simulate,
     workload,
-)
-from rrsim.schedulers import (
-    classic_rr_policy,
-    fcfs_policy,
-    pbdrr_policy,
-    proposed_policy,
-    srtn_policy,
-    static_its_rr_policy,
 )
 from step_oracle import step_simulate
 
@@ -46,7 +39,7 @@ def report(line):
 
 
 def test_criterion_1_static_its_rr_increasing():
-    trace = simulate(INCREASING, static_its_rr_policy(INCREASING, static_ots=4))
+    trace = simulate(INCREASING, policy_from_name("its-rr", INCREASING, static_ots=4))
     assert boundaries(trace) == [
         0, 5, 9, 14, 18, 22, 26, 31, 35, 39, 43, 48,
         52, 56, 57, 61, 65, 69, 73, 74, 77,
@@ -69,7 +62,7 @@ def test_criterion_2_proposed_increasing_quanta():
     values subtract the priority component inconsistently.  Completion times
     and all metrics are identical under either reading.
     """
-    trace = simulate(INCREASING, proposed_policy(INCREASING))
+    trace = simulate(INCREASING, policy_from_name("proposed", INCREASING))
     got = quanta_by_pid(trace)
     ok = got == {
         1: [5], 2: [3, 5, 4], 3: [9, 7], 4: [2, 3, 5, 8, 3], 5: [2, 3, 5, 8, 5],
@@ -79,7 +72,7 @@ def test_criterion_2_proposed_increasing_quanta():
 
 
 def test_criterion_2_proposed_increasing_metrics():
-    trace = simulate(INCREASING, proposed_policy(INCREASING))
+    trace = simulate(INCREASING, policy_from_name("proposed", INCREASING))
     summary = compute_metrics(trace, INCREASING)
     assert abs(summary.avg_turnaround - 46) <= 1       # rule-faithful 45
     assert abs(summary.avg_waiting - Fraction(153, 5)) <= 1  # 30.6, ours 29.6
@@ -88,7 +81,7 @@ def test_criterion_2_proposed_increasing_metrics():
 
 
 def test_criterion_3_proposed_random():
-    trace = simulate(RANDOM, proposed_policy(RANDOM))
+    trace = simulate(RANDOM, policy_from_name("proposed", RANDOM))
     prefix = [(s.pid, s.start, s.end) for s in trace.segments[:5]]
     assert prefix == [
         (3, 0, 8), (1, 8, 14), (5, 14, 21), (4, 21, 25), (2, 25, 52),
@@ -107,14 +100,14 @@ def test_criterion_3_proposed_random():
 def test_criterion_4_pbdrr():
     comps = compute_components(INCREASING, static_ots=4)
     assert comps.its == [5, 4, 5, 4, 4]
-    trace = simulate(INCREASING, pbdrr_policy(INCREASING, static_ots=4))
+    trace = simulate(INCREASING, policy_from_name("pbdrr", INCREASING, static_ots=4))
     got = quanta_by_pid(trace)
     assert got[2] == [2, 3, 7]
     assert got[3] == [3, 5, 8]
     assert got[4] == [2, 3, 5, 8, 3]
     assert got[5] == [2, 3, 5, 8, 5]
 
-    trace_r = simulate(RANDOM, pbdrr_policy(RANDOM, static_ots=4))
+    trace_r = simulate(RANDOM, policy_from_name("pbdrr", RANDOM, static_ots=4))
     round_one = [s for s in trace_r.segments if s.round == 1]
     assert [round_one[0].start] + [s.end for s in round_one] == [0, 2, 5, 13, 15, 20]
     report("4: PASS  PBDRR ITS vector, quanta matrix, round-1 boundaries exact")
@@ -139,23 +132,16 @@ def test_criterion_5_slice_component_goldens():
     report("5: PASS  component golden vectors and ceiling-divergence cells")
 
 
-POLICY_MAKERS = [
-    ("proposed", proposed_policy),
-    ("pbdrr", pbdrr_policy),
-    ("its-rr", static_its_rr_policy),
-    ("rr:7", lambda w: classic_rr_policy(w, 7)),
-    ("srtn", lambda w: srtn_policy(w)),
-    ("fcfs", lambda w: fcfs_policy(w)),
-]
+POLICIES = ["proposed", "pbdrr", "its-rr", "rr:7", "srtn", "fcfs"]
 
 
 def _check_workload_properties(w):
     """Reads the trace's columns, so no segment objects are built."""
     total = sum(w.bursts)
     waits = {}
-    for name, make in POLICY_MAKERS:
-        trace = simulate(w, make(w))
-        assert simulate(w, make(w)) == trace  # determinism
+    for name in POLICIES:
+        trace = simulate(w, policy_from_name(name, w))
+        assert simulate(w, policy_from_name(name, w)) == trace  # determinism
         segs = trace.segments
         assert segs.start == [0] + segs.end[:-1]  # back to back from t=0
         assert trace.makespan == total
@@ -170,7 +156,7 @@ def _check_workload_properties(w):
         if name == "fcfs":
             assert summary.context_switches == len(w) - 1
             fcfs_shape = (segs.pid, segs.start, segs.end)
-    big_rr = simulate(w, classic_rr_policy(w, max(w.bursts))).segments
+    big_rr = simulate(w, policy_from_name(f"rr:{max(w.bursts)}", w)).segments
     assert (big_rr.pid, big_rr.start, big_rr.end) == fcfs_shape
     assert waits["srtn"] == min(waits.values())
 
@@ -198,8 +184,8 @@ def test_criterion_7_step_oracle_equivalence():
             [rng.randint(1, 30) for _ in range(n)],
             [rng.randint(1, 6) for _ in range(n)],
         )
-        for name, make in POLICY_MAKERS:
-            policy = make(w)
+        for name in POLICIES:
+            policy = policy_from_name(name, w)
             assert simulate(w, policy) == step_simulate(w, policy), (
                 f"engine and step oracle disagree for {name} on {w}"
             )

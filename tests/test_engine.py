@@ -10,28 +10,17 @@ from rrsim import (
     SchedulingPolicy,
     Workload,
     compute_metrics,
+    policy_from_name,
     simulate,
     workload,
 )
 from rrsim.report import SEGMENT_FIELDS, _runs, trace_to_dict
-from rrsim.schedulers import (
-    classic_rr_policy,
-    fcfs_policy,
-    pbdrr_policy,
-    proposed_policy,
-    srtn_policy,
-    static_its_rr_policy,
-)
 from step_oracle import step_simulate
 
-ALL_POLICIES = [
-    proposed_policy,
-    pbdrr_policy,
-    static_its_rr_policy,
-    lambda w: classic_rr_policy(w, 3),
-    lambda w: srtn_policy(w),
-    lambda w: fcfs_policy(w),
-]
+ALL_POLICIES = ["proposed", "pbdrr", "its-rr", "rr:3", "srtn", "fcfs"]
+# fixed ids, so that each case keeps the name it has in earlier test reports
+ALL_POLICY_IDS = ["proposed_policy", "pbdrr_policy", "static_its_rr_policy",
+                  "<lambda>0", "<lambda>1", "<lambda>2"]
 
 
 class TestDynamicQuantum:
@@ -55,7 +44,7 @@ class TestDynamicQuantum:
 
 class TestSegmentContract:
     def test_slotted_dataclass(self, random_w):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         last = trace.segments[-1]
         # slots are what makes a segment cheap to build; losing them fails here
         assert not hasattr(last, "__dict__")
@@ -65,9 +54,9 @@ class TestSegmentContract:
         changed = dataclasses.replace(trace, segments=trace.segments[:-1] + (longer,))
         assert changed != trace
 
-    @pytest.mark.parametrize("make_policy", ALL_POLICIES)
-    def test_columns_read_as_a_sequence(self, illustration_w, make_policy):
-        policy = make_policy(illustration_w)
+    @pytest.mark.parametrize("name", ALL_POLICIES, ids=ALL_POLICY_IDS)
+    def test_columns_read_as_a_sequence(self, illustration_w, name):
+        policy = policy_from_name(name, illustration_w)
         trace = simulate(illustration_w, policy)
         segs = trace.segments
         rows = tuple(segs)
@@ -83,7 +72,7 @@ class TestSegmentContract:
             segs[len(segs)]
 
     def test_column_order_is_segment_fields(self, random_w):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         segs = trace.segments
         assert tuple(f.name for f in dataclasses.fields(segs)) == SEGMENT_FIELDS
         assert segs.columns == tuple(getattr(segs, name) for name in SEGMENT_FIELDS)
@@ -102,8 +91,8 @@ class TestSegmentContract:
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
     def test_trace_rebuilt_from_segments_is_equal(self, w):
-        for make_policy in ALL_POLICIES:
-            trace = simulate(w, make_policy(w))
+        for name in ALL_POLICIES:
+            trace = simulate(w, policy_from_name(name, w))
             rebuilt = ScheduleTrace(tuple(trace.segments), trace.completion)
             assert rebuilt == trace
             assert compute_metrics(rebuilt, w) == compute_metrics(trace, w)
@@ -112,53 +101,52 @@ class TestSegmentContract:
 class TestSimulateGolden:
     def test_proposed_increasing_round_one(self, increasing_w):
         # hand-derived from the slice rules: ITS (12,5,16,4,3), all SC=0
-        trace = simulate(increasing_w, proposed_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("proposed", increasing_w))
         first = [(s.pid, s.start, s.end) for s in trace.segments[:5]]
         assert first == [
             (1, 0, 5), (2, 5, 8), (3, 8, 16), (4, 16, 18), (5, 18, 20),
         ]
 
     def test_proposed_increasing_completions(self, increasing_w):
-        trace = simulate(increasing_w, proposed_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("proposed", increasing_w))
         assert trace.completion == {1: 5, 2: 43, 3: 28, 4: 72, 5: 77}
 
     def test_proposed_random_prefix(self, random_w):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         first = [(s.pid, s.start, s.end) for s in trace.segments[:5]]
         assert first == [
             (3, 0, 8), (1, 8, 14), (5, 14, 21), (4, 21, 25), (2, 25, 52),
         ]
 
     def test_proposed_random_completions(self, random_w):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         assert trace.completion == {3: 8, 1: 57, 5: 70, 2: 96, 4: 133}
 
-    @pytest.mark.parametrize("make_policy", ALL_POLICIES)
-    def test_single_process_runs_back_to_back(self, make_policy):
+    @pytest.mark.parametrize("name", ALL_POLICIES, ids=ALL_POLICY_IDS)
+    def test_single_process_runs_back_to_back(self, name):
         # quantum-limited policies may need several grants, but with no
         # competition they coalesce into one merged run ending at the burst
         w = workload([9], [2])
-        trace = simulate(w, make_policy(w))
+        trace = simulate(w, policy_from_name(name, w))
         assert list(zip(*_runs(trace))) == [(1, 0, 9)]
         assert trace.completion == {1: 9}
 
-    @pytest.mark.parametrize("make_policy", [lambda w: srtn_policy(w),
-                                             lambda w: fcfs_policy(w)])
-    def test_single_process_single_segment_run_to_completion(self, make_policy):
+    @pytest.mark.parametrize("name", ["srtn", "fcfs"], ids=["<lambda>0", "<lambda>1"])
+    def test_single_process_single_segment_run_to_completion(self, name):
         w = workload([9], [2])
-        trace = simulate(w, make_policy(w))
+        trace = simulate(w, policy_from_name(name, w))
         assert len(trace.segments) == 1
         seg = trace.segments[0]
         assert (seg.pid, seg.start, seg.end) == (1, 0, 9)
 
 
 class TestPolicyBinding:
-    @pytest.mark.parametrize("make_policy", ALL_POLICIES)
-    def test_policy_of_another_workload(self, make_policy):
+    @pytest.mark.parametrize("name", ALL_POLICIES, ids=ALL_POLICY_IDS)
+    def test_policy_of_another_workload(self, name):
         with pytest.raises(ValueError, match=r"for another workload \(P2\)"):
-            simulate(workload([3, 4, 5]), make_policy(workload([3])))
+            simulate(workload([3, 4, 5]), policy_from_name(name, workload([3])))
         with pytest.raises(ValueError, match=r"for another workload \(P3\)"):
-            simulate(workload([3, 4]), make_policy(workload([3, 4, 5])))
+            simulate(workload([3, 4]), policy_from_name(name, workload([3, 4, 5])))
 
     def test_sc_table_of_another_workload(self):
         policy = SchedulingPolicy("odd", False, {1: 4, 2: 4}, {1: 0})
@@ -177,19 +165,21 @@ class TestSrtnOrder:
     """Each round, SRTN order is by remaining burst, ties by pid, whatever
     order the processes were submitted in."""
 
-    @pytest.mark.parametrize("make_policy", [proposed_policy, srtn_policy])
-    def test_ties_go_by_pid(self, make_policy):
+    @pytest.mark.parametrize("name", ["proposed", "srtn"],
+                             ids=["proposed_policy", "srtn_policy"])
+    def test_ties_go_by_pid(self, name):
         w = Workload((7, 2, 9, 4, 1), (6, 6, 3, 6, 3), (1, 2, 1, 1, 3))
-        policy = make_policy(w)
+        policy = policy_from_name(name, w)
         trace = simulate(w, policy)
         assert trace == step_simulate(w, policy)
         assert trace.segments.pid[:5] == [1, 9, 2, 4, 7]
 
-    @pytest.mark.parametrize("make_policy", [proposed_policy, srtn_policy])
+    @pytest.mark.parametrize("name", ["proposed", "srtn"],
+                             ids=["proposed_policy", "srtn_policy"])
     @settings(max_examples=40, deadline=None)
     @given(w=scattered_workloads(max_burst=4))  # bursts of 1..4 tie often
-    def test_matches_step_oracle(self, make_policy, w):
-        policy = make_policy(w)
+    def test_matches_step_oracle(self, name, w):
+        policy = policy_from_name(name, w)
         assert simulate(w, policy) == step_simulate(w, policy)
 
 
@@ -220,25 +210,25 @@ def assert_trace_invariants(w, trace):
 
 
 class TestSimulateInvariants:
-    @pytest.mark.parametrize("make_policy", ALL_POLICIES)
-    def test_decreasing_dataset(self, decreasing_w, make_policy):
+    @pytest.mark.parametrize("name", ALL_POLICIES, ids=ALL_POLICY_IDS)
+    def test_decreasing_dataset(self, decreasing_w, name):
         # no published per-process table exists for this dataset; it is
         # covered by the structural invariants only
-        trace = simulate(decreasing_w, make_policy(decreasing_w))
+        trace = simulate(decreasing_w, policy_from_name(name, decreasing_w))
         assert_trace_invariants(decreasing_w, trace)
 
-    @pytest.mark.parametrize("make_policy", ALL_POLICIES)
+    @pytest.mark.parametrize("name", ALL_POLICIES, ids=ALL_POLICY_IDS)
     @settings(max_examples=60, deadline=None)
     @given(w=workloads())
-    def test_invariants_hold(self, make_policy, w):
-        trace = simulate(w, make_policy(w))
+    def test_invariants_hold(self, name, w):
+        trace = simulate(w, policy_from_name(name, w))
         assert_trace_invariants(w, trace)
 
     @given(workloads())
     @settings(max_examples=40, deadline=None)
     def test_determinism(self, w):
-        policy_a = proposed_policy(w)
-        policy_b = proposed_policy(w)
+        policy_a = policy_from_name("proposed", w)
+        policy_b = policy_from_name("proposed", w)
         assert simulate(w, policy_a) == simulate(w, policy_b)
 
     def test_quantum_growth_law(self):
@@ -255,7 +245,7 @@ class TestSimulateInvariants:
             from rrsim import compute_components
 
             sc = dict(zip(w.pids, compute_components(w).sc))
-            trace = simulate(w, proposed_policy(w))
+            trace = simulate(w, policy_from_name("proposed", w))
             per_pid = {}
             for seg in trace.segments:
                 per_pid.setdefault(seg.pid, []).append(seg)

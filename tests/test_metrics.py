@@ -19,18 +19,12 @@ from rrsim import (
 from rrsim.engine import DispatchSegment, ScheduleTrace
 from rrsim.metrics import MetricsError
 from rrsim.report import _runs
-from rrsim.schedulers import (
-    POLICY_NAMES,
-    classic_rr_policy,
-    fcfs_policy,
-    proposed_policy,
-    srtn_policy,
-)
+from rrsim.schedulers import POLICY_NAMES
 
 
 class TestGolden:
     def test_proposed_random(self, random_w):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         summary = compute_metrics(trace, random_w)
         assert trace.completion == {3: 8, 1: 57, 5: 70, 2: 96, 4: 133}
         assert summary.avg_turnaround == Fraction(364, 5)  # 72.8
@@ -40,7 +34,7 @@ class TestGolden:
 
     def test_single_process(self):
         w = workload([9])
-        summary = compute_metrics(simulate(w, fcfs_policy(w)), w)
+        summary = compute_metrics(simulate(w, policy_from_name("fcfs", w)), w)
         m = summary.per_process
         assert (m.pids, m.turnaround, m.waiting, m.response) == ((1,), [9], [0], [0])
         assert summary.context_switches == 0
@@ -65,20 +59,20 @@ class TestContextSwitches:
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
     def test_fcfs_is_n_minus_one(self, w):
-        summary = compute_metrics(simulate(w, fcfs_policy(w)), w)
+        summary = compute_metrics(simulate(w, policy_from_name("fcfs", w)), w)
         assert summary.context_switches == len(w) - 1
 
 
 class TestIdentities:
+    # fixed ids, so that each case keeps the name it has in earlier test reports
     @pytest.mark.parametrize(
-        "make_policy",
-        [proposed_policy, lambda w: srtn_policy(w), lambda w: fcfs_policy(w),
-         lambda w: classic_rr_policy(w, 3)],
+        "name", ["proposed", "srtn", "fcfs", "rr:3"],
+        ids=["proposed_policy", "<lambda>0", "<lambda>1", "<lambda>2"],
     )
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
-    def test_avg_wt_identity_and_bounds(self, make_policy, w):
-        trace = simulate(w, make_policy(w))
+    def test_avg_wt_identity_and_bounds(self, name, w):
+        trace = simulate(w, policy_from_name(name, w))
         summary = compute_metrics(trace, w)
         segs = trace.segments
         runs = gantt_reference.merge_runs(zip(segs.pid, segs.start, segs.end))
@@ -99,8 +93,8 @@ class TestIdentities:
         # fcfs ignores labels, so shifting every pid by 10 must shift the
         # per-process table identically and leave aggregates untouched
         shifted = Workload((pid + 10 for pid in w.pids), w.bursts, w.priorities)
-        base = compute_metrics(simulate(w, fcfs_policy(w)), w)
-        moved = compute_metrics(simulate(shifted, fcfs_policy(shifted)), shifted)
+        base = compute_metrics(simulate(w, policy_from_name("fcfs", w)), w)
+        moved = compute_metrics(simulate(shifted, policy_from_name("fcfs", shifted)), shifted)
         assert moved.avg_turnaround == base.avg_turnaround
         assert moved.avg_waiting == base.avg_waiting
         assert moved.context_switches == base.context_switches
@@ -153,14 +147,14 @@ class TestValidation:
 
     def test_completion_disagrees_with_segments(self):
         w = workload([4, 3])
-        trace = simulate(w, fcfs_policy(w))
+        trace = simulate(w, policy_from_name("fcfs", w))
         bad = ScheduleTrace(trace.segments, {1: 4, 2: 99})
         with pytest.raises(MetricsError, match="completion of P2 is 99"):
             compute_metrics(bad, w)
 
     def test_completion_missing_a_process(self):
         w = workload([4, 3])
-        bad = ScheduleTrace(simulate(w, fcfs_policy(w)).segments, {1: 4})
+        bad = ScheduleTrace(simulate(w, policy_from_name("fcfs", w)).segments, {1: 4})
         with pytest.raises(MetricsError, match="completion of P2 is None"):
             compute_metrics(bad, w)
 

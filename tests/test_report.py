@@ -43,7 +43,7 @@ from rrsim.report import (
 )
 from rrsim.timeslice import COMPONENT_FIELDS
 from rrsim.workload import ORDERS
-from rrsim.schedulers import POLICY_NAMES, classic_rr_policy, fcfs_policy, proposed_policy
+from rrsim.schedulers import POLICY_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_CSV = str(ROOT / "data" / "random.csv")
@@ -66,7 +66,7 @@ def random_csv(tmp_path, random_w):
 
 class TestGantt:
     def test_random_trace(self, random_w):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         labels, times = render_gantt(trace).splitlines()
         assert labels.split("|")[1:-1] == [
             " P3 ", " P1 ", " P5 ", " P4 ", " P2 ", " P1 ", " P5 ", " P2 ", " P4 ",
@@ -75,17 +75,17 @@ class TestGantt:
 
     def test_single_process(self):
         w = workload([7])
-        labels, times = render_gantt(simulate(w, fcfs_policy(w))).splitlines()
+        labels, times = render_gantt(simulate(w, policy_from_name("fcfs", w))).splitlines()
         assert labels == "| P1 |"
         assert times.split() == ["0", "7"]
 
     def test_alternating_rr(self):
         w = workload([3, 3])
-        labels, _ = render_gantt(simulate(w, classic_rr_policy(w, 1))).splitlines()
+        labels, _ = render_gantt(simulate(w, policy_from_name("rr:1", w))).splitlines()
         assert labels.split("|")[1:-1] == [" P1 ", " P2 "] * 3
 
     def test_boundaries_are_merged_segment_edges(self, increasing_w):
-        trace = simulate(increasing_w, proposed_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("proposed", increasing_w))
         _, times = render_gantt(trace).splitlines()
         assert times.split()[-1] == str(sum(increasing_w.bursts))
 
@@ -138,7 +138,7 @@ class TestGanttReference:
 
 class TestTraceJson:
     def test_round_trip(self, random_w):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         data = trace_to_dict(random_w, "proposed", trace)
         w2, name, trace2 = trace_from_dict(json.loads(json.dumps(data)))
         assert (w2, name, trace2) == (random_w, "proposed", trace)
@@ -146,7 +146,7 @@ class TestTraceJson:
     @settings(max_examples=30, deadline=None)
     @given(w=workloads(max_n=6))
     def test_round_trip_any_workload(self, w):
-        trace = simulate(w, proposed_policy(w))
+        trace = simulate(w, policy_from_name("proposed", w))
         w2, _, trace2 = trace_from_dict(trace_to_dict(w, "proposed", trace))
         assert trace2 == trace
         assert w2.bursts == w.bursts
@@ -158,7 +158,7 @@ class TestTraceJson:
             st.integers(1, 10**6), min_size=len(w), max_size=len(w), unique=True
         ))
         w = Workload(pids, w.bursts, w.priorities)
-        trace = simulate(w, proposed_policy(w))
+        trace = simulate(w, policy_from_name("proposed", w))
         w2, _, trace2 = trace_from_dict(
             json.loads(json.dumps(trace_to_dict(w, "proposed", trace)))
         )
@@ -216,7 +216,7 @@ class TestTraceJson:
              "zero-priority", "duplicate-id", "empty-workload"],
     )
     def test_load_rejects_an_invalid_trace(self, random_w, edit, message):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         data = json.loads(json.dumps(trace_to_dict(random_w, "proposed", trace)))
         edit(data)
         with pytest.raises(MetricsError, match=message):
@@ -227,7 +227,7 @@ class TestTraceJson:
             trace_from_dict([])
 
     def test_completion_map_golden(self, random_w):
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         data = trace_to_dict(random_w, "proposed", trace)
         assert data["completion"] == {"1": 57, "2": 96, "3": 8, "4": 133, "5": 70}
 
@@ -267,6 +267,17 @@ class TestCli:
         assert data["metrics"]["avg_turnaround"] == {
             "display": "72.8", "num": 364, "den": 5,
         }
+
+    def test_failed_export_prints_nothing(self, tmp_path, capsys):
+        # --json is written before --csv fails; the output waits for both
+        good = tmp_path / "ok.json"
+        rc = run_cli(["simulate", "--workload", ILLUSTRATION_CSV, "--policy", "fcfs",
+                      "--json", str(good), "--csv", str(tmp_path / "no" / "t.csv")])
+        out, err = capsys.readouterr()
+        assert rc == 1 and out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert err.count("\n") == 1
+        assert good.is_file()
 
     def test_compare_csv_export(self, increasing_csv, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
@@ -443,7 +454,7 @@ class TestCli:
         assert rc == 0
         data = json.loads(out_path.read_text())
         assert [m["policy"] for m in data["metrics"]] == ["fcfs", "rr:2"]
-        trace = simulate(increasing_w, classic_rr_policy(increasing_w, 2))
+        trace = simulate(increasing_w, policy_from_name("rr:2", increasing_w))
         assert data["traces"]["rr:2"] == trace_to_dict(increasing_w, "rr:2", trace)["segments"]
         assert sorted(data["traces"]) == ["fcfs", "rr:2"]
 
@@ -978,6 +989,7 @@ class TestNameText:
             assert out and not err
         elif rc == 1:
             assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out
         else:
             assert rc == 2 and err.startswith("usage: rrsim")
             assert [line for line in lines if "error:" in line] == [lines[-1]]
@@ -1046,6 +1058,7 @@ class TestPathText:
             assert out.getvalue() and not err and written
         elif rc == 1:
             assert len(lines) == 1 and lines[0].startswith("error: ")
+            assert not out.getvalue()
         else:
             assert rc == 2 and err.startswith("usage: rrsim")
             assert [line for line in lines if "error:" in line] == [lines[-1]]

@@ -2,18 +2,11 @@ import random as random_module
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import process_rows, workloads
-from rrsim import compute_metrics, policy_from_name, simulate, workload
-from rrsim.schedulers import (
-    SchedulingPolicy,
-    classic_rr_policy,
-    fcfs_policy,
-    pbdrr_policy,
-    proposed_policy,
-    srtn_policy,
-    static_its_rr_policy,
-)
+from rrsim import compute_components, compute_metrics, policy_from_name, simulate, workload
+from rrsim.schedulers import SchedulingPolicy
 
 
 def quanta_by_pid(trace):
@@ -32,7 +25,7 @@ class TestProposed:
         # hand-derived from the slice rules (ITS 12,5,16,4,3): P3's published
         # matrix row is (9, 7), which needs ITS 17; the component rules give
         # ITS 16 and therefore (8, 8) with the same completion time.
-        trace = simulate(increasing_w, proposed_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("proposed", increasing_w))
         assert quanta_by_pid(trace) == {
             1: [5],
             2: [3, 5, 4],
@@ -44,7 +37,7 @@ class TestProposed:
     def test_random_quanta_matrix(self, random_w):
         # P4's fourth grant follows the growth rule (9 + ceil(9/2) = 14); the
         # published row prints 15 there, with identical completion either way.
-        trace = simulate(random_w, proposed_policy(random_w))
+        trace = simulate(random_w, policy_from_name("proposed", random_w))
         assert quanta_by_pid(trace) == {
             1: [6, 5],
             2: [27, 26],
@@ -55,13 +48,13 @@ class TestProposed:
 
     def test_single_process(self):
         w = workload([4])
-        trace = simulate(w, proposed_policy(w))
+        trace = simulate(w, policy_from_name("proposed", w))
         assert quanta_by_pid(trace) == {1: [4]}
 
 
 class TestPbdrr:
     def test_increasing_quanta_matrix(self, increasing_w):
-        trace = simulate(increasing_w, pbdrr_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("pbdrr", increasing_w))
         assert quanta_by_pid(trace) == {
             1: [5],
             2: [2, 3, 7],
@@ -71,20 +64,20 @@ class TestPbdrr:
         }
 
     def test_increasing_boundaries(self, increasing_w):
-        trace = simulate(increasing_w, pbdrr_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("pbdrr", increasing_w))
         boundaries = [trace.segments[0].start] + [s.end for s in trace.segments]
         assert boundaries == [
             0, 5, 7, 10, 12, 14, 17, 22, 25, 28, 35, 43, 48, 53, 61, 69, 72, 77,
         ]
 
     def test_random_round_one(self, random_w):
-        trace = simulate(random_w, pbdrr_policy(random_w))
+        trace = simulate(random_w, policy_from_name("pbdrr", random_w))
         assert segment_shapes(trace)[:5] == [
             (1, 0, 2), (2, 2, 5), (3, 5, 13), (4, 13, 15), (5, 15, 20),
         ]
 
     def test_random_quanta_matrix(self, random_w):
-        trace = simulate(random_w, pbdrr_policy(random_w))
+        trace = simulate(random_w, policy_from_name("pbdrr", random_w))
         assert quanta_by_pid(trace) == {
             1: [2, 3, 6],
             2: [3, 5, 8, 12, 18, 7],
@@ -94,14 +87,14 @@ class TestPbdrr:
         }
 
     def test_keeps_submission_order_despite_unsorted_bursts(self, random_w):
-        trace = simulate(random_w, pbdrr_policy(random_w))
+        trace = simulate(random_w, policy_from_name("pbdrr", random_w))
         round_one = [s.pid for s in trace.segments if s.round == 1]
         assert round_one == [1, 2, 3, 4, 5]
 
 
 class TestStaticItsRr:
     def test_increasing_full_trace(self, increasing_w):
-        trace = simulate(increasing_w, static_its_rr_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("its-rr", increasing_w))
         boundaries = [trace.segments[0].start] + [s.end for s in trace.segments]
         assert boundaries == [
             0, 5, 9, 14, 18, 22, 26, 31, 35, 39, 43, 48,
@@ -112,14 +105,14 @@ class TestStaticItsRr:
     def test_increasing_metrics(self, increasing_w):
         from fractions import Fraction
 
-        trace = simulate(increasing_w, static_its_rr_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("its-rr", increasing_w))
         summary = compute_metrics(trace, increasing_w)
         assert summary.avg_turnaround == Fraction(256, 5)  # 51.2
         assert summary.avg_waiting == Fraction(179, 5)     # 35.8
         assert summary.context_switches == 19
 
     def test_quantum_never_grows(self, random_w):
-        trace = simulate(random_w, static_its_rr_policy(random_w))
+        trace = simulate(random_w, policy_from_name("its-rr", random_w))
         for pid, quanta in quanta_by_pid(trace).items():
             assert len(set(quanta)) == 1
 
@@ -127,7 +120,7 @@ class TestStaticItsRr:
 class TestClassicRr:
     def test_alternating_unit_quantum(self):
         w = workload([3, 3])
-        trace = simulate(w, classic_rr_policy(w, 1))
+        trace = simulate(w, policy_from_name("rr:1", w))
         assert segment_shapes(trace) == [
             (1, 0, 1), (2, 1, 2), (1, 2, 3), (2, 3, 4), (1, 4, 5), (2, 5, 6),
         ]
@@ -135,25 +128,25 @@ class TestClassicRr:
 
     def test_large_quantum_single_segment(self):
         w = workload([5])
-        trace = simulate(w, classic_rr_policy(w, 100))
+        trace = simulate(w, policy_from_name("rr:100", w))
         assert len(trace.segments) == 1
 
     def test_degenerates_to_fcfs_at_exact_quantum(self):
         w = workload([4, 4])
-        rr = simulate(w, classic_rr_policy(w, 4))
-        fcfs = simulate(w, fcfs_policy(w))
+        rr = simulate(w, policy_from_name("rr:4", w))
+        fcfs = simulate(w, policy_from_name("fcfs", w))
         assert segment_shapes(rr) == segment_shapes(fcfs)
 
     def test_rejects_nonpositive_quantum(self):
         with pytest.raises(ValueError):
-            classic_rr_policy(workload([4]), 0)
+            policy_from_name("rr:0", workload([4]))
 
     @settings(max_examples=50, deadline=None)
     @given(w=workloads())
     def test_quantum_at_least_max_burst_is_fcfs(self, w):
         q = max(w.bursts)
-        rr = simulate(w, classic_rr_policy(w, q))
-        fcfs = simulate(w, fcfs_policy(w))
+        rr = simulate(w, policy_from_name(f"rr:{q}", w))
+        fcfs = simulate(w, policy_from_name("fcfs", w))
         assert segment_shapes(rr) == segment_shapes(fcfs)
 
 
@@ -161,14 +154,14 @@ class TestSrtn:
     def test_sorted_prefix_sum_oracle(self, increasing_w):
         from fractions import Fraction
 
-        trace = simulate(increasing_w, srtn_policy(increasing_w))
+        trace = simulate(increasing_w, policy_from_name("srtn", increasing_w))
         assert [trace.completion[p] for p in (1, 2, 3, 4, 5)] == [5, 17, 33, 54, 77]
         summary = compute_metrics(trace, increasing_w)
         assert summary.avg_waiting == Fraction(109, 5)  # (0+5+17+33+54)/5 = 21.8
 
     def test_tie_breaks_by_pid(self):
         w = workload([2, 2])
-        trace = simulate(w, srtn_policy(w))
+        trace = simulate(w, policy_from_name("srtn", w))
         assert segment_shapes(trace) == [(1, 0, 2), (2, 2, 4)]
 
     @settings(max_examples=50, deadline=None)
@@ -176,7 +169,7 @@ class TestSrtn:
     def test_matches_sort_and_prefix_sum(self, w):
         # independent oracle: run bursts in ascending (burst, pid) order and
         # accumulate prefix sums
-        trace = simulate(w, srtn_policy(w))
+        trace = simulate(w, policy_from_name("srtn", w))
         clock = 0
         expected = {}
         for p in sorted(process_rows(w), key=lambda p: (p.burst, p.pid)):
@@ -187,10 +180,8 @@ class TestSrtn:
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
     def test_minimal_average_waiting(self, w):
-        policies = [
-            proposed_policy(w), pbdrr_policy(w), static_its_rr_policy(w),
-            classic_rr_policy(w, 2), fcfs_policy(w), srtn_policy(w),
-        ]
+        names = ["proposed", "pbdrr", "its-rr", "rr:2", "fcfs", "srtn"]
+        policies = [policy_from_name(name, w) for name in names]
         waits = {
             p.name: compute_metrics(simulate(w, p), w).avg_waiting for p in policies
         }
@@ -200,29 +191,29 @@ class TestSrtn:
 class TestFcfs:
     def test_prefix_sums(self):
         w = workload([5, 12])
-        trace = simulate(w, fcfs_policy(w))
+        trace = simulate(w, policy_from_name("fcfs", w))
         assert trace.completion == {1: 5, 2: 17}
 
     @settings(max_examples=40, deadline=None)
     @given(w=workloads())
     def test_one_segment_per_process(self, w):
-        trace = simulate(w, fcfs_policy(w))
+        trace = simulate(w, policy_from_name("fcfs", w))
         assert len(trace.segments) == len(w)
         assert compute_metrics(trace, w).context_switches == len(w) - 1
 
 
 class TestOrderingContracts:
+    # fixed ids, so that each case keeps the name it has in earlier test reports
     @pytest.mark.parametrize(
-        "make_policy",
-        [proposed_policy, pbdrr_policy, static_its_rr_policy,
-         lambda w: srtn_policy(w), lambda w: fcfs_policy(w),
-         lambda w: classic_rr_policy(w, 2)],
+        "name", ["proposed", "pbdrr", "its-rr", "srtn", "fcfs", "rr:2"],
+        ids=["proposed_policy", "pbdrr_policy", "static_its_rr_policy",
+             "<lambda>0", "<lambda>1", "<lambda>2"],
     )
     @settings(max_examples=30, deadline=None)
     @given(w=workloads(max_n=6))
-    def test_order_returns_permutation(self, make_policy, w):
+    def test_order_returns_permutation(self, name, w):
         # round 1 dispatches every process exactly once
-        trace = simulate(w, make_policy(w))
+        trace = simulate(w, policy_from_name(name, w))
         round_one = [s.pid for s in trace.segments if s.round == 1]
         assert sorted(round_one) == sorted(w.pids)
 
@@ -236,7 +227,7 @@ class TestOrderingContracts:
             n = rng.randint(1, 6)
             bursts = sorted(rng.randint(1, 60) for _ in range(n))
             w = workload(bursts, [rng.randint(1, 5) for _ in range(n)])
-            proposed = proposed_policy(w)
+            proposed = policy_from_name("proposed", w)
             twin = SchedulingPolicy("twin", False, proposed.base, proposed.sc)
             trace = simulate(w, proposed)
             order_by_round = {}
@@ -246,6 +237,30 @@ class TestOrderingContracts:
                 assert segment_shapes(trace) == segment_shapes(simulate(w, twin))
                 checked += 1
         assert checked > 20
+
+
+class TestPolicyTable:
+    @settings(max_examples=60, deadline=None)
+    @given(w=workloads(), static_ots=st.sampled_from([1, 4, 9]), q=st.integers(1, 70))
+    def test_each_name_builds_its_row(self, w, static_ots, q):
+        # the README's policy table: (SRTN order, base, SC) per name
+        ranged = compute_components(w)
+        static = compute_components(w, static_ots=static_ots)
+
+        def by_pid(column):
+            return dict(zip(w.pids, column))
+
+        table = {
+            "proposed": (True, by_pid(ranged.its), by_pid(ranged.sc)),
+            "pbdrr": (False, by_pid(static.its), by_pid(static.sc)),
+            "its-rr": (False, by_pid(static.its), None),
+            f"rr:{q}": (False, dict.fromkeys(w.pids, q), None),
+            "srtn": (True, by_pid(w.bursts), None),
+            "fcfs": (False, by_pid(w.bursts), None),
+        }
+        for name, row in table.items():
+            policy = policy_from_name(name, w, static_ots)
+            assert (policy.name, policy.srtn_order, policy.base, policy.sc) == (name, *row)
 
 
 class TestPolicyFromName:

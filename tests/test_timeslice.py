@@ -10,9 +10,7 @@ from rrsim import (
     compute_components,
     compute_range,
     generate_workload,
-    pbdrr_policy,
-    proposed_policy,
-    static_its_rr_policy,
+    policy_from_name,
     workload,
 )
 from rrsim.timeslice import COMPONENT_FIELDS, _round_ratio
@@ -225,9 +223,8 @@ class TestOnePassComponents:
         columns = [getattr(comps, name) for name in COMPONENT_FIELDS]
         assert all(len(column) == len(w) for column in columns)
         assert all(type(x) is int for column in columns for x in column)
-        policies = ([proposed_policy(w)] if static_ots is None else
-                    [pbdrr_policy(w, static_ots), static_its_rr_policy(w, static_ots)])
-        for policy in policies:
+        names = ["proposed"] if static_ots is None else ["pbdrr", "its-rr"]
+        for policy in (policy_from_name(name, w, static_ots) for name in names):
             assert policy.base == dict(zip(w.pids, comps.its))
             # its-rr grants the full ITS on every visit, so it reads no SC
             sc = None if policy.name == "its-rr" else dict(zip(w.pids, comps.sc))
