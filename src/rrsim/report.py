@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from itertools import compress, islice, repeat
-from operator import attrgetter, itemgetter, ne
+from functools import cache
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, ne
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -55,19 +56,17 @@ def _runs(trace: ScheduleTrace) -> Tuple[List[int], List[int], List[int]]:
 
 def render_gantt(trace: ScheduleTrace) -> str:
     """ASCII Gantt chart: process labels over boundary times, one cell per run.
-    Each cell is ``max(len(label) + 2, len(left time), len(right time))`` wide,
-    so every time starts right under the ``|`` that opens its cell (the last
-    under the closing ``|``), and each row is one join over the cells."""
+    A cell is ``" P<pid> "`` padded to its left time's length, then its right
+    time's, so every time starts right under the ``|`` that opens its cell (the
+    last under the closing ``|``), and each row is one join over the cells."""
     pids, starts, ends = _runs(trace)
-    label = {pid: f" P{pid}" for pid in set(pids)}  # with the space after its "|"
-    room = {pid: len(text) + 1 for pid, text in label.items()}
+    label = {pid: f" P{pid} " for pid in set(pids)}
     times = [str(starts[0]), *map(str, ends)]
     sizes = list(map(len, times))
-    widths = list(map(max, map(room.__getitem__, pids), sizes, islice(sizes, 1, None)))
-    del starts, ends, sizes
-    label_row = "|".join(map(str.ljust, map(label.__getitem__, pids), widths))
-    time_row = " ".join(map(str.ljust, times, widths))
-    return f"|{label_row}|\n{time_row} {times[-1]}"
+    del starts, ends
+    cells = list(map(str.ljust, map(str.ljust, map(label.__getitem__, pids), sizes), sizes[1:]))
+    time_row = " ".join(map(str.ljust, times, map(len, cells)))
+    return f"|{'|'.join(cells)}|\n{time_row} {times[-1]}"
 
 
 def _render_table(columns: Dict[str, Sequence[str]]) -> str:
@@ -101,11 +100,8 @@ def render_metrics(summary: MetricsSummary, w: Workload) -> str:
 
 def render_components_table(w: Workload, comps: SliceComponents,
                             notes: Sequence[str] = ()) -> str:
-    out = _process_table(w, {name.upper(): getattr(comps, name) for name in COMPONENT_FIELDS})
-    out += f"\n\nrange: {comps.slice_range}"
-    if notes:
-        out += "\n" + "\n".join(f"note: {n}" for n in notes)
-    return out
+    table = _process_table(w, {name.upper(): getattr(comps, name) for name in COMPONENT_FIELDS})
+    return f"{table}\n\nrange: {comps.slice_range}" + "".join(f"\nnote: {n}" for n in notes)
 
 
 def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, List[str]]:
@@ -127,21 +123,21 @@ _CHUNK = 4096  # rows per write, so a long trace's text is never held whole
 
 
 class _Table(NamedTuple):
-    """Integer rows: a list of objects or, when ``keyed``, an object keyed by
-    each row's pid holding an object or, without ``fields``, one value.  The
-    rows of a keyed table come in :func:`_key_order`."""
+    """Integer columns: a list of objects or, when ``keyed``, an object keyed by
+    a first column of pids, holding an object of the other columns or, without
+    ``fields``, one value.  A keyed table's columns are in :func:`_key_order`."""
 
     fields: Tuple[str, ...]
-    rows: Iterable[tuple]
+    columns: Sequence[Sequence[int]]
     keyed: bool = False
 
 
 def _workload_table(w: Workload) -> _Table:
-    return _Table(CSV_HEADER, zip(w.pids, w.bursts, w.priorities))
+    return _Table(CSV_HEADER, (w.pids, w.bursts, w.priorities))
 
 
 def _segment_table(trace: ScheduleTrace) -> _Table:
-    return _Table(SEGMENT_FIELDS, zip(*trace.segments.columns))
+    return _Table(SEGMENT_FIELDS, trace.segments.columns)
 
 
 def _fraction_to_dict(value: Fraction) -> Dict[str, int]:
@@ -168,22 +164,20 @@ def _trace_doc(w: Workload, policy_name: str, trace: ScheduleTrace,
         "workload": _workload_table(w),
         "policy": policy_name,
         "segments": _segment_table(trace),
-        "completion": _Table((), zip(pids, map(trace.completion.__getitem__, pids)), keyed=True),
+        "completion": _Table((), (pids, [trace.completion[pid] for pid in pids]), keyed=True),
     }
 
 
 def _metrics_doc(name: str, summary: MetricsSummary, order: List[int]) -> Dict[str, object]:
     """The document of ``summary``, with ``order`` the :func:`_key_order` of its pids."""
     m = summary.per_process
-    columns = (m.pids, m.turnaround, m.waiting, m.response)
+    columns = [[c[i] for i in order] for c in (m.pids, m.turnaround, m.waiting, m.response)]
     return {
         "policy": name,
         "avg_turnaround": _average_to_dict(summary.avg_turnaround),
         "avg_waiting": _average_to_dict(summary.avg_waiting),
         "context_switches": summary.context_switches,
-        "per_process": _Table(_METRIC_FIELDS, zip(*(
-            map(column.__getitem__, order) for column in columns
-        )), keyed=True),
+        "per_process": _Table(_METRIC_FIELDS, columns, keyed=True),
     }
 
 
@@ -193,7 +187,8 @@ def _plain(value: object) -> object:
         return {key: _plain(item) for key, item in value.items()}
     if not isinstance(value, _Table):
         return value
-    fields, rows, keyed = value
+    fields, columns, keyed = value
+    rows = zip(*columns)
     if not keyed:
         return [dict(zip(fields, row)) for row in rows]
     return {str(pid): dict(zip(fields, rest)) if fields else rest[0] for pid, *rest in rows}
@@ -267,10 +262,6 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
     return w, policy, trace
 
 
-def _chunks(texts: Iterator[str]) -> Iterator[List[str]]:
-    return iter(lambda: list(islice(texts, _CHUNK)), [])
-
-
 def _write_json(path: str, doc: object) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         _write_value(fh.write, doc, "\n")
@@ -296,31 +287,38 @@ def _write_value(write: Callable[[str], object], value: object, nl: str) -> None
 
 
 def _write_table(write: Callable[[str], object], table: _Table, nl: str) -> None:
-    """:func:`_write_value` for a table: one %-template per row with its keys
-    in sorted order, as ``json`` sorts them."""
-    fields, rows, keyed = table
+    """:func:`_write_value` for a table: one %-template per row, with its keys
+    and so its columns in sorted order, as ``json`` sorts them."""
+    fields, columns, keyed = table
     inner = nl + "  "
     order = sorted(range(len(fields)), key=fields.__getitem__)
     row = ",".join(f'{inner}  "{fields[i]}": %d' for i in order)
     row = "{" + row + inner + "}" if fields else "%d"
     if keyed:
         row = '"%d": ' + row
-        order = [0] + [i + 1 for i in order]
-    if order != sorted(order):
-        rows = map(itemgetter(*order), rows)
+    columns = [*columns[:keyed], *map(columns[keyed:].__getitem__, order)] if fields else columns
     opener, closer = "{}" if keyed else "[]"
     sep = opener
-    for chunk in _chunks(map(row.__mod__, rows)):
-        write(sep + inner + ("," + inner).join(chunk))
+    for chunk in _row_chunks(row, "," + inner, columns):
+        write(sep + inner + chunk)
         sep = ","
     write(opener + closer if sep == opener else nl + closer)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[tuple]) -> None:
+def _row_chunks(row: str, sep: str, columns: Sequence[Sequence]) -> Iterator[str]:
+    """The rows of ``columns`` by the %-template ``row``, joined by ``sep``, as one
+    string per ``_CHUNK`` rows, each from one ``%`` on ``row`` repeated per row."""
+    width = len(columns)
+    values = chain.from_iterable(zip(*columns))
+    while chunk := tuple(islice(values, _CHUNK * width)):
+        yield sep.join([row] * (len(chunk) // width)) % chunk
+
+
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
     row = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map("".join, _chunks(map(row.__mod__, rows))))
+        fh.writelines(_row_chunks(row, "", columns))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +380,7 @@ def _cmd_simulate(args, out, span: Span) -> None:
             "metrics": _metrics_doc(name, summary, order),
         }))
     if args.csv is not None:
-        span("report.export", lambda: _write_csv(
-            args.csv, SEGMENT_FIELDS, _segment_table(trace).rows))
+        span("report.export", lambda: _write_csv(args.csv, SEGMENT_FIELDS, trace.segments.columns))
     print(*lines, sep="\n", file=out)
 
 
@@ -410,7 +407,7 @@ def _cmd_compare(args, out, span: Span) -> None:
     if args.csv is not None:
         span("report.export", lambda: _write_csv(
             args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"),
-            zip(*columns.values())))
+            list(columns.values())))
     print(table, file=out)
 
 
@@ -419,7 +416,7 @@ def _cmd_generate(args, out, span: Span) -> None:
         args.n, args.order, args.burst_range, args.priority_range, args.seed
     )
     if args.csv is not None:  # the bytes serialize_workload gives
-        span("report.export", lambda: _write_csv(args.csv, CSV_HEADER, _workload_table(w).rows))
+        span("report.export", lambda: _write_csv(args.csv, CSV_HEADER, _workload_table(w).columns))
     if args.json is not None:
         span("report.export", lambda: _write_json(args.json, {"workload": _workload_table(w)}))
     print(serialize_workload(w), end="", file=out)
@@ -436,15 +433,16 @@ def _cmd_components(args, out, span: Span) -> None:
         span("report.export", lambda: _write_json(args.json, {
             "workload": _workload_table(w),
             "range": _fraction_to_dict(comps.slice_range),
-            "components": _Table(("pid",) + COMPONENT_FIELDS, zip(w.pids, *columns)),
+            "components": _Table(("pid",) + COMPONENT_FIELDS, (w.pids, *columns)),
         }))
     if args.csv is not None:
         span("report.export", lambda: _write_csv(
             args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS,
-            zip(w.pids, w.bursts, w.priorities, *columns)))
+            (w.pids, w.bursts, w.priorities, *columns)))
     print(table, file=out)
 
 
+@cache  # built once per process; argparse keeps no state between parses
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rrsim",
@@ -511,9 +509,8 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None, span: Span = _call) 
     the file read), ``timeslice.components``, ``schedulers.build``,
     ``engine.simulate``, ``metrics.compute`` and ``report.gantt/table/export``."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         # before Python 3.13, argparse stores "--opt=--" as [] without calling its type
         for action in args.parser._actions:
             if getattr(args, action.dest, None) == []:

@@ -581,9 +581,51 @@ class TestJsonWriter:
 
     def test_empty_tables(self):
         parts = []
-        doc = {"list": report._Table(("x",), []), "keyed": report._Table((), [], keyed=True)}
+        doc = {"list": report._Table(("x",), ([],)),
+               "keyed": report._Table((), ([], []), keyed=True)}
         report._write_value(parts.append, doc, "\n")
         assert "".join(parts) == json.dumps({"list": [], "keyed": {}}, sort_keys=True, indent=2)
+
+
+_CHUNK_SIZES = [report._CHUNK - 1, report._CHUNK, report._CHUNK + 1, 2 * report._CHUNK]
+
+
+class TestChunkBoundaries:
+    """Rows go out ``_CHUNK`` at a time, each chunk from one template, so a
+    last chunk that is short, full or one row long must give the bytes that
+    ``json.dumps`` and a row-by-row CSV writer give."""
+
+    @staticmethod
+    def _columns(rows, width):
+        rng = random.Random(rows)
+        return [[rng.randrange(-10, 10**6) for _ in range(rows)] for _ in range(width)]
+
+    @pytest.mark.parametrize("rows", _CHUNK_SIZES)
+    def test_json_tables(self, rows):
+        pids = sorted(range(1, rows + 1), key=str)  # the order json sorts the keys in
+        a, b, c = self._columns(rows, 3)
+        doc = {
+            "unkeyed": report._Table(("zeta", "alpha", "mid"), (a, b, c)),
+            "keyed": report._Table(("waiting", "turnaround"), (pids, a, b), keyed=True),
+            "values": report._Table((), (pids, c), keyed=True),
+        }
+        expected = {
+            "unkeyed": [{"zeta": x, "alpha": y, "mid": z} for x, y, z in zip(a, b, c)],
+            "keyed": {str(p): {"waiting": x, "turnaround": y} for p, x, y in zip(pids, a, b)},
+            "values": dict(zip(map(str, pids), c)),
+        }
+        parts = []
+        report._write_value(parts.append, doc, "\n")
+        assert "".join(parts) == json.dumps(expected, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("rows", _CHUNK_SIZES)
+    def test_csv(self, rows, tmp_path):
+        columns = [*self._columns(rows, 2), [f"P{i}" for i in range(rows)]]
+        path = tmp_path / "out.csv"
+        report._write_csv(str(path), ("x", "y", "name"), columns)
+        expected = "x,y,name\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in zip(*columns))
+        assert path.read_text(encoding="utf-8") == expected
 
 
 _PARSE_TO_METRICS = ["workload.parse", "schedulers.build", "engine.simulate", "metrics.compute"]
