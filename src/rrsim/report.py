@@ -2,10 +2,10 @@
 
 Subcommands: ``simulate`` (one workload, one policy), ``compare`` (one
 workload, several policies), ``generate`` (synthetic workload CSV), and
-``components`` (the OTS/PC/SC/CSC/ITS table).  ``--json``/``--csv`` write
-machine-readable copies of whatever is printed.  A command prints only after
-every export it was asked for is written, so a failed export prints nothing
-but its ``error:`` line (an export written before it stays written).
+``components`` (the OTS/PC/SC/CSC/ITS table).  Each command returns its text
+and the JSON document and CSV table of what it prints; :func:`run_cli` writes
+``--json``, then ``--csv``, then prints, so a failed export prints nothing but
+its ``error:`` line (a JSON file written before a failed CSV stays written).
 """
 from __future__ import annotations
 
@@ -98,10 +98,9 @@ def render_metrics(summary: MetricsSummary, w: Workload) -> str:
     )
 
 
-def render_components_table(w: Workload, comps: SliceComponents,
-                            notes: Sequence[str] = ()) -> str:
+def render_components_table(w: Workload, comps: SliceComponents) -> str:
     table = _process_table(w, {name.upper(): getattr(comps, name) for name in COMPONENT_FIELDS})
-    return f"{table}\n\nrange: {comps.slice_range}" + "".join(f"\nnote: {n}" for n in notes)
+    return f"{table}\n\nrange: {comps.slice_range}"
 
 
 def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, List[str]]:
@@ -357,89 +356,80 @@ def _load_workload(path: str) -> Workload:
         raise ValueError(f"{shown}: {exc}") from None
 
 
-def _run_policy(w: Workload, name: str, static_ots: int,
-                span: Span) -> Tuple[str, ScheduleTrace, MetricsSummary]:
-    """(policy name, trace, metrics) of the policy ``name`` on ``w``."""
-    policy = span("schedulers.build", lambda: policy_from_name(name, w, static_ots))
-    trace = span("engine.simulate", lambda: simulate(w, policy))
-    return policy.name, trace, span("metrics.compute", lambda: compute_metrics(trace, w))
+def _run_policies(w: Workload, names: Iterable[str], static_ots: int,
+                  span: Span) -> Dict[str, Tuple[ScheduleTrace, MetricsSummary]]:
+    """{policy name: (trace, metrics)} of the policies ``names`` on ``w``, in
+    order.  A name given twice is an error before its second simulation."""
+    runs = {}
+    for name in names:
+        policy = span("schedulers.build", lambda: policy_from_name(name, w, static_ots))
+        if policy.name in runs:
+            raise ValueError(f"duplicate policy {policy.name!r}")
+        trace = span("engine.simulate", lambda: simulate(w, policy))
+        runs[policy.name] = trace, span("metrics.compute", lambda: compute_metrics(trace, w))
+    return runs
 
 
-def _cmd_simulate(args, out, span: Span) -> None:
+def _notes(notes: Iterable[str]) -> List[str]:
+    return [f"note: {note}" for note in notes]
+
+
+# A command is a function of (args, span) that returns a tuple: its text as the
+# parts printed one to a line (not joined, so a long Gantt chart is never
+# copied), a callable that builds its JSON document only when --json asks for
+# it, and its CSV (header, columns).  run_cli writes the exports and prints.
+def _cmd_simulate(args, span: Span) -> tuple:
     w = span("workload.parse", lambda: _load_workload(args.workload))
-    name, trace, summary = _run_policy(w, args.policy, args.static_ots, span)
+    [(name, (trace, summary))] = _run_policies(w, [args.policy], args.static_ots, span).items()
     gantt = span("report.gantt", lambda: render_gantt(trace))
     table = span("report.table", lambda: render_metrics(summary, w))
     lines = [f"policy: {name}", gantt, "", table]
     if args.paper_notes:
-        lines += [f"note: {note}"
-                  for note in references.quantum_notes(w, name, trace, args.static_ots)]
-    if args.json is not None:
-        span("report.export", lambda: _write_json(args.json, {
-            **_trace_doc(w, name, trace, order := _key_order(w.pids)),
-            "metrics": _metrics_doc(name, summary, order),
-        }))
-    if args.csv is not None:
-        span("report.export", lambda: _write_csv(args.csv, SEGMENT_FIELDS, trace.segments.columns))
-    print(*lines, sep="\n", file=out)
+        lines += _notes(references.quantum_notes(w, name, trace, args.static_ots))
+    return lines, lambda: {
+        **_trace_doc(w, name, trace, order := _key_order(w.pids)),
+        "metrics": _metrics_doc(name, summary, order),
+    }, (SEGMENT_FIELDS, trace.segments.columns)
 
 
-def _cmd_compare(args, out, span: Span) -> None:
+def _cmd_compare(args, span: Span) -> tuple:
     w = span("workload.parse", lambda: _load_workload(args.workload))
     names = [n.strip() for n in args.policies.split(",") if n.strip()]
     if not names:
         raise ValueError("no policies given")
-    summaries, traces = {}, {}
-    for name in names:
-        name, trace, summary = _run_policy(w, name, args.static_ots, span)
-        if name in traces:
-            raise ValueError(f"duplicate policy {name!r}")
-        traces[name], summaries[name] = trace, summary
+    runs = _run_policies(w, names, args.static_ots, span)
+    summaries = {name: summary for name, (_, summary) in runs.items()}
     columns = _comparison_columns(summaries)
     table = span("report.table", lambda: _render_table(columns))
-    if args.json is not None:
-        span("report.export", lambda: _write_json(args.json, {
-            "workload": _workload_table(w),
-            "metrics": list(map(_metrics_doc, summaries, summaries.values(),
-                                repeat(_key_order(w.pids)))),
-            "traces": {n: _segment_table(t) for n, t in traces.items()},
-        }))
-    if args.csv is not None:
-        span("report.export", lambda: _write_csv(
-            args.csv, ("policy", "avg_tat", "avg_wt", "context_switches"),
-            list(columns.values())))
-    print(table, file=out)
+    return [table], lambda: {
+        "workload": _workload_table(w),
+        "metrics": list(map(_metrics_doc, summaries, summaries.values(),
+                            repeat(_key_order(w.pids)))),
+        "traces": {name: _segment_table(trace) for name, (trace, _) in runs.items()},
+    }, (("policy", "avg_tat", "avg_wt", "context_switches"), list(columns.values()))
 
 
-def _cmd_generate(args, out, span: Span) -> None:
-    w = generate_workload(
-        args.n, args.order, args.burst_range, args.priority_range, args.seed
-    )
-    if args.csv is not None:  # the bytes serialize_workload gives
-        span("report.export", lambda: _write_csv(args.csv, CSV_HEADER, _workload_table(w).columns))
-    if args.json is not None:
-        span("report.export", lambda: _write_json(args.json, {"workload": _workload_table(w)}))
-    print(serialize_workload(w), end="", file=out)
+def _cmd_generate(args, span: Span) -> tuple:
+    w = generate_workload(args.n, args.order, args.burst_range, args.priority_range, args.seed)
+    table = _workload_table(w)  # as CSV, the bytes serialize_workload gives
+    return serialize_workload(w).splitlines(), lambda: {"workload": table}, (
+        CSV_HEADER, table.columns)
 
 
-def _cmd_components(args, out, span: Span) -> None:
+def _cmd_components(args, span: Span) -> tuple:
     w = span("workload.parse", lambda: _load_workload(args.workload))
     comps = span("timeslice.components",
                  lambda: compute_components(w, static_ots=args.static_ots))
-    notes = references.component_notes(w, comps, args.static_ots) if args.paper_notes else ()
-    table = span("report.table", lambda: render_components_table(w, comps, notes))
+    lines = [span("report.table", lambda: render_components_table(w, comps))]
+    if args.paper_notes:
+        lines += _notes(references.component_notes(w, comps, args.static_ots))
     columns = [getattr(comps, name) for name in COMPONENT_FIELDS]
-    if args.json is not None:
-        span("report.export", lambda: _write_json(args.json, {
-            "workload": _workload_table(w),
-            "range": _fraction_to_dict(comps.slice_range),
-            "components": _Table(("pid",) + COMPONENT_FIELDS, (w.pids, *columns)),
-        }))
-    if args.csv is not None:
-        span("report.export", lambda: _write_csv(
-            args.csv, ("pid", "burst", "priority") + COMPONENT_FIELDS,
-            (w.pids, w.bursts, w.priorities, *columns)))
-    print(table, file=out)
+    return lines, lambda: {
+        "workload": _workload_table(w),
+        "range": _fraction_to_dict(comps.slice_range),
+        "components": _Table(("pid",) + COMPONENT_FIELDS, (w.pids, *columns)),
+    }, (("pid", "burst", "priority") + COMPONENT_FIELDS,
+        (w.pids, w.bursts, w.priorities, *columns))
 
 
 @cache  # built once per process; argparse keeps no state between parses
@@ -508,7 +498,6 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None, span: Span = _call) 
     ``call()``'s value and may run it more than once: ``workload.parse`` (with
     the file read), ``timeslice.components``, ``schedulers.build``,
     ``engine.simulate``, ``metrics.compute`` and ``report.gantt/table/export``."""
-    out = out if out is not None else sys.stdout
     try:
         args = build_parser().parse_args(argv)
         # before Python 3.13, argparse stores "--opt=--" as [] without calling its type
@@ -520,7 +509,12 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None, span: Span = _call) 
     try:
         # rejected even where the policy or command would not use it
         check_static_ots(getattr(args, "static_ots", None))
-        args.func(args, out, span)
+        lines, doc, (header, columns) = args.func(args, span)
+        if args.json is not None:
+            span("report.export", lambda: _write_json(args.json, doc()))
+        if args.csv is not None:
+            span("report.export", lambda: _write_csv(args.csv, header, columns))
+        print(*lines, sep="\n", file=out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

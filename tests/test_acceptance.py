@@ -190,3 +190,31 @@ def test_criterion_7_step_oracle_equivalence():
                 f"engine and step oracle disagree for {name} on {w}"
             )
     report("7: PASS  unit-step oracle matches the engine on 200 instances")
+
+
+# The smallest counterexample to the paper's claim that the proposed policy
+# gives fewer context switches and a lower average waiting time than its
+# comparators, found by exhaustive search over two processes, bursts 1..10
+# and priorities 1..3.  Range is (4 + 4) / 2 = 4.  P1 (priority 2) has Range
+# OTS 2, PC 0 and SC 0; its balance 4 - 2 = 2 is not below the OTS, so CSC is
+# 0 and ITS 2.  Its round-1 grant under proposed is ceil(2/2) = 1, which leaves
+# 3 units, more than the two a grant absorbs, so P2 runs in between.  Under
+# pbdrr (static OTS 4) P1's first grant of 2 absorbs the 2-unit remainder.
+SMALLEST_LOSS = workload([4, 4], [2, 1])
+
+
+def test_proposed_smallest_counterexample():
+    comps = compute_components(SMALLEST_LOSS)
+    assert (comps.ots[0], comps.csc[0], comps.its[0]) == (2, 0, 2)
+    trace = simulate(SMALLEST_LOSS, policy_from_name("proposed", SMALLEST_LOSS))
+    assert [(s.pid, s.start, s.end) for s in trace.segments] == [(1, 0, 1), (2, 1, 5), (1, 5, 8)]
+    got = {}
+    for name in ["proposed", "pbdrr", "its-rr", "rr:5", "srtn"]:
+        policy = policy_from_name(name, SMALLEST_LOSS)
+        summary = compute_metrics(simulate(SMALLEST_LOSS, policy), SMALLEST_LOSS)
+        got[name] = (summary.context_switches, summary.avg_waiting)
+    assert got == {
+        "proposed": (2, Fraction(5, 2)),
+        "pbdrr": (1, 2), "its-rr": (1, 2), "rr:5": (1, 2), "srtn": (1, 2),
+    }
+    report("counterexample: PASS  proposed has 2 switches and WT 5/2 where the others have 1 and 2")

@@ -268,10 +268,11 @@ class TestCli:
             "display": "72.8", "num": 364, "den": 5,
         }
 
-    def test_failed_export_prints_nothing(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["simulate", "compare", "generate", "components"])
+    def test_failed_export_prints_nothing(self, command, tmp_path, capsys):
         # --json is written before --csv fails; the output waits for both
         good = tmp_path / "ok.json"
-        rc = run_cli(["simulate", "--workload", ILLUSTRATION_CSV, "--policy", "fcfs",
+        rc = run_cli([command, *_VALID_ARGV[command],
                       "--json", str(good), "--csv", str(tmp_path / "no" / "t.csv")])
         out, err = capsys.readouterr()
         assert rc == 1 and out == ""
@@ -442,6 +443,19 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr().err == "error: duplicate policy 'fcfs'\n"
         assert not out_path.exists()
+
+    def test_compare_duplicate_is_not_simulated(self, capsys):
+        layers = []
+
+        def record(layer, call):
+            layers.append(layer)
+            return call()
+
+        rc = run_cli(["compare", "--workload", RANDOM_CSV, "--policies", "rr:2,RR:2"],
+                     span=record)
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: duplicate policy 'rr:2'\n")
+        assert layers.count("engine.simulate") == 1
 
     def test_compare_json_has_one_trace_per_policy(
         self, increasing_csv, increasing_w, tmp_path, capsys
@@ -777,16 +791,14 @@ class TestColumnTables:
         )
 
     @settings(max_examples=60, deadline=None)
-    @given(w=_wide_workloads(), static_ots=st.sampled_from([None, 1, 4, 123456]),
-           notes=st.lists(st.text("ab 1", min_size=1, max_size=4), max_size=2))
-    def test_render_components_table(self, w, static_ots, notes):
+    @given(w=_wide_workloads(), static_ots=st.sampled_from([None, 1, 4, 123456]))
+    def test_render_components_table(self, w, static_ots):
         comps = compute_components(w, static_ots=static_ots)
         rows = [_ref_process_cells(p) + [str(getattr(comps, name)[i]) for name in COMPONENT_FIELDS]
                 for i, p in enumerate(process_rows(w))]
         header = ["process", "burst", "priority"] + [name.upper() for name in COMPONENT_FIELDS]
-        assert render_components_table(w, comps, notes) == (
+        assert render_components_table(w, comps) == (
             _ref_table(header, rows) + f"\n\nrange: {comps.slice_range}"
-            + "".join(f"\nnote: {note}" for note in notes)
         )
 
 
