@@ -7,9 +7,10 @@ Usage: bench.py [--out PATH] [N ...]    (default N: 10 100 1000 10000)
 Each n is a ``generate`` workload with the CLI's defaults (bursts 1..100,
 priorities 1..5, seed 0) in random burst order, run under each policy, with
 ``rr:7`` for ``rr:<q>``.  ``run_cli``'s span hook times each layer in-process
-under the span names of ``perfbench/tracing.py`` (``LAYERS``), and a direct
-``compute_components`` call, the one a slice policy's build makes, stands for
-its ``timeslice.components``; ``workload.parse`` includes reading the CSV file.
+under the span names of ``perfbench/tracing.py`` (``LAYERS``); a slice policy's
+``timeslice.components`` runs in its first ``schedulers.build`` call, so the
+build's timed calls are its own time, and ``workload.parse`` includes reading
+the CSV file.
 Each layer's time per call is the best of 3 repeats of as many calls as
 ``timeit``'s autorange takes to fill 0.2 s, with the garbage collector on as
 in a CLI run.  The CLI is timed as a subprocess, end to end, best of 3 after
@@ -36,16 +37,12 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from rrsim import DEFAULT_STATIC_OTS, compute_components  # noqa: E402
 from rrsim import report  # noqa: E402
 from rrsim.schedulers import POLICY_NAMES  # noqa: E402
 
 REPEATS = 3
 SIZES = (10, 100, 1000, 10000)
 POLICIES = tuple("rr:7" if name == "rr:<q>" else name for name in POLICY_NAMES)
-# The static OTS each slice policy's build passes to compute_components
-# (None: the Range OTS); the other policies compute no slice components.
-SLICE_OTS = {"proposed": None, "pbdrr": DEFAULT_STATIC_OTS, "its-rr": DEFAULT_STATIC_OTS}
 
 
 def best_seconds(call):
@@ -71,11 +68,8 @@ def layered_run(csv_path, name, json_path):
     argv = ["simulate", "--workload", csv_path, "--policy", name, "--json", json_path]
     if report.run_cli(argv, io.StringIO(), timed):
         sys.exit(f"bench.py: {' '.join(argv)} failed")
-    w = values["workload.parse"]
-    if name in SLICE_OTS:
-        spans["timeslice.components"] = best_seconds(
-            lambda: compute_components(w, static_ots=SLICE_OTS[name]))
-    return spans, values["engine.simulate"], w, values["schedulers.build"].name
+    return (spans, values["engine.simulate"], values["workload.parse"],
+            values["schedulers.build"].name)
 
 
 def cli_run(csv_path, name, json_path):

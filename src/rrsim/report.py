@@ -124,7 +124,7 @@ _CHUNK = 4096  # rows per write, so a long trace's text is never held whole
 class _Table(NamedTuple):
     """Integer columns: a list of objects or, when ``keyed``, an object keyed by
     a first column of pids, holding an object of the other columns or, without
-    ``fields``, one value.  A keyed table's columns are in :func:`_key_order`."""
+    ``fields``, one value.  A keyed table's rows may come in any order."""
 
     fields: Tuple[str, ...]
     columns: Sequence[Sequence[int]]
@@ -147,36 +147,25 @@ def _average_to_dict(value: Fraction) -> Dict[str, object]:
     return {"display": format_average(value), **_fraction_to_dict(value)}
 
 
-def _key_order(pids: Sequence[int]) -> List[int]:
-    """The positions in ``pids`` in the order json's ``sort_keys`` puts the
-    pids as object keys: sorted as strings."""
-    keys = list(map(str, pids))
-    return sorted(range(len(keys)), key=keys.__getitem__)
-
-
-def _trace_doc(w: Workload, policy_name: str, trace: ScheduleTrace,
-               order: List[int]) -> Dict[str, object]:
-    """The document of a trace of ``w``, with ``order`` the :func:`_key_order`
-    of ``w.pids``."""
-    pids = list(map(w.pids.__getitem__, order))
+def _trace_doc(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str, object]:
+    done = trace.completion
     return {
         "workload": _workload_table(w),
         "policy": policy_name,
         "segments": _segment_table(trace),
-        "completion": _Table((), (pids, [trace.completion[pid] for pid in pids]), keyed=True),
+        "completion": _Table((), (list(done), list(done.values())), keyed=True),
     }
 
 
-def _metrics_doc(name: str, summary: MetricsSummary, order: List[int]) -> Dict[str, object]:
-    """The document of ``summary``, with ``order`` the :func:`_key_order` of its pids."""
+def _metrics_doc(name: str, summary: MetricsSummary) -> Dict[str, object]:
     m = summary.per_process
-    columns = [[c[i] for i in order] for c in (m.pids, m.turnaround, m.waiting, m.response)]
     return {
         "policy": name,
         "avg_turnaround": _average_to_dict(summary.avg_turnaround),
         "avg_waiting": _average_to_dict(summary.avg_waiting),
         "context_switches": summary.context_switches,
-        "per_process": _Table(_METRIC_FIELDS, columns, keyed=True),
+        "per_process": _Table(_METRIC_FIELDS, (m.pids, m.turnaround, m.waiting, m.response),
+                              keyed=True),
     }
 
 
@@ -194,11 +183,11 @@ def _plain(value: object) -> object:
 
 
 def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str, object]:
-    return _plain(_trace_doc(w, policy_name, trace, _key_order(w.pids)))
+    return _plain(_trace_doc(w, policy_name, trace))
 
 
 def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
-    return _plain(_metrics_doc(name, summary, _key_order(summary.per_process.pids)))
+    return _plain(_metrics_doc(name, summary))
 
 
 def _field(data: Dict[str, object], name: str, kind: type, expected: str):
@@ -286,16 +275,17 @@ def _write_value(write: Callable[[str], object], value: object, nl: str) -> None
 
 
 def _write_table(write: Callable[[str], object], table: _Table, nl: str) -> None:
-    """:func:`_write_value` for a table: one %-template per row, with its keys
-    and so its columns in sorted order, as ``json`` sorts them."""
+    """:func:`_write_value` for a table: one %-template per row, its fields and
+    a keyed table's rows (by pid as a string) in the order ``json`` sorts keys."""
     fields, columns, keyed = table
     inner = nl + "  "
     order = sorted(range(len(fields)), key=fields.__getitem__)
     row = ",".join(f'{inner}  "{fields[i]}": %d' for i in order)
     row = "{" + row + inner + "}" if fields else "%d"
+    columns = [*columns[:keyed], *map(columns[keyed:].__getitem__, order)] if fields else columns
     if keyed:
         row = '"%d": ' + row
-    columns = [*columns[:keyed], *map(columns[keyed:].__getitem__, order)] if fields else columns
+        columns = list(zip(*sorted(zip(*columns), key=lambda r: str(r[0]))))
     opener, closer = "{}" if keyed else "[]"
     sep = opener
     for chunk in _row_chunks(row, "," + inner, columns):
@@ -360,9 +350,17 @@ def _run_policies(w: Workload, names: Iterable[str], static_ots: int,
                   span: Span) -> Dict[str, Tuple[ScheduleTrace, MetricsSummary]]:
     """{policy name: (trace, metrics)} of the policies ``names`` on ``w``, in
     order.  A name given twice is an error before its second simulation."""
-    runs = {}
+    runs, records = {}, {}  # records: the slice components by static OTS, each made once
+
+    def components(w: Workload, static_ots: Optional[int]) -> SliceComponents:
+        if static_ots not in records:
+            records[static_ots] = span("timeslice.components",
+                                       lambda: compute_components(w, static_ots=static_ots))
+        return records[static_ots]
+
     for name in names:
-        policy = span("schedulers.build", lambda: policy_from_name(name, w, static_ots))
+        policy = span("schedulers.build",
+                      lambda: policy_from_name(name, w, static_ots, components))
         if policy.name in runs:
             raise ValueError(f"duplicate policy {policy.name!r}")
         trace = span("engine.simulate", lambda: simulate(w, policy))
@@ -387,8 +385,7 @@ def _cmd_simulate(args, span: Span) -> tuple:
     if args.paper_notes:
         lines += _notes(references.quantum_notes(w, name, trace, args.static_ots))
     return lines, lambda: {
-        **_trace_doc(w, name, trace, order := _key_order(w.pids)),
-        "metrics": _metrics_doc(name, summary, order),
+        **_trace_doc(w, name, trace), "metrics": _metrics_doc(name, summary),
     }, (SEGMENT_FIELDS, trace.segments.columns)
 
 
@@ -403,8 +400,7 @@ def _cmd_compare(args, span: Span) -> tuple:
     table = span("report.table", lambda: _render_table(columns))
     return [table], lambda: {
         "workload": _workload_table(w),
-        "metrics": list(map(_metrics_doc, summaries, summaries.values(),
-                            repeat(_key_order(w.pids)))),
+        "metrics": list(map(_metrics_doc, summaries, summaries.values())),
         "traces": {name: _segment_table(trace) for name, (trace, _) in runs.items()},
     }, (("policy", "avg_tat", "avg_wt", "context_switches"), list(columns.values()))
 
@@ -496,8 +492,9 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None, span: Span = _call) 
     """The exit status of the CLI on ``argv``, printing to ``out`` (stdout).
     Each layer call is made as ``span(layer, call)``, which must return
     ``call()``'s value and may run it more than once: ``workload.parse`` (with
-    the file read), ``timeslice.components``, ``schedulers.build``,
-    ``engine.simulate``, ``metrics.compute`` and ``report.gantt/table/export``."""
+    the file read), ``schedulers.build``, ``timeslice.components`` (in the first
+    build per OTS source, and in ``components``), ``engine.simulate``,
+    ``metrics.compute`` and ``report.gantt/table/export``."""
     try:
         args = build_parser().parse_args(argv)
         # before Python 3.13, argparse stores "--opt=--" as [] without calling its type

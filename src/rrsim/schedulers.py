@@ -10,9 +10,9 @@ quantum from its base ITS, round by round: the Range OTS gives the ITS of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
-from .timeslice import compute_components
+from .timeslice import SliceComponents, compute_components
 from .workload import Workload, integer
 
 DEFAULT_STATIC_OTS = 4
@@ -29,18 +29,21 @@ class SchedulingPolicy:
     sc: Optional[Dict[int, int]] = None
 
 
-# slice policy -> (dispatch in SRTN order, the quantum grows from the ITS)
-_SLICE_POLICIES = {"proposed": (True, True), "pbdrr": (False, True), "its-rr": (False, False)}
+# slice policy -> (dispatch in SRTN order, quantum grows from the ITS, OTS is static)
+_SLICE_POLICIES = {"proposed": (True, True, False), "pbdrr": (False, True, True),
+                   "its-rr": (False, False, True)}
 POLICY_NAMES = (*_SLICE_POLICIES, "rr:<q>", "srtn", "fcfs")
 
 
 def policy_from_name(
-    name: str, w: Workload, static_ots: int = DEFAULT_STATIC_OTS
+    name: str, w: Workload, static_ots: int = DEFAULT_STATIC_OTS,
+    components: Callable[..., SliceComponents] = compute_components,
 ) -> SchedulingPolicy:
     """The policy ``name`` for ``w``: one of :data:`POLICY_NAMES`,
     case-insensitive, with ``rr:<q>`` naming a fixed quantum such as ``rr:7``.
-    ``proposed`` builds its ITS from the Range OTS, ``pbdrr`` and ``its-rr``
-    from ``static_ots``; ``srtn`` and ``fcfs`` grant each burst whole."""
+    ``proposed`` reads its ITS from ``components(w, static_ots=None)``, the Range
+    OTS, and ``pbdrr`` and ``its-rr`` from ``components(w, static_ots=static_ots)``;
+    ``srtn`` and ``fcfs`` grant each burst whole."""
     name = name.strip().lower()
     key, _, q = name.partition(":")
     if key == "rr":
@@ -59,7 +62,7 @@ def policy_from_name(
         raise ValueError(
             f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
         )
-    srtn_order, grows = _SLICE_POLICIES[name]
-    c = compute_components(w, static_ots=None if name == "proposed" else static_ots)
+    srtn_order, grows, static = _SLICE_POLICIES[name]
+    c = components(w, static_ots=static_ots if static else None)
     sc = dict(zip(w.pids, c.sc)) if grows else None
     return SchedulingPolicy(name, srtn_order, dict(zip(w.pids, c.its)), sc)

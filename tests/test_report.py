@@ -616,7 +616,7 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("rows", _CHUNK_SIZES)
     def test_json_tables(self, rows):
-        pids = sorted(range(1, rows + 1), key=str)  # the order json sorts the keys in
+        pids = random.Random(-rows).sample(range(1, rows + 1), rows)  # the writer sorts them
         a, b, c = self._columns(rows, 3)
         doc = {
             "unkeyed": report._Table(("zeta", "alpha", "mid"), (a, b, c)),
@@ -643,13 +643,16 @@ class TestChunkBoundaries:
 
 
 _PARSE_TO_METRICS = ["workload.parse", "schedulers.build", "engine.simulate", "metrics.compute"]
+_PARSE_TO_METRICS_WITH_SLICES = [*_PARSE_TO_METRICS[:2], "timeslice.components",
+                                 *_PARSE_TO_METRICS[2:]]
 # Per command: argv, and the layers run_cli hands its span hook, in order,
 # with both --json and --csv given.
 _SPAN_RUNS = {
     "simulate": (["--workload", RANDOM_CSV, "--policy", "proposed", "--paper-notes"],
-                 _PARSE_TO_METRICS + ["report.gantt", "report.table"] + ["report.export"] * 2),
+                 _PARSE_TO_METRICS_WITH_SLICES + ["report.gantt", "report.table"]
+                 + ["report.export"] * 2),
     "compare": (["--workload", RANDOM_CSV, "--policies", "pbdrr,rr:3"],
-                _PARSE_TO_METRICS + _PARSE_TO_METRICS[1:] + ["report.table"]
+                _PARSE_TO_METRICS_WITH_SLICES + _PARSE_TO_METRICS[1:] + ["report.table"]
                 + ["report.export"] * 2),
     "components": (["--workload", RANDOM_CSV, "--paper-notes"],
                    ["workload.parse", "timeslice.components", "report.table"]
@@ -685,6 +688,24 @@ class TestSpanHook:
         assert plain[0] == 0 and all(plain[1:])
         assert self._outputs(tmp_path / "twice", [command, *argv], span=twice) == plain
         assert seen == layers
+
+    # the slice components are computed once per distinct OTS source: the
+    # Range OTS for proposed, one static OTS shared by pbdrr and its-rr
+    @pytest.mark.parametrize("argv,calls", [
+        (["compare", "--policies", "proposed,pbdrr,its-rr,rr:3"], 2),
+        (["simulate", "--policy", "rr:3"], 0),
+        (["simulate", "--policy", "srtn"], 0),
+        (["simulate", "--policy", "fcfs"], 0),
+    ])
+    def test_components_once_per_ots(self, argv, calls):
+        seen = []
+
+        def record(layer, call):
+            seen.append(layer)
+            return call()
+
+        assert run_cli(argv + ["--workload", RANDOM_CSV], io.StringIO(), record) == 0
+        assert seen.count("timeslice.components") == calls
 
 
 class TestNoRowObjects:

@@ -307,3 +307,20 @@ class TestPolicyFromName:
     ])
     def test_normalised_names(self, name, expected, increasing_w):
         assert policy_from_name(name, increasing_w).name == expected
+
+    # the one statement of which OTS each slice policy reads: the Range OTS
+    # (None) for proposed, the static OTS for pbdrr and its-rr, none for the rest
+    @pytest.mark.parametrize("name,calls", [
+        ("proposed", [None]), ("pbdrr", [9]), ("its-rr", [9]),
+        ("rr:3", []), ("srtn", []), ("fcfs", []),
+    ])
+    def test_components_source(self, name, calls, random_w):
+        seen = []
+
+        def record(w, static_ots):
+            seen.append((w, static_ots))
+            return compute_components(w, static_ots=static_ots)
+
+        policy = policy_from_name(name, random_w, 9, components=record)
+        assert seen == [(random_w, ots) for ots in calls]
+        assert policy == policy_from_name(name, random_w, 9)
