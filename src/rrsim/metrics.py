@@ -18,20 +18,19 @@ class MetricsError(ValueError):
     """Raised when a trace is not a valid schedule of the given workload."""
 
 
+METRIC_FIELDS = ("turnaround", "waiting", "response")  # MetricsSummary's columns
+
+
 @dataclass(frozen=True)
-class PerProcessMetrics:
-    """Turnaround, waiting and response of each process, as int columns in the
-    workload's submission order."""
+class MetricsSummary:
+    """The int columns ``turnaround``, ``waiting`` and ``response``, one entry
+    per pid of ``pids`` in the workload's submission order; the exact averages
+    ``avg_turnaround`` and ``avg_waiting``; and ``context_switches``."""
 
     pids: Tuple[int, ...]
     turnaround: List[int]
     waiting: List[int]
     response: List[int]
-
-
-@dataclass(frozen=True)
-class MetricsSummary:
-    per_process: PerProcessMetrics
     avg_turnaround: Fraction
     avg_waiting: Fraction
     context_switches: int
@@ -84,7 +83,7 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
     wt = list(map(sub, tat, bursts))
     n = len(pids)
     return MetricsSummary(
-        per_process=PerProcessMetrics(pids, tat, wt, list(map(first_start.__getitem__, pids))),
+        pids, tat, wt, list(map(first_start.__getitem__, pids)),
         avg_turnaround=Fraction(sum(tat), n),
         avg_waiting=Fraction(sum(wt), n),
         context_switches=runs - 1,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .engine import ScheduleTrace
+from .schedulers import _SLICE_POLICIES
 from .timeslice import COMPONENT_FIELDS, SliceComponents
 from .workload import Workload
 
@@ -89,10 +90,10 @@ def quantum_notes(
 ) -> List[str]:
     """Footnotes for per-round quanta where the published matrix disagrees
     with the trace, matched to the workload's processes by submission
-    position.  The ``static_ots`` matrix is looked up before the Range-OTS
-    one."""
-    key = (w.bursts, w.priorities, policy_name)
-    published = ROUNDS.get(key + (static_ots,)) or ROUNDS.get(key + (None,))
+    position.  The matrix is the one for the OTS the policy reads:
+    ``static_ots`` for ``pbdrr`` and ``its-rr``, the Range OTS for ``proposed``."""
+    static = _SLICE_POLICIES.get(policy_name, (False,) * 3)[2]
+    published = ROUNDS.get((w.bursts, w.priorities, policy_name, static_ots if static else None))
     if published is None:
         return []
     actual: Dict[int, List[int]] = {pid: [] for pid in w.pids}

@@ -22,7 +22,7 @@ from typing import (
 
 from . import references
 from .engine import SEGMENT_FIELDS, ScheduleTrace, Segments, simulate
-from .metrics import MetricsError, MetricsSummary, compute_metrics, format_average
+from .metrics import METRIC_FIELDS, MetricsError, MetricsSummary, compute_metrics, format_average
 from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, policy_from_name
 from .timeslice import COMPONENT_FIELDS, SliceComponents, check_static_ots, compute_components
 from .workload import (
@@ -40,9 +40,6 @@ from .workload import (
 
 # ---------------------------------------------------------------------------
 # rendering
-
-_METRIC_FIELDS = ("turnaround", "waiting", "response")  # also the table's headers
-
 
 def _runs(trace: ScheduleTrace) -> Tuple[List[int], List[int], List[int]]:
     """The (pid, start, end) columns of the time-ordered runs.  A run starts
@@ -89,9 +86,8 @@ def _process_table(w: Workload, columns: Dict[str, Iterable[int]]) -> str:
 
 def render_metrics(summary: MetricsSummary, w: Workload) -> str:
     """The per-process table and the averages of ``summary``, the metrics of ``w``."""
-    m = summary.per_process
     return (
-        _process_table(w, dict(zip(_METRIC_FIELDS, (m.turnaround, m.waiting, m.response))))
+        _process_table(w, dict(zip(METRIC_FIELDS, attrgetter(*METRIC_FIELDS)(summary))))
         + f"\n\navg turnaround: {format_average(summary.avg_turnaround)}"
         + f"\navg waiting:    {format_average(summary.avg_waiting)}"
         + f"\ncontext switches: {summary.context_switches}"
@@ -158,14 +154,13 @@ def _trace_doc(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str,
 
 
 def _metrics_doc(name: str, summary: MetricsSummary) -> Dict[str, object]:
-    m = summary.per_process
     return {
         "policy": name,
         "avg_turnaround": _average_to_dict(summary.avg_turnaround),
         "avg_waiting": _average_to_dict(summary.avg_waiting),
         "context_switches": summary.context_switches,
-        "per_process": _Table(_METRIC_FIELDS, (m.pids, m.turnaround, m.waiting, m.response),
-                              keyed=True),
+        "per_process": _Table(METRIC_FIELDS,
+                              attrgetter("pids", *METRIC_FIELDS)(summary), keyed=True),
     }
 
 

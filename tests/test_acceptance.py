@@ -150,7 +150,7 @@ def _check_workload_properties(w):
             executed[pid] += end - start
         assert executed == dict(zip(w.pids, w.bursts))
         summary = compute_metrics(trace, w)
-        assert min(summary.per_process.waiting) >= 0
+        assert min(summary.waiting) >= 0
         assert summary.avg_waiting == summary.avg_turnaround - Fraction(total, len(w))
         waits[name] = summary.avg_waiting
         if name == "fcfs":

@@ -1,6 +1,7 @@
 import dataclasses
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from rrsim import (
     workload,
 )
 from rrsim.engine import DispatchSegment, ScheduleTrace
-from rrsim.metrics import MetricsError
+from rrsim.metrics import METRIC_FIELDS, MetricsError
 from rrsim.report import _runs
 from rrsim.schedulers import POLICY_NAMES
 
@@ -34,10 +35,9 @@ class TestGolden:
 
     def test_single_process(self):
         w = workload([9])
-        summary = compute_metrics(simulate(w, policy_from_name("fcfs", w)), w)
-        m = summary.per_process
-        assert (m.pids, m.turnaround, m.waiting, m.response) == ((1,), [9], [0], [0])
-        assert summary.context_switches == 0
+        s = compute_metrics(simulate(w, policy_from_name("fcfs", w)), w)
+        assert (s.pids, s.turnaround, s.waiting, s.response) == ((1,), [9], [0], [0])
+        assert s.context_switches == 0
 
 
 class TestContextSwitches:
@@ -79,9 +79,8 @@ class TestIdentities:
         assert summary.context_switches == len(runs) - 1
         mean_burst = Fraction(sum(w.bursts), len(w))
         assert summary.avg_waiting == summary.avg_turnaround - mean_burst
-        m = summary.per_process
         for burst, turnaround, waiting, response in zip(
-            w.bursts, m.turnaround, m.waiting, m.response
+            w.bursts, summary.turnaround, summary.waiting, summary.response
         ):
             assert waiting >= 0
             assert response <= waiting
@@ -98,9 +97,9 @@ class TestIdentities:
         assert moved.avg_turnaround == base.avg_turnaround
         assert moved.avg_waiting == base.avg_waiting
         assert moved.context_switches == base.context_switches
-        b, m = base.per_process, moved.per_process
-        assert m.pids == tuple(pid + 10 for pid in b.pids)
-        assert (m.turnaround, m.waiting, m.response) == (b.turnaround, b.waiting, b.response)
+        assert moved.pids == tuple(pid + 10 for pid in base.pids)
+        columns = attrgetter(*METRIC_FIELDS)
+        assert columns(moved) == columns(base)
 
 
 def _ref_per_process(w, trace):
@@ -114,7 +113,7 @@ def _ref_per_process(w, trace):
 
 
 class TestPerProcessMapping:
-    """``per_process`` maps the workload's pids, in submission order, to int
+    """``compute_metrics`` maps the workload's pids, in submission order, to int
     metric columns that read as the row-wise dict did."""
 
     @pytest.mark.parametrize("name", [n.replace("<q>", "3") for n in POLICY_NAMES])
@@ -122,7 +121,7 @@ class TestPerProcessMapping:
     @given(w=scattered_workloads())
     def test_matches_row_wise_reference(self, name, w):
         trace = simulate(w, policy_from_name(name, w))
-        m = compute_metrics(trace, w).per_process
+        m = compute_metrics(trace, w)
         expected = _ref_per_process(w, trace)
         assert m.pids == w.pids
         assert dict(zip(m.pids, zip(m.turnaround, m.waiting, m.response))) == expected

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from rrsim import Workload, parse_workload, serialize_workload
+from rrsim import Workload, parse_workload, policy_from_name, serialize_workload, simulate
 from rrsim.report import run_cli
-from rrsim.references import COMPONENTS, ROUNDS
+from rrsim.references import COMPONENTS, ROUNDS, quantum_notes
 from rrsim.schedulers import POLICY_NAMES
 from rrsim.timeslice import COMPONENT_FIELDS
 
@@ -25,6 +25,11 @@ def dataset(key):
     """(name, workload) of the dataset with the key's bursts and priorities."""
     assert key[:2] in DATASETS, f"no dataset has bursts {key[0]}, priorities {key[1]}"
     return DATASETS[key[:2]]
+
+
+def named(stem):
+    """The dataset ``data/<stem>.csv``."""
+    return next(w for name, w in DATASETS.values() if name == stem)
 
 
 def key_id(key):
@@ -80,3 +85,24 @@ def test_round_notes_follow_submission_position(key, ids, tmp_path):
         re.sub(r"^note: P(\d+) ", lambda m: f"note: P{rename[int(m[1])]} ", line)
         for line in notes(w)
     ]
+
+
+@pytest.mark.parametrize("stem", ["increasing", "random"])
+def test_proposed_notes_ignore_static_ots(stem):
+    """``proposed`` reads the Range OTS, so a static OTS picks no other matrix."""
+    w = named(stem)
+    trace = simulate(w, policy_from_name("proposed", w))
+    notes = quantum_notes(w, "proposed", trace)
+    assert len(notes) == 1  # the one published cell the rules contradict
+    assert quantum_notes(w, "proposed", trace, 4) == quantum_notes(w, "proposed", trace, 5) == notes
+
+
+@pytest.mark.parametrize("stem", ["increasing", "random"])
+def test_pbdrr_notes_read_the_static_ots_matrix(stem):
+    """``pbdrr`` reads the static OTS, and its matrix is published for OTS 4
+    only: a run at OTS 5 has no matrix to differ from, while the OTS-4 matrix
+    differs from it in three processes."""
+    w = named(stem)
+    trace = simulate(w, policy_from_name("pbdrr", w, static_ots=5))
+    assert quantum_notes(w, "pbdrr", trace, 5) == []
+    assert len(quantum_notes(w, "pbdrr", trace, 4)) == 3

@@ -493,7 +493,6 @@ def _ref_average(value):
 
 
 def _ref_metrics(name, summary):
-    m = summary.per_process
     return {
         "policy": name,
         "avg_turnaround": _ref_average(summary.avg_turnaround),
@@ -501,7 +500,8 @@ def _ref_metrics(name, summary):
         "context_switches": summary.context_switches,
         "per_process": {
             str(pid): {"turnaround": tat, "waiting": wt, "response": rt}
-            for pid, tat, wt, rt in zip(m.pids, m.turnaround, m.waiting, m.response)
+            for pid, tat, wt, rt in zip(summary.pids, summary.turnaround, summary.waiting,
+                                        summary.response)
         },
     }
 
@@ -800,9 +800,8 @@ class TestColumnTables:
     @given(w=_wide_workloads(), name=st.sampled_from(["proposed", "pbdrr", "srtn", "fcfs"]))
     def test_render_metrics(self, w, name):
         summary = compute_metrics(simulate(w, policy_from_name(name, w)), w)
-        m = summary.per_process
-        rows = [_ref_process_cells(p) + list(map(str, metrics))
-                for p, *metrics in zip(process_rows(w), m.turnaround, m.waiting, m.response)]
+        rows = [_ref_process_cells(p) + list(map(str, metrics)) for p, *metrics
+                in zip(process_rows(w), summary.turnaround, summary.waiting, summary.response)]
         header = ["process", "burst", "priority", "turnaround", "waiting", "response"]
         assert render_metrics(summary, w) == (
             _ref_table(header, rows)
@@ -865,6 +864,22 @@ def _run_cli(argv):
     return rc, out.getvalue(), err.getvalue(), data
 
 
+def _assert_exit_contract(rc, out, err):
+    """The CLI's exit contract: 0 prints output and writes nothing to stderr; 1
+    prints one ``error:`` line and no output; 2 prints a usage message whose
+    last line is its only ``error:`` line."""
+    lines = err.splitlines()
+    if rc == 0:
+        assert out and not err
+    elif rc == 1:
+        assert not out
+        assert len(lines) == 1 and err == f"{lines[0]}\n" and err.startswith("error: ")
+    else:
+        assert rc == 2 and err.startswith("usage: rrsim")
+        assert [line for line in lines if "error:" in line] == [lines[-1]]
+        assert re.match(r"rrsim( [a-z]+)?: error: ", lines[-1])
+
+
 class TestIntegerSyntax:
     """Every integer the CLI reads has the syntax of a workload CSV field: an
     optional ``-`` and ASCII digits, with surrounding spaces."""
@@ -882,14 +897,13 @@ class TestIntegerSyntax:
             assume(sum(c.isdigit() for c in text) <= 2)
         option, argv = _NUMBER_SLOTS[slot]
         rc, out, err, data = _run_cli(argv(text))
+        _assert_exit_contract(rc, out, err)
         if re.fullmatch(r"-?[0-9]+", text.strip()):
             assert (rc, out, err, data) == _run_cli(argv(str(int(text))))
         elif option is None:
             assert rc == 1
-            assert err.startswith("error: ") and err.count("\n") == 1
         else:
             assert rc == 2
-            assert err.startswith("usage: ")
             assert f"error: argument {option}: " in err
 
 
@@ -928,8 +942,9 @@ _CSV_ARGV = {
 
 
 class TestCsvText:
-    """Whatever the workload CSV holds, the CLI exits 0 with output, or 1
-    with one ``error:`` line and no output, and never raises."""
+    """Whatever the workload CSV holds, the CLI exits 0 with its export
+    written or 1 without it, keeps :func:`_assert_exit_contract`, and never
+    raises."""
 
     @pytest.mark.parametrize("case", sorted(_CSV_ARGV))
     @settings(max_examples=10, deadline=None)
@@ -941,11 +956,11 @@ class TestCsvText:
             path = Path(tmp) / "w.csv"
             path.write_bytes(text.encode("utf-8", "surrogatepass"))
             rc, out, err, data = _run_cli([*_CSV_ARGV[case], "--workload", str(path)])
+        _assert_exit_contract(rc, out, err)
         if rc == 0:
-            assert out and data and not err
+            assert data
         else:
-            assert rc == 1 and not out and data is None
-            assert err.startswith("error: ") and err.count("\n") == 1
+            assert rc == 1 and data is None
 
 
 def _subcommands():
@@ -1007,17 +1022,14 @@ class TestDashDashValue:
             i = argv.index(option)
             del argv[i:i + 2]
         rc = run_cli([command, *argv, f"{option}=--"])
-        err = capsys.readouterr().err
-        lines = err.splitlines()
+        out, err = capsys.readouterr()
         assert "Traceback" not in err
-        if rc == 1:
-            assert len(lines) == 1 and lines[0].startswith("error: ")
-        else:
-            assert rc == 2
+        _assert_exit_contract(rc, out, err)
+        assert rc in (1, 2)
+        if rc == 2:
             assert err.startswith(f"usage: rrsim {command} ")
-            assert [line for line in lines if "error:" in line] == [lines[-1]]
-            assert lines[-1].startswith(f"rrsim {command}: error: argument ")
-            assert option in lines[-1]
+            last = err.splitlines()[-1]
+            assert last.startswith(f"rrsim {command}: error: argument ") and option in last
 
 
 # Text for the argv slots that take a name, or an option the CLI may not have:
@@ -1038,9 +1050,8 @@ _NAME_SLOTS = {
 
 
 class TestNameText:
-    """Whatever text a name slot or an extra option holds, the CLI exits 0 with
-    output, or 1 with one ``error:`` line, or 2 with a usage message that
-    ends in its one error line, and never raises."""
+    """Whatever text a name slot or an extra option holds, the CLI keeps
+    :func:`_assert_exit_contract` and never raises."""
 
     @pytest.mark.parametrize("slot", sorted(_NAME_SLOTS))
     @settings(max_examples=15, deadline=None)
@@ -1059,16 +1070,7 @@ class TestNameText:
                 rc, out, err, _ = _run_cli(_NAME_SLOTS[slot](text))
             finally:
                 os.chdir(cwd)
-        lines = err.splitlines()
-        if rc == 0:
-            assert out and not err
-        elif rc == 1:
-            assert len(lines) == 1 and lines[0].startswith("error: ")
-            assert not out
-        else:
-            assert rc == 2 and err.startswith("usage: rrsim")
-            assert [line for line in lines if "error:" in line] == [lines[-1]]
-            assert re.match(r"rrsim( [a-z]+)?: error: ", lines[-1])
+        _assert_exit_contract(rc, out, err)
 
 
 class TestEmptyPath:
@@ -1103,9 +1105,8 @@ _PATH_SLOTS = {
 
 
 class TestPathText:
-    """Whatever text a path names, the CLI exits 0 with its export written, or
-    1 with one ``error:`` line, or 2 with a usage message that ends in its one
-    error line, and never raises."""
+    """Whatever text a path names, the CLI keeps :func:`_assert_exit_contract`,
+    with its export written on exit 0, and never raises."""
 
     @pytest.mark.parametrize("slot", sorted(_PATH_SLOTS))
     @settings(max_examples=15, deadline=None)
@@ -1127,13 +1128,5 @@ class TestPathText:
             with contextlib.redirect_stderr(err):
                 rc = run_cli(argv(path), out=out)
             written = reads or os.path.isfile(path)
-        err = err.getvalue()
-        lines = err.splitlines()
-        if rc == 0:
-            assert out.getvalue() and not err and written
-        elif rc == 1:
-            assert len(lines) == 1 and lines[0].startswith("error: ")
-            assert not out.getvalue()
-        else:
-            assert rc == 2 and err.startswith("usage: rrsim")
-            assert [line for line in lines if "error:" in line] == [lines[-1]]
+        _assert_exit_contract(rc, out.getvalue(), err.getvalue())
+        assert written or rc != 0
