@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import sub
+from itertools import islice
+from operator import ne, sub
 from typing import Dict, List, Tuple
 
 from .engine import ScheduleTrace
@@ -36,33 +37,25 @@ class MetricsSummary:
     context_switches: int
 
 
-def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
-    """Turnaround / waiting / response per process, exact averages and the
-    context-switch count, from one walk over the segment columns.  All arrivals are
-    at t=0, so TAT equals completion.  Raises :class:`MetricsError` unless the
-    segments run back to back from t=0, each for 1 to ``quantum`` units, each
-    process runs exactly its burst, and ``trace.completion`` holds the end of
-    each process's last segment."""
+def check_trace(trace: ScheduleTrace, w: Workload) -> None:
+    """Raise :class:`MetricsError` unless ``trace`` is a valid schedule of ``w``:
+    the segments run back to back from t=0, each for 1 to ``quantum`` units and
+    each the pid's k-th segment in round k, each process runs exactly its burst,
+    and ``trace.completion`` holds the end of each process's last segment."""
     executed = dict.fromkeys(w.pids, 0)
-    first_start: Dict[int, int] = {}
+    visits = dict.fromkeys(w.pids, 0)
     last_end: Dict[int, int] = {}
-    runs = 0  # maximal runs of one process; each after the first is a switch
     clock = 0
-    prev = None
-    segs = trace.segments
-    for pid, start, end, quantum in zip(segs.pid, segs.start, segs.end, segs.quantum):
+    for pid, start, end, rnd, quantum in zip(*trace.segments.columns):
         if pid not in executed:
             raise MetricsError(f"trace references unknown process P{pid}")
         if start != clock:
             raise MetricsError(f"P{pid} segment starts at {start}, expected {clock}")
         if not 0 < end - clock <= quantum:
-            raise MetricsError(
-                f"P{pid} segment [{clock}, {end}) is not 1..{quantum} units"
-            )
-        if pid != prev:
-            runs += 1
-            first_start.setdefault(pid, clock)
-            prev = pid
+            raise MetricsError(f"P{pid} segment [{clock}, {end}) is not 1..{quantum} units")
+        if rnd != visits[pid] + 1:  # a pid's k-th segment runs in round k
+            raise MetricsError(f"segment round of P{pid} is {rnd}, expected {visits[pid] + 1}")
+        visits[pid] = rnd
         executed[pid] += end - clock
         clock = last_end[pid] = end
 
@@ -79,14 +72,23 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
             f" but its last segment ends at {last_end.get(pid)}"
         )
 
-    tat = list(map(last_end.__getitem__, pids))
+
+def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
+    """Turnaround / waiting / response per process, exact averages and the
+    context-switch count, read from the columns of a trusted trace: one that
+    ``simulate`` built or ``trace_from_dict`` returned.  It checks nothing; pass
+    any other trace to :func:`check_trace` first.  All arrivals are at t=0, so
+    TAT equals completion."""
+    pids, bursts = w.pids, w.bursts
+    segs = trace.segments
+    tat = list(map(trace.completion.__getitem__, pids))
     wt = list(map(sub, tat, bursts))
-    n = len(pids)
+    first_start = dict(zip(reversed(segs.pid), reversed(segs.start)))
     return MetricsSummary(
         pids, tat, wt, list(map(first_start.__getitem__, pids)),
-        avg_turnaround=Fraction(sum(tat), n),
-        avg_waiting=Fraction(sum(wt), n),
-        context_switches=runs - 1,
+        avg_turnaround=Fraction(sum(tat), len(pids)),
+        avg_waiting=Fraction(sum(wt), len(pids)),
+        context_switches=sum(map(ne, segs.pid, islice(segs.pid, 1, None))),
     )
 
 

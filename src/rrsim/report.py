@@ -22,7 +22,9 @@ from typing import (
 
 from . import references
 from .engine import SEGMENT_FIELDS, ScheduleTrace, Segments, simulate
-from .metrics import METRIC_FIELDS, MetricsError, MetricsSummary, compute_metrics, format_average
+from .metrics import (
+    METRIC_FIELDS, MetricsError, MetricsSummary, check_trace, compute_metrics, format_average,
+)
 from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, policy_from_name
 from .timeslice import COMPONENT_FIELDS, SliceComponents, check_static_ots, compute_components
 from .workload import (
@@ -210,7 +212,7 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
     field or workload row, for a missing or mistyped field, an invalid
     workload, a completion key that is not a pid of the workload, a pid's k-th
     segment not in round k, and an invalid schedule (see
-    :func:`compute_metrics`)."""
+    :func:`check_trace`)."""
     if not isinstance(data, dict):
         raise MetricsError(f"trace is a {type(data).__name__}, expected an object")
     rows = _field(data, "workload", list, "a list")
@@ -236,12 +238,7 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
             raise MetricsError(f"completion key {key!r} is not a process id of the workload")
     completion = dict(zip(map(pids.get, done), _ints(done, done, "completion")))
     trace = ScheduleTrace(segments, completion)
-    compute_metrics(trace, w)
-    visits = dict.fromkeys(w.pids, 0)  # compute_metrics rejected unknown pids
-    for pid, rnd in zip(segments.pid, segments.round):
-        visits[pid] += 1
-        if rnd != visits[pid]:
-            raise MetricsError(f"segment round of P{pid} is {rnd}, expected {visits[pid]}")
+    check_trace(trace, w)
     return w, policy, trace
 
 

@@ -16,6 +16,7 @@ from rrsim import (
     simulate,
     workload,
 )
+from rrsim.metrics import check_trace
 from step_oracle import step_simulate
 
 INCREASING = workload([5, 12, 16, 21, 23], [2, 3, 1, 4, 5])
@@ -145,10 +146,7 @@ def _check_workload_properties(w):
         segs = trace.segments
         assert segs.start == [0] + segs.end[:-1]  # back to back from t=0
         assert trace.makespan == total
-        executed = dict.fromkeys(w.pids, 0)
-        for pid, start, end in zip(segs.pid, segs.start, segs.end):
-            executed[pid] += end - start
-        assert executed == dict(zip(w.pids, w.bursts))
+        check_trace(trace, w)  # raises MetricsError unless a valid schedule
         summary = compute_metrics(trace, w)
         assert min(summary.waiting) >= 0
         assert summary.avg_waiting == summary.avg_turnaround - Fraction(total, len(w))

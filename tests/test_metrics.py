@@ -18,7 +18,7 @@ from rrsim import (
     workload,
 )
 from rrsim.engine import DispatchSegment, ScheduleTrace
-from rrsim.metrics import METRIC_FIELDS, MetricsError
+from rrsim.metrics import METRIC_FIELDS, MetricsError, check_trace
 from rrsim.report import _runs
 from rrsim.schedulers import POLICY_NAMES
 
@@ -103,28 +103,35 @@ class TestIdentities:
 
 
 def _ref_per_process(w, trace):
-    """pid -> (turnaround, waiting, response), one process at a time from its
-    segments."""
+    """pid -> (turnaround, waiting, response), one process at a time from the
+    first and the last of its segments."""
+    pids, starts, ends = trace.segments.pid, trace.segments.start, trace.segments.end
     out = {}
     for p in process_rows(w):
-        mine = [s for s in trace.segments if s.pid == p.pid]
-        out[p.pid] = (mine[-1].end, mine[-1].end - p.burst, mine[0].start)
+        first = pids.index(p.pid)
+        last = len(pids) - 1 - pids[::-1].index(p.pid)
+        out[p.pid] = (ends[last], ends[last] - p.burst, starts[first])
     return out
 
 
 class TestPerProcessMapping:
     """``compute_metrics`` maps the workload's pids, in submission order, to int
-    metric columns that read as the row-wise dict did."""
+    metric columns that read as the row-wise dict did, and counts the switches
+    between the merged runs of the Gantt reference.  Workloads reach the sizes
+    of criterion 6 (n <= 50, bursts <= 500)."""
 
     @pytest.mark.parametrize("name", [n.replace("<q>", "3") for n in POLICY_NAMES])
     @settings(max_examples=25, deadline=None)
-    @given(w=scattered_workloads())
+    @given(w=scattered_workloads(max_n=50, max_burst=500))
     def test_matches_row_wise_reference(self, name, w):
         trace = simulate(w, policy_from_name(name, w))
         m = compute_metrics(trace, w)
         expected = _ref_per_process(w, trace)
         assert m.pids == w.pids
         assert dict(zip(m.pids, zip(m.turnaround, m.waiting, m.response))) == expected
+        segs = trace.segments
+        runs = gantt_reference.merge_runs(zip(segs.pid, segs.start, segs.end))
+        assert m.context_switches == len(runs) - 1
         assert all(type(x) is int for column in (m.turnaround, m.waiting, m.response)
                    for x in column)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -136,37 +143,37 @@ class TestValidation:
         w = workload([4])
         trace = ScheduleTrace((DispatchSegment(9, 0, 4, 1, 4),), {9: 4})
         with pytest.raises(MetricsError, match="unknown process P9"):
-            compute_metrics(trace, w)
+            check_trace(trace, w)
 
     def test_burst_mismatch(self):
         w = workload([4])
         trace = ScheduleTrace((DispatchSegment(1, 0, 3, 1, 3),), {1: 3})
         with pytest.raises(MetricsError, match="burst"):
-            compute_metrics(trace, w)
+            check_trace(trace, w)
 
     def test_completion_disagrees_with_segments(self):
         w = workload([4, 3])
         trace = simulate(w, policy_from_name("fcfs", w))
         bad = ScheduleTrace(trace.segments, {1: 4, 2: 99})
         with pytest.raises(MetricsError, match="completion of P2 is 99"):
-            compute_metrics(bad, w)
+            check_trace(bad, w)
 
     def test_completion_missing_a_process(self):
         w = workload([4, 3])
         bad = ScheduleTrace(simulate(w, policy_from_name("fcfs", w)).segments, {1: 4})
         with pytest.raises(MetricsError, match="completion of P2 is None"):
-            compute_metrics(bad, w)
+            check_trace(bad, w)
 
     def test_idle_gap(self):
         w = workload([4, 3])
         segments = (DispatchSegment(1, 0, 4, 1, 4), DispatchSegment(2, 5, 8, 1, 3))
         with pytest.raises(MetricsError, match="starts at 5, expected 4"):
-            compute_metrics(ScheduleTrace(segments, {1: 4, 2: 8}), w)
+            check_trace(ScheduleTrace(segments, {1: 4, 2: 8}), w)
 
     def test_run_longer_than_quantum(self):
         trace = ScheduleTrace((DispatchSegment(1, 0, 4, 1, 2),), {1: 4})
         with pytest.raises(MetricsError, match=r"\[0, 4\) is not 1..2 units"):
-            compute_metrics(trace, workload([4]))
+            check_trace(trace, workload([4]))
 
     def test_zero_length_segment(self):
         # an empty grant is neither a response nor a context switch
@@ -176,12 +183,17 @@ class TestValidation:
             DispatchSegment(2, 4, 7, 1, 3),
         )
         with pytest.raises(MetricsError, match=r"P2 segment \[0, 0\)"):
-            compute_metrics(ScheduleTrace(segments, {1: 4, 2: 7}), workload([4, 3]))
+            check_trace(ScheduleTrace(segments, {1: 4, 2: 7}), workload([4, 3]))
 
     def test_backward_segment(self):
         segments = (DispatchSegment(1, 0, 6, 1, 6), DispatchSegment(1, 6, 4, 2, 1))
         with pytest.raises(MetricsError, match=r"P1 segment \[6, 4\)"):
-            compute_metrics(ScheduleTrace(segments, {1: 4}), workload([4]))
+            check_trace(ScheduleTrace(segments, {1: 4}), workload([4]))
+
+    def test_second_segment_in_round_one(self):
+        segments = (DispatchSegment(1, 0, 2, 1, 2), DispatchSegment(1, 2, 4, 1, 2))
+        with pytest.raises(MetricsError, match="segment round of P1 is 1, expected 2"):
+            check_trace(ScheduleTrace(segments, {1: 4}), workload([4]))
 
 
 class TestFormatAverage:
