@@ -117,6 +117,7 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
             live.sort(key=rbt.__getitem__)
         segments.pid += live  # one grant per live process per round
         segments.round += [round_no] * len(live)
+        finished = len(completion)
         for pid in live:
             left = rbt[pid]
             tq = quantum[pid]
@@ -125,14 +126,16 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
                     tq = left
                 else:
                     quantum[pid] = 2 * tq if sc[pid] else tq + (tq + 1) // 2
-            run = tq if tq < left else left
-            clock += run
+            if tq < left:  # the grant fits: the process runs its whole quantum
+                clock += tq
+                rbt[pid] = left - tq
+            else:  # the process finishes
+                clock += left
+                completion[pid] = clock
             add_end(clock)
             add_quantum(tq)
-            rbt[pid] = left - run
-            if run == left:
-                completion[pid] = clock
-        live = [pid for pid in live if rbt[pid]]
+        if len(completion) != finished:  # the ready list changes only when one finishes
+            live = [pid for pid in live if pid not in completion]
         round_no += 1
     segments.start += [0] + segments.end[:-1]  # grants run back to back
     return ScheduleTrace(segments, completion)

@@ -40,12 +40,13 @@ class MetricsSummary:
 def check_trace(trace: ScheduleTrace, w: Workload) -> None:
     """Raise :class:`MetricsError` unless ``trace`` is a valid schedule of ``w``:
     the segments run back to back from t=0, each for 1 to ``quantum`` units and
-    each the pid's k-th segment in round k, each process runs exactly its burst,
-    and ``trace.completion`` holds the end of each process's last segment."""
+    each the pid's k-th segment in round k, no round runs after a later one,
+    each process runs exactly its burst, and ``trace.completion`` holds the end
+    of each process's last segment."""
     executed = dict.fromkeys(w.pids, 0)
     visits = dict.fromkeys(w.pids, 0)
     last_end: Dict[int, int] = {}
-    clock = 0
+    clock = last_round = 0
     for pid, start, end, rnd, quantum in zip(*trace.segments.columns):
         if pid not in executed:
             raise MetricsError(f"trace references unknown process P{pid}")
@@ -55,7 +56,9 @@ def check_trace(trace: ScheduleTrace, w: Workload) -> None:
             raise MetricsError(f"P{pid} segment [{clock}, {end}) is not 1..{quantum} units")
         if rnd != visits[pid] + 1:  # a pid's k-th segment runs in round k
             raise MetricsError(f"segment round of P{pid} is {rnd}, expected {visits[pid] + 1}")
-        visits[pid] = rnd
+        if rnd < last_round:
+            raise MetricsError(f"P{pid} segment of round {rnd} runs after round {last_round}")
+        visits[pid] = last_round = rnd
         executed[pid] += end - clock
         clock = last_end[pid] = end
 

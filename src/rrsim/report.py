@@ -14,10 +14,10 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter, ne
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, AnyStr, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from . import references
@@ -112,11 +112,13 @@ def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, List[
 
 # ---------------------------------------------------------------------------
 # machine-readable export: each command states its document once, with a
-# _Table wherever rows repeat.  _write_json writes the bytes json's own dump
-# writes with sorted keys and a two-space indent, and a newline; _plain gives
-# the dicts and lists that json reads back.
+# _Table wherever rows repeat.  _write_json writes, to a file opened in binary,
+# the bytes json's own dump writes with sorted keys and a two-space indent, and
+# a newline; _plain gives the dicts and lists that json reads back.
 
-_CHUNK = 4096  # rows per write, so a long trace's text is never held whole
+# Rows per chunk, so a long trace's text is never held whole: _row_chunks
+# formats each as bytes for the JSON writer and as text for the CSV writer.
+_CHUNK = 4096
 
 
 class _Table(NamedTuple):
@@ -243,56 +245,64 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
 
 
 def _write_json(path: str, doc: object) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_value(fh.write, doc, "\n")
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        _write_value(fh.write, doc, b"\n")
+        fh.write(b"\n")
 
 
-def _write_value(write: Callable[[str], object], value: object, nl: str) -> None:
-    """Write ``value`` as json's dump with sorted keys and a two-space indent
-    does when it starts on the line ``nl`` (a newline and that line's indent)."""
+def _write_value(write: Callable[[bytes], object], value: object, nl: bytes) -> None:
+    """Write ``value`` as the (ASCII) bytes json's dump with sorted keys and a
+    two-space indent writes when it starts on the line ``nl`` (a newline and
+    that line's indent)."""
     if isinstance(value, _Table):
         _write_table(write, value, nl)
     elif not value or not isinstance(value, (dict, list)):
-        write(json.dumps(value))
+        write(json.dumps(value).encode())
     else:
-        inner = nl + "  "
+        inner = nl + b"  "
         keyed = isinstance(value, dict)
-        sep = "{" if keyed else "["
+        sep = b"{" if keyed else b"["
         for key in sorted(value) if keyed else range(len(value)):
-            write(sep + inner + (json.dumps(key) + ": " if keyed else ""))
+            write(sep + inner + (json.dumps(key).encode() + b": " if keyed else b""))
             _write_value(write, value[key], inner)
-            sep = ","
-        write(nl + ("}" if keyed else "]"))
+            sep = b","
+        write(nl + (b"}" if keyed else b"]"))
 
 
-def _write_table(write: Callable[[str], object], table: _Table, nl: str) -> None:
+def _write_table(write: Callable[[bytes], object], table: _Table, nl: bytes) -> None:
     """:func:`_write_value` for a table: one %-template per row, its fields and
     a keyed table's rows (by pid as a string) in the order ``json`` sorts keys."""
     fields, columns, keyed = table
-    inner = nl + "  "
+    inner = nl + b"  "
     order = sorted(range(len(fields)), key=fields.__getitem__)
-    row = ",".join(f'{inner}  "{fields[i]}": %d' for i in order)
-    row = "{" + row + inner + "}" if fields else "%d"
+    row = b",".join(b'%s  "%s": %%d' % (inner, fields[i].encode()) for i in order)
+    row = b"{" + row + inner + b"}" if fields else b"%d"
     columns = [*columns[:keyed], *map(columns[keyed:].__getitem__, order)] if fields else columns
     if keyed:
-        row = '"%d": ' + row
+        row = b'"%d": ' + row
         columns = list(zip(*sorted(zip(*columns), key=lambda r: str(r[0]))))
-    opener, closer = "{}" if keyed else "[]"
+    opener, closer = (b"{", b"}") if keyed else (b"[", b"]")
     sep = opener
-    for chunk in _row_chunks(row, "," + inner, columns):
-        write(sep + inner + chunk)
-        sep = ","
+    for chunk in _row_chunks(row, b"," + inner, columns):
+        write(sep + inner)  # two writes: the chunk is never copied to prepend these
+        write(chunk)
+        sep = b","
     write(opener + closer if sep == opener else nl + closer)
 
 
-def _row_chunks(row: str, sep: str, columns: Sequence[Sequence]) -> Iterator[str]:
+def _row_chunks(row: AnyStr, sep: AnyStr, columns: Sequence[Sequence]) -> Iterator[AnyStr]:
     """The rows of ``columns`` by the %-template ``row``, joined by ``sep``, as one
-    string per ``_CHUNK`` rows, each from one ``%`` on ``row`` repeated per row."""
-    width = len(columns)
-    values = chain.from_iterable(zip(*columns))
-    while chunk := tuple(islice(values, _CHUNK * width)):
-        yield sep.join([row] * (len(chunk) // width)) % chunk
+    string per ``_CHUNK`` rows: one ``%`` on ``row`` repeated per row, over one
+    flat list that each column fills by a strided slice, so no row is a tuple."""
+    width, rows = len(columns), len(columns[0]) if columns else 0
+    values = []
+    for a in range(0, rows, _CHUNK):
+        k = min(_CHUNK, rows - a)
+        if len(values) != k * width:  # the first chunk, and a short last one
+            template, values = sep.join([row] * k), [None] * (k * width)
+        for i, column in enumerate(columns):
+            values[i::width] = column[a:a + k]
+        yield template % tuple(values)
 
 
 def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:

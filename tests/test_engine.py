@@ -14,6 +14,7 @@ from rrsim import (
     simulate,
     workload,
 )
+from rrsim.metrics import check_trace
 from rrsim.report import SEGMENT_FIELDS, _runs, trace_to_dict
 from step_oracle import step_simulate
 
@@ -183,30 +184,37 @@ class TestSrtnOrder:
         assert simulate(w, policy) == step_simulate(w, policy)
 
 
+class TestReadyList:
+    """``simulate`` rebuilds the ready list only after a round in which some
+    process finished.  Each workload has, under its policy, two rounds running
+    in which no process finishes, a round in which two or more finish, and an
+    earlier round whose last grant finishes its process alone."""
+
+    @pytest.mark.parametrize("name, bursts, priorities", [
+        ("rr:1", [4, 4, 1], [1, 3, 2]),
+        ("rr:3", [13, 1, 1, 4], [2, 1, 2, 2]),
+        ("its-rr", [1, 17, 1, 9], [1, 3, 1, 1]),
+        ("proposed", [23, 23, 24], [3, 3, 1]),  # SRTN order
+    ], ids=["rr_1", "rr_3", "its_rr", "proposed"])
+    def test_matches_step_oracle(self, name, bursts, priorities):
+        w = workload(bursts, priorities)
+        policy = policy_from_name(name, w)
+        trace = simulate(w, policy)
+        assert trace == step_simulate(w, policy)
+        rounds, pids = trace.segments.round, trace.segments.pid
+        last_grant = {pid: i for i, pid in enumerate(pids)}
+        finishers = {r: [pid for pid, i in last_grant.items() if rounds[i] == r]
+                     for r in range(1, rounds[-1] + 1)}
+        assert any(not finishers[r] and not finishers[r + 1] for r in range(1, rounds[-1]))
+        assert any(len(done) >= 2 for done in finishers.values())
+        round_end = {r: i for i, r in enumerate(rounds)}  # each round's last grant
+        assert any(finishers[r] == [pids[i]] for r, i in round_end.items() if r < rounds[-1])
+
+
 def assert_trace_invariants(w, trace):
-    total = sum(w.bursts)
-    # contiguity / work conservation
-    assert trace.segments[0].start == 0
-    for prev, cur in zip(trace.segments, trace.segments[1:]):
-        assert prev.end == cur.start
-    assert trace.makespan == total
-    # per-segment sanity and per-process conservation
-    executed = dict.fromkeys(w.pids, 0)
-    last_round = {}
-    per_round_seen = {}
-    for seg in trace.segments:
-        assert seg.start < seg.end
-        assert seg.end - seg.start <= seg.quantum
-        executed[seg.pid] += seg.end - seg.start
-        # rounds strictly increase per process, one dispatch per round
-        assert last_round.get(seg.pid, 0) < seg.round
-        last_round[seg.pid] = seg.round
-        key = (seg.round, seg.pid)
-        assert key not in per_round_seen
-        per_round_seen[key] = True
-    assert executed == dict(zip(w.pids, w.bursts))
-    for pid in w.pids:
-        assert trace.completion[pid] == max(s.end for s in trace.segments if s.pid == pid)
+    check_trace(trace, w)
+    # one grant per pid per round
+    assert len(set(zip(trace.segments.round, trace.segments.pid))) == len(trace.segments)
 
 
 class TestSimulateInvariants:

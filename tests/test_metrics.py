@@ -195,6 +195,13 @@ class TestValidation:
         with pytest.raises(MetricsError, match="segment round of P1 is 1, expected 2"):
             check_trace(ScheduleTrace(segments, {1: 4}), workload([4]))
 
+    def test_round_after_a_later_round(self):
+        # P2's first grant is in round 1, but P1's round-2 grant ran before it
+        segments = (DispatchSegment(1, 0, 1, 1, 1), DispatchSegment(1, 1, 2, 2, 1),
+                    DispatchSegment(2, 2, 3, 1, 1))
+        with pytest.raises(MetricsError, match="P2 segment of round 1 runs after round 2"):
+            check_trace(ScheduleTrace(segments, {1: 2, 2: 3}), workload([2, 1]))
+
 
 class TestFormatAverage:
     @pytest.mark.parametrize(

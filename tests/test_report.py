@@ -222,6 +222,15 @@ class TestTraceJson:
         with pytest.raises(MetricsError, match=message):
             trace_from_dict(data)
 
+    def test_load_rejects_a_round_after_a_later_round(self):
+        w = workload([2, 1])
+        segments = [{"pid": pid, "start": start, "end": start + 1, "round": rnd, "quantum": 1}
+                    for pid, start, rnd in [(1, 0, 1), (1, 1, 2), (2, 2, 1)]]
+        data = {**trace_to_dict(w, "rr:1", simulate(w, policy_from_name("rr:1", w))),
+                "segments": segments, "completion": {"1": 2, "2": 3}}
+        with pytest.raises(MetricsError, match="P2 segment of round 1 runs after round 2"):
+            trace_from_dict(data)
+
     def test_load_rejects_a_non_object(self):
         with pytest.raises(MetricsError, match="trace is a list, expected an object"):
             trace_from_dict([])
@@ -597,8 +606,9 @@ class TestJsonWriter:
         parts = []
         doc = {"list": report._Table(("x",), ([],)),
                "keyed": report._Table((), ([], []), keyed=True)}
-        report._write_value(parts.append, doc, "\n")
-        assert "".join(parts) == json.dumps({"list": [], "keyed": {}}, sort_keys=True, indent=2)
+        report._write_value(parts.append, doc, b"\n")
+        assert b"".join(parts) == json.dumps(
+            {"list": [], "keyed": {}}, sort_keys=True, indent=2).encode()
 
 
 _CHUNK_SIZES = [report._CHUNK - 1, report._CHUNK, report._CHUNK + 1, 2 * report._CHUNK]
@@ -629,8 +639,8 @@ class TestChunkBoundaries:
             "values": dict(zip(map(str, pids), c)),
         }
         parts = []
-        report._write_value(parts.append, doc, "\n")
-        assert "".join(parts) == json.dumps(expected, sort_keys=True, indent=2)
+        report._write_value(parts.append, doc, b"\n")
+        assert b"".join(parts) == json.dumps(expected, sort_keys=True, indent=2).encode()
 
     @pytest.mark.parametrize("rows", _CHUNK_SIZES)
     def test_csv(self, rows, tmp_path):
