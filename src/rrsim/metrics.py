@@ -5,10 +5,10 @@ display never feeds back into any comparison.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from operator import ne, sub
+from operator import sub
 from typing import Dict, List, Tuple
 
 from .engine import ScheduleTrace
@@ -42,7 +42,9 @@ def check_trace(trace: ScheduleTrace, w: Workload) -> None:
     the segments run back to back from t=0, each for 1 to ``quantum`` units and
     each the pid's k-th segment in round k, no round runs after a later one,
     each process runs exactly its burst, and ``trace.completion`` holds the end
-    of each process's last segment."""
+    of each process's last segment.  :func:`compute_metrics` relies on the
+    round checks: they make round 1 the first n segments, one per pid, and
+    put a pid's back-to-back segments only across a round boundary."""
     executed = dict.fromkeys(w.pids, 0)
     visits = dict.fromkeys(w.pids, 0)
     last_end: Dict[int, int] = {}
@@ -81,17 +83,32 @@ def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
     context-switch count, read from the columns of a trusted trace: one that
     ``simulate`` built or ``trace_from_dict`` returned.  It checks nothing; pass
     any other trace to :func:`check_trace` first.  All arrivals are at t=0, so
-    TAT equals completion."""
+    TAT equals completion.
+
+    It reads two facts that :func:`check_trace` enforces, not every segment.
+    Round 1 is the first n segments, one per pid, since each pid runs and its
+    first segment is in round 1; so they hold each pid's response.  A pid has
+    one segment per round and rounds run 1..R without a gap, so a pid runs
+    twice in a row only across a round boundary; each boundary is found by
+    bisection on the round column.  The cost is O(n + R log S) for R rounds
+    and S segments."""
     pids, bursts = w.pids, w.bursts
+    n = len(pids)
     segs = trace.segments
     tat = list(map(trace.completion.__getitem__, pids))
     wt = list(map(sub, tat, bursts))
-    first_start = dict(zip(reversed(segs.pid), reversed(segs.start)))
+    first_start = dict(zip(segs.pid[:n], segs.start[:n]))
+    seg_pid, seg_round = segs.pid, segs.round
+    repeats = 0
+    at = n  # the first segment of round 2, if there is one
+    for rnd in range(2, seg_round[-1] + 1):
+        at = bisect_left(seg_round, rnd, at)
+        repeats += seg_pid[at - 1] == seg_pid[at]
     return MetricsSummary(
         pids, tat, wt, list(map(first_start.__getitem__, pids)),
-        avg_turnaround=Fraction(sum(tat), len(pids)),
-        avg_waiting=Fraction(sum(wt), len(pids)),
-        context_switches=sum(map(ne, segs.pid, islice(segs.pid, 1, None))),
+        avg_turnaround=Fraction(sum(tat), n),
+        avg_waiting=Fraction(sum(wt), n),
+        context_switches=len(seg_pid) - 1 - repeats,
     )
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from operator import attrgetter
@@ -17,9 +18,9 @@ from rrsim import (
     simulate,
     workload,
 )
-from rrsim.engine import DispatchSegment, ScheduleTrace
+from rrsim.engine import DispatchSegment, ScheduleTrace, Segments
 from rrsim.metrics import METRIC_FIELDS, MetricsError, check_trace
-from rrsim.report import _runs
+from rrsim.report import _runs, trace_from_dict, trace_to_dict
 from rrsim.schedulers import POLICY_NAMES
 
 
@@ -42,6 +43,8 @@ class TestGolden:
 
 class TestContextSwitches:
     def test_merges_back_to_back_segments(self):
+        # the Gantt merges any trace; this one is outside compute_metrics'
+        # contract, since P2's only segment is in round 2
         segments = (
             DispatchSegment(1, 0, 2, 1, 2),
             DispatchSegment(1, 2, 5, 2, 3),
@@ -49,7 +52,17 @@ class TestContextSwitches:
         )
         trace = ScheduleTrace(segments, {1: 5, 2: 9})
         assert list(zip(*_runs(trace))) == [(1, 0, 5), (2, 5, 9)]
-        assert compute_metrics(trace, workload([5, 4])).context_switches == 1
+        # a valid trace whose round 1 ends with the pid that opens round 2
+        w = workload([5, 4])
+        segments = (
+            DispatchSegment(2, 0, 4, 1, 4),
+            DispatchSegment(1, 4, 6, 1, 2),
+            DispatchSegment(1, 6, 9, 2, 3),
+        )
+        trace = ScheduleTrace(segments, {2: 4, 1: 9})
+        check_trace(trace, w)
+        assert list(zip(*_runs(trace))) == [(2, 0, 4), (1, 4, 9)]
+        assert compute_metrics(trace, w).context_switches == 1
 
     def test_all_one_process(self):
         segments = (DispatchSegment(1, 0, 2, 1, 2), DispatchSegment(1, 2, 4, 2, 2))
@@ -136,6 +149,72 @@ class TestPerProcessMapping:
                    for x in column)
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.waiting = m.response
+
+
+@st.composite
+def valid_traces(draw, max_n=6, max_burst=12, max_quantum=4):
+    """(workload, trace) pairs that :func:`check_trace` accepts: each round
+    grants every live pid once, in any order, for 1..quantum units."""
+    w = draw(scattered_workloads(max_n=max_n, max_burst=max_burst))
+    left = dict(zip(w.pids, w.bursts))
+    rows, completion = [], {}
+    clock, rnd, live = 0, 1, list(w.pids)
+    while live:
+        for pid in draw(st.permutations(live)):
+            quantum = draw(st.integers(1, max_quantum))
+            run = draw(st.integers(1, min(quantum, left[pid])))
+            rows.append((pid, clock, clock + run, rnd, quantum))
+            clock += run
+            left[pid] -= run
+            if not left[pid]:
+                completion[pid] = clock
+        live = [pid for pid in live if left[pid]]
+        rnd += 1
+    return w, ScheduleTrace(Segments.from_rows(rows), completion)
+
+
+def _check_against_full_scan(trace, w):
+    """``compute_metrics``' response and context switches against a pass over
+    every segment: the first start of each pid, and the adjacent pid changes."""
+    segs = trace.segments
+    first_start = {}
+    for pid, start in zip(segs.pid, segs.start):
+        first_start.setdefault(pid, start)
+    m = compute_metrics(trace, w)
+    assert m.response == [first_start[pid] for pid in w.pids]
+    assert m.context_switches == sum(a != b for a, b in zip(segs.pid, segs.pid[1:]))
+    return m
+
+
+class TestRoundStructure:
+    """``compute_metrics`` reads round 1 and the round boundaries only; every
+    trace that ``check_trace`` accepts must read as a full scan does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=valid_traces())
+    def test_matches_full_scan(self, case):
+        w, trace = case
+        check_trace(trace, w)
+        m = _check_against_full_scan(trace, w)
+        doc = json.loads(json.dumps(trace_to_dict(w, "any", trace)))
+        loaded_w, _, loaded = trace_from_dict(doc)
+        assert _check_against_full_scan(loaded, loaded_w) == m
+
+    def test_one_process_every_boundary_repeats(self):
+        w = workload([50])
+        trace = simulate(w, policy_from_name("rr:1", w))
+        assert trace.segments.round == list(range(1, 51))
+        assert _check_against_full_scan(trace, w).context_switches == 0
+
+    def test_srtn_order_round_ends_with_next_rounds_first_pid(self):
+        # proposed runs P2, P3, P1 in round 1 (remaining 1, 6, 7), then P1
+        # and P3 tie on 3 units left, so P1 ends round 1 and opens round 2
+        w = workload([7, 1, 6])
+        trace = simulate(w, policy_from_name("proposed", w))
+        segs = trace.segments
+        assert list(zip(segs.pid, segs.round)) == [(2, 1), (3, 1), (1, 1), (1, 2), (3, 2)]
+        m = _check_against_full_scan(trace, w)
+        assert (m.response, m.context_switches) == ([4, 0, 1], 3)
 
 
 class TestValidation:
