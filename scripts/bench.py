@@ -109,7 +109,6 @@ def bench_cell(n, name, tmp):
             "report.bytes_out": bytes_out,
         },
         "engine.ns_per_segment": round(1e9 * best["engine.simulate"] / segments, 1),
-        "metrics.ns_per_segment": round(1e9 * best["metrics.compute"] / segments, 1),
     }
 
 

@@ -114,7 +114,8 @@ def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, List[
 # machine-readable export: each command states its document once, with a
 # _Table wherever rows repeat.  _write_json writes, to a file opened in binary,
 # the bytes json's own dump writes with sorted keys and a two-space indent, and
-# a newline; _plain gives the dicts and lists that json reads back.
+# a newline; trace_to_dict and metrics_to_dict decode those same bytes, so
+# _write_table alone lays a _Table out.
 
 # Rows per chunk, so a long trace's text is never held whole: _row_chunks
 # formats each as bytes for the JSON writer and as text for the CSV writer.
@@ -168,25 +169,19 @@ def _metrics_doc(name: str, summary: MetricsSummary) -> Dict[str, object]:
     }
 
 
-def _plain(value: object) -> object:
-    """``value`` with each :class:`_Table` as dicts and lists."""
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if not isinstance(value, _Table):
-        return value
-    fields, columns, keyed = value
-    rows = zip(*columns)
-    if not keyed:
-        return [dict(zip(fields, row)) for row in rows]
-    return {str(pid): dict(zip(fields, rest)) if fields else rest[0] for pid, *rest in rows}
+def _decoded(doc: Dict[str, object]) -> Dict[str, object]:
+    """What ``json`` reads back from the bytes :func:`_write_value` writes for ``doc``."""
+    parts: List[bytes] = []
+    _write_value(parts.append, doc, b"\n")
+    return json.loads(b"".join(parts))
 
 
 def trace_to_dict(w: Workload, policy_name: str, trace: ScheduleTrace) -> Dict[str, object]:
-    return _plain(_trace_doc(w, policy_name, trace))
+    return _decoded(_trace_doc(w, policy_name, trace))
 
 
 def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
-    return _plain(_metrics_doc(name, summary))
+    return _decoded(_metrics_doc(name, summary))
 
 
 def _field(data: Dict[str, object], name: str, kind: type, expected: str):

@@ -14,6 +14,19 @@ def process_rows(w):
     return list(map(Process, w.pids, w.bursts, w.priorities))
 
 
+def boundaries(trace):
+    """The first segment's start, then each segment's end."""
+    return trace.segments.start[:1] + trace.segments.end
+
+
+def quanta_by_pid(trace):
+    """{pid: the quantum of each of its grants, in order}, pids by first grant."""
+    out = {}
+    for pid, quantum in zip(trace.segments.pid, trace.segments.quantum):
+        out.setdefault(pid, []).append(quantum)
+    return out
+
+
 @st.composite
 def workloads(draw, max_n=10, max_burst=60, max_priority=8):
     n = draw(st.integers(min_value=1, max_value=max_n))

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import boundaries, quanta_by_pid
 from rrsim import (
     compute_components,
     compute_metrics,
@@ -22,17 +23,6 @@ from step_oracle import step_simulate
 INCREASING = workload([5, 12, 16, 21, 23], [2, 3, 1, 4, 5])
 RANDOM = workload([11, 53, 8, 41, 20], [3, 1, 2, 4, 5])
 ILLUSTRATION = workload([25, 60, 12, 43, 5], [3, 1, 2, 1, 1])
-
-
-def boundaries(trace):
-    return [trace.segments[0].start] + [s.end for s in trace.segments]
-
-
-def quanta_by_pid(trace):
-    out = {}
-    for seg in trace.segments:
-        out.setdefault(seg.pid, []).append(seg.quantum)
-    return out
 
 
 def report(line):

@@ -568,6 +568,11 @@ class TestJsonWriter:
         with tempfile.TemporaryDirectory() as tmp:
             data = self._export(tmp, w, ["compare", "--policies", ",".join(self.POLICIES)])
         assert data == _ref_bytes(doc)
+        loaded = json.loads(data)
+        assert loaded["metrics"] == [metrics_to_dict(n, compute_metrics(t, w))
+                                     for n, t in traces.items()]
+        assert loaded["traces"] == {n: trace_to_dict(w, n, t)["segments"]
+                                    for n, t in traces.items()}
 
     @settings(max_examples=25, deadline=None)
     @given(w=scattered_workloads(),

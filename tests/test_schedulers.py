@@ -4,16 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import process_rows, workloads
+from conftest import boundaries, process_rows, quanta_by_pid, workloads
 from rrsim import compute_components, compute_metrics, policy_from_name, simulate, workload
 from rrsim.schedulers import SchedulingPolicy
-
-
-def quanta_by_pid(trace):
-    out = {}
-    for seg in trace.segments:
-        out.setdefault(seg.pid, []).append(seg.quantum)
-    return out
 
 
 def segment_shapes(trace):
@@ -65,8 +58,7 @@ class TestPbdrr:
 
     def test_increasing_boundaries(self, increasing_w):
         trace = simulate(increasing_w, policy_from_name("pbdrr", increasing_w))
-        boundaries = [trace.segments[0].start] + [s.end for s in trace.segments]
-        assert boundaries == [
+        assert boundaries(trace) == [
             0, 5, 7, 10, 12, 14, 17, 22, 25, 28, 35, 43, 48, 53, 61, 69, 72, 77,
         ]
 
@@ -95,8 +87,7 @@ class TestPbdrr:
 class TestStaticItsRr:
     def test_increasing_full_trace(self, increasing_w):
         trace = simulate(increasing_w, policy_from_name("its-rr", increasing_w))
-        boundaries = [trace.segments[0].start] + [s.end for s in trace.segments]
-        assert boundaries == [
+        assert boundaries(trace) == [
             0, 5, 9, 14, 18, 22, 26, 31, 35, 39, 43, 48,
             52, 56, 57, 61, 65, 69, 73, 74, 77,
         ]
