@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
 from itertools import compress, islice, repeat
@@ -48,7 +49,10 @@ def _runs(trace: ScheduleTrace) -> Tuple[List[int], List[int], List[int]]:
     at the first segment, at a change of pid and at a gap, so back-to-back
     grants of one process coalesce."""
     pid, start, end = attrgetter("pid", "start", "end")(trace.segments)
-    cut = list(map(ne, zip(pid, end), zip(islice(pid, 1, None), islice(start, 1, None))))
+    if start[1:] == end[:-1]:  # no gap, as in every trace simulate gives
+        cut = list(map(ne, pid, islice(pid, 1, None)))
+    else:
+        cut = list(map(ne, zip(pid, end), zip(islice(pid, 1, None), islice(start, 1, None))))
     return (list(compress(pid, [True, *cut])), list(compress(start, [True, *cut])),
             list(compress(end, [*cut, True])))
 
@@ -57,15 +61,30 @@ def render_gantt(trace: ScheduleTrace) -> str:
     """ASCII Gantt chart: process labels over boundary times, one cell per run.
     A cell is ``" P<pid> "`` padded to its left time's length, then its right
     time's, so every time starts right under the ``|`` that opens its cell (the
-    last under the closing ``|``), and each row is one join over the cells."""
+    last under the closing ``|``).  When the run ends are sorted and not
+    negative, as in every trace ``simulate`` gives, the runs whose right time
+    has D digits are one band, and inside it a cell and its time's padding
+    depend only on the pid, except at the band's first run, whose left time
+    may have another length; otherwise each run is its own band.  Each row
+    is one join over the cells, and the time row one ``%`` over the ends."""
     pids, starts, ends = _runs(trace)
-    label = {pid: f" P{pid} " for pid in set(pids)}
-    times = [str(starts[0]), *map(str, ends)]
-    sizes = list(map(len, times))
-    del starts, ends
-    cells = list(map(str.ljust, map(str.ljust, map(label.__getitem__, pids), sizes), sizes[1:]))
-    time_row = " ".join(map(str.ljust, times, map(len, cells)))
-    return f"|{'|'.join(cells)}|\n{time_row} {times[-1]}"
+    t0, left, lo = starts[0], len(str(starts[0])), 0
+    del starts
+    banded = ends[0] >= 0 and ends == sorted(ends)
+    cells, pieces = [], []  # pieces: each run's left time as "%d", then its padding
+    while lo < len(ends):
+        digits = len(str(ends[lo]))
+        hi = bisect_left(ends, 10 ** digits, lo) if banded else lo + 1
+        band = pids[lo:hi]
+        cell = {pid: f" P{pid} ".ljust(digits) for pid in set(band)}
+        piece = {pid: "%d" + " " * (len(text) - digits) for pid, text in cell.items()}
+        cells += map(cell.__getitem__, band)
+        pieces += map(piece.__getitem__, band)
+        cells[lo] = f" P{band[0]} ".ljust(left).ljust(digits)
+        pieces[lo] = "%d" + " " * (len(cells[lo]) - left)
+        left, lo = digits, hi
+    pieces.append("%d")
+    return f"|{'|'.join(cells)}|\n" + " ".join(pieces) % (t0, *ends)
 
 
 def _render_table(columns: Dict[str, Sequence[str]]) -> str:

@@ -52,6 +52,17 @@ def _cases():
 
 CASES = _cases()
 
+# A workload written by the test itself: pids of 1, 4 and 7 digits and a
+# makespan past 10**4, so the rr:1 chart has one cell per unit and its
+# boundary times cross five digit bands.
+BANDS_CSV = "id,burst,priority\n7,3700,2\n1234,3500,1\n9876543,3300,3\n"
+
+
+def bands_digests(tmp):
+    csv = Path(tmp) / "bands.csv"
+    csv.write_text(BANDS_CSV, encoding="utf-8")
+    return digests(["simulate", "--policy", "rr:1", "--workload", str(csv)], tmp)
+
 
 def digests(argv, tmp):
     """sha256 of (stdout, JSON file, CSV file) for one CLI run."""
@@ -342,9 +353,20 @@ GOLDEN = {
 }
 
 
+BANDS_GOLDEN = (
+    "61ce5b9126435e82c0e6e68fb0d2fa1329b4725abf3fad3843dfa608bcbbbe4a",
+    "8bd60241525e85e04c66e58f490783ad25caff13bf2acebd33a503d8370162b7",
+    "b41546a8ccfb46b061c6ff5eb21de3b470bf7f08c9cd63e114cfa12cf0d69c06",
+)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_bytes(case, tmp_path):
     assert digests(CASES[case], tmp_path) == GOLDEN[case]
+
+
+def test_cli_bytes_across_digit_bands(tmp_path):
+    assert bands_digests(tmp_path) == BANDS_GOLDEN
 
 
 if __name__ == "__main__":
@@ -354,3 +376,5 @@ if __name__ == "__main__":
             stdout, js, csv = digests(CASES[case], tmp)
         print(f'    "{case}": (\n        "{stdout}",\n        "{js}",\n        "{csv}",\n    ),')
     print("}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print("BANDS_GOLDEN = (", *(f'    "{d}",' for d in bands_digests(tmp)), ")", sep="\n")

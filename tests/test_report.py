@@ -110,6 +110,35 @@ def _hand_built_rows(draw):
     return rows
 
 
+# a pid of 1 to 7 digits, each length as likely as any other
+_multi_digit_pids = st.integers(0, 6).flatmap(lambda d: st.integers(10**d, 10 ** (d + 1) - 1))
+
+
+@st.composite
+def _banded_workloads(draw):
+    """Workloads whose makespan, 200 to 15 000, crosses three to five digit
+    bands of the boundary times, with pids of 1 to 7 digits in no order."""
+    n = draw(st.integers(2, 5))
+    pids = draw(st.lists(_multi_digit_pids, min_size=n, max_size=n, unique=True))
+    bursts = draw(st.lists(st.integers(100, 3000), min_size=n, max_size=n))
+    priorities = draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))
+    return Workload(pids, bursts, priorities)
+
+
+@st.composite
+def _gap_free_rows(draw):
+    """(pid, start, end) rows, each starting where the last ended, that no
+    policy gives: a start that may be negative or wider than the first end,
+    and rows that end before they start, so the times are not sorted."""
+    pool = draw(st.lists(_multi_digit_pids, min_size=1, max_size=3))
+    clock = draw(st.one_of(st.integers(-10**4, -1), st.integers(0, 10**8)))
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        start, clock = clock, clock + draw(st.sampled_from([1, 9, 10**3, -clock]))
+        rows.append((draw(st.sampled_from(pool)), start, clock))
+    return rows
+
+
 class TestGanttReference:
     """``render_gantt`` and its runs against the cell-by-cell layout of
     ``tests/gantt_reference.py``."""
@@ -133,6 +162,27 @@ class TestGanttReference:
     @example(rows=[(7, 0, 3), (1234567, 3, 4), (7, 9, 10**9)])
     def test_hand_built(self, rows):
         segments = tuple(DispatchSegment(pid, s, e, 1, e - s) for pid, s, e in rows)
+        self.check(ScheduleTrace(segments, {}), rows)
+
+    @pytest.mark.parametrize("name", _EVERY_POLICY)
+    @settings(max_examples=10, deadline=None)
+    @given(w=_banded_workloads())
+    def test_simulated_across_digit_bands(self, name, w):
+        trace = simulate(w, policy_from_name(name, w))
+        segs = trace.segments
+        assert segs.end[-1] >= 200
+        self.check(trace, list(zip(segs.pid, segs.start, segs.end)))
+
+    # unsorted or negative run ends are laid out one run per band, and a start
+    # that is negative or wider than the first end widens the first cell
+    @settings(max_examples=100, deadline=None)
+    @given(rows=_gap_free_rows())
+    @example(rows=[(7, 0, 10), (1234, 10, 3), (7, 3, 123), (1234567, 123, 99)])
+    @example(rows=[(12, -40, 5), (3, 5, 12), (12, 12, 100)])
+    @example(rows=[(5, -1000, -991), (6, -991, -99), (5, -99, 3), (6, 3, 4)])
+    @example(rows=[(1, 123456, 7), (22, 7, 8), (1, 8, 1000)])
+    def test_gap_free_hand_built(self, rows):
+        segments = tuple(DispatchSegment(pid, s, e, 1, abs(e - s)) for pid, s, e in rows)
         self.check(ScheduleTrace(segments, {}), rows)
 
 
