@@ -44,47 +44,35 @@ from .workload import (
 # ---------------------------------------------------------------------------
 # rendering
 
-def _runs(trace: ScheduleTrace) -> Tuple[List[int], List[int], List[int]]:
-    """The (pid, start, end) columns of the time-ordered runs.  A run starts
-    at the first segment, at a change of pid and at a gap, so back-to-back
-    grants of one process coalesce."""
-    pid, start, end = attrgetter("pid", "start", "end")(trace.segments)
-    if start[1:] == end[:-1]:  # no gap, as in every trace simulate gives
-        cut = list(map(ne, pid, islice(pid, 1, None)))
-    else:
-        cut = list(map(ne, zip(pid, end), zip(islice(pid, 1, None), islice(start, 1, None))))
-    return (list(compress(pid, [True, *cut])), list(compress(start, [True, *cut])),
-            list(compress(end, [*cut, True])))
-
-
 def render_gantt(trace: ScheduleTrace) -> str:
-    """ASCII Gantt chart: process labels over boundary times, one cell per run.
-    A cell is ``" P<pid> "`` padded to its left time's length, then its right
-    time's, so every time starts right under the ``|`` that opens its cell (the
-    last under the closing ``|``).  When the run ends are sorted and not
-    negative, as in every trace ``simulate`` gives, the runs whose right time
-    has D digits are one band, and inside it a cell and its time's padding
-    depend only on the pid, except at the band's first run, whose left time
-    may have another length; otherwise each run is its own band.  Each row
-    is one join over the cells, and the time row one ``%`` over the ends."""
-    pids, starts, ends = _runs(trace)
-    t0, left, lo = starts[0], len(str(starts[0])), 0
-    del starts
-    banded = ends[0] >= 0 and ends == sorted(ends)
+    """ASCII Gantt chart: process labels over boundary times, one cell per run
+    of back-to-back grants of one process.  A cell is ``" P<pid> "`` padded to
+    its left time's length, then its right time's, so every time starts right
+    under the ``|`` that opens its cell (the last under the closing ``|``).
+    Like :func:`compute_metrics`, this checks nothing: ``trace`` must be one
+    that :func:`check_trace` accepts, whose segments run back to back from t=0,
+    so a run ends where the pid changes and the run ends rise.  The runs whose
+    right time has D digits are one band; inside it a cell and its time's
+    padding depend only on the pid, except at the band's first run, whose left
+    time may be shorter.  Each row is one join over the cells, and the time
+    row one ``%`` over the ends."""
+    segs = trace.segments
+    cut = [*map(ne, segs.pid, islice(segs.pid, 1, None)), True]  # each run's last segment
+    pids, ends = list(compress(segs.pid, cut)), list(compress(segs.end, cut))
+    left, lo = 1, 0  # the time row opens at 0
     cells, pieces = [], []  # pieces: each run's left time as "%d", then its padding
     while lo < len(ends):
         digits = len(str(ends[lo]))
-        hi = bisect_left(ends, 10 ** digits, lo) if banded else lo + 1
+        hi = bisect_left(ends, 10 ** digits, lo)
         band = pids[lo:hi]
         cell = {pid: f" P{pid} ".ljust(digits) for pid in set(band)}
         piece = {pid: "%d" + " " * (len(text) - digits) for pid, text in cell.items()}
         cells += map(cell.__getitem__, band)
         pieces += map(piece.__getitem__, band)
-        cells[lo] = f" P{band[0]} ".ljust(left).ljust(digits)
         pieces[lo] = "%d" + " " * (len(cells[lo]) - left)
         left, lo = digits, hi
     pieces.append("%d")
-    return f"|{'|'.join(cells)}|\n" + " ".join(pieces) % (t0, *ends)
+    return f"|{'|'.join(cells)}|\n" + " ".join(pieces) % (0, *ends)
 
 
 def _render_table(columns: Dict[str, Sequence[str]]) -> str:

@@ -3,7 +3,7 @@ from collections import namedtuple
 import pytest
 from hypothesis import strategies as st
 
-from rrsim import Workload, workload
+from rrsim import ScheduleTrace, Segments, Workload, workload
 
 Process = namedtuple("Process", "pid burst priority")
 
@@ -46,6 +46,29 @@ def scattered_workloads(draw, max_n=8, max_burst=30):
     w = draw(workloads(max_n=max_n, max_burst=max_burst))
     pids = draw(st.lists(st.integers(1, 200), min_size=len(w), max_size=len(w), unique=True))
     return Workload(pids, w.bursts, w.priorities)
+
+
+@st.composite
+def valid_traces(draw, processes=scattered_workloads(max_n=6, max_burst=12), max_quantum=4):
+    """(workload, trace) pairs that :func:`check_trace` accepts, for a workload
+    drawn from ``processes``: each round grants every live pid once, in any
+    order, for 1..quantum units, each quantum drawn from 1..``max_quantum``."""
+    w = draw(processes)
+    left = dict(zip(w.pids, w.bursts))
+    rows, completion = [], {}
+    clock, rnd, live = 0, 1, list(w.pids)
+    while live:
+        for pid in draw(st.permutations(live)):
+            quantum = draw(st.integers(1, max_quantum))
+            run = draw(st.integers(1, min(quantum, left[pid])))
+            rows.append((pid, clock, clock + run, rnd, quantum))
+            clock += run
+            left[pid] -= run
+            if not left[pid]:
+                completion[pid] = clock
+        live = [pid for pid in live if left[pid]]
+        rnd += 1
+    return w, ScheduleTrace(Segments.from_rows(rows), completion)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
-"""Reference statement of the ASCII Gantt chart, used to check
-``rrsim.report.render_gantt`` and ``merge_segments``.
+"""Reference statement of the ASCII Gantt chart.  ``render_gantt`` checks
+``rrsim.report.render_gantt``, and ``merge_runs`` gives the runs that the
+context-switch checks in ``test_metrics.py`` count.
 
 The chart is laid out one cell at a time: a running list of the positions of
 the ``|`` bars, and each boundary time padded out to the bar it belongs under.

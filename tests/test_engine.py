@@ -15,7 +15,7 @@ from rrsim import (
     workload,
 )
 from rrsim.metrics import check_trace
-from rrsim.report import SEGMENT_FIELDS, _runs, trace_to_dict
+from rrsim.report import SEGMENT_FIELDS, render_gantt, trace_to_dict
 from step_oracle import step_simulate
 
 ALL_POLICIES = ["proposed", "pbdrr", "its-rr", "rr:3", "srtn", "fcfs"]
@@ -129,7 +129,7 @@ class TestSimulateGolden:
         # competition they coalesce into one merged run ending at the burst
         w = workload([9], [2])
         trace = simulate(w, policy_from_name(name, w))
-        assert list(zip(*_runs(trace))) == [(1, 0, 9)]
+        assert render_gantt(trace) == "| P1 |\n0    9"
         assert trace.completion == {1: 9}
 
     @pytest.mark.parametrize("name", ["srtn", "fcfs"], ids=["<lambda>0", "<lambda>1"])

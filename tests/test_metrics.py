@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gantt_reference
-from conftest import process_rows, scattered_workloads, workloads
+from conftest import process_rows, scattered_workloads, valid_traces, workloads
 from rrsim import (
     Workload,
     compute_metrics,
@@ -18,9 +18,9 @@ from rrsim import (
     simulate,
     workload,
 )
-from rrsim.engine import DispatchSegment, ScheduleTrace, Segments
+from rrsim.engine import DispatchSegment, ScheduleTrace
 from rrsim.metrics import METRIC_FIELDS, MetricsError, check_trace
-from rrsim.report import _runs, trace_from_dict, trace_to_dict
+from rrsim.report import render_gantt, trace_from_dict, trace_to_dict
 from rrsim.schedulers import POLICY_NAMES
 
 
@@ -43,16 +43,7 @@ class TestGolden:
 
 class TestContextSwitches:
     def test_merges_back_to_back_segments(self):
-        # the Gantt merges any trace; this one is outside compute_metrics'
-        # contract, since P2's only segment is in round 2
-        segments = (
-            DispatchSegment(1, 0, 2, 1, 2),
-            DispatchSegment(1, 2, 5, 2, 3),
-            DispatchSegment(2, 5, 9, 2, 4),
-        )
-        trace = ScheduleTrace(segments, {1: 5, 2: 9})
-        assert list(zip(*_runs(trace))) == [(1, 0, 5), (2, 5, 9)]
-        # a valid trace whose round 1 ends with the pid that opens round 2
+        # round 1 ends with the pid that opens round 2
         w = workload([5, 4])
         segments = (
             DispatchSegment(2, 0, 4, 1, 4),
@@ -61,7 +52,7 @@ class TestContextSwitches:
         )
         trace = ScheduleTrace(segments, {2: 4, 1: 9})
         check_trace(trace, w)
-        assert list(zip(*_runs(trace))) == [(2, 0, 4), (1, 4, 9)]
+        assert render_gantt(trace) == "| P2 | P1 |\n0    4    9"
         assert compute_metrics(trace, w).context_switches == 1
 
     def test_all_one_process(self):
@@ -149,28 +140,6 @@ class TestPerProcessMapping:
                    for x in column)
         with pytest.raises(dataclasses.FrozenInstanceError):
             m.waiting = m.response
-
-
-@st.composite
-def valid_traces(draw, max_n=6, max_burst=12, max_quantum=4):
-    """(workload, trace) pairs that :func:`check_trace` accepts: each round
-    grants every live pid once, in any order, for 1..quantum units."""
-    w = draw(scattered_workloads(max_n=max_n, max_burst=max_burst))
-    left = dict(zip(w.pids, w.bursts))
-    rows, completion = [], {}
-    clock, rnd, live = 0, 1, list(w.pids)
-    while live:
-        for pid in draw(st.permutations(live)):
-            quantum = draw(st.integers(1, max_quantum))
-            run = draw(st.integers(1, min(quantum, left[pid])))
-            rows.append((pid, clock, clock + run, rnd, quantum))
-            clock += run
-            left[pid] -= run
-            if not left[pid]:
-                completion[pid] = clock
-        live = [pid for pid in live if left[pid]]
-        rnd += 1
-    return w, ScheduleTrace(Segments.from_rows(rows), completion)
 
 
 def _check_against_full_scan(trace, w):

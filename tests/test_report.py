@@ -14,11 +14,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gantt_reference
-from conftest import process_rows, scattered_workloads, workloads
+from conftest import process_rows, scattered_workloads, valid_traces, workloads
 from rrsim import (
     DEFAULT_STATIC_OTS,
-    DispatchSegment,
     ScheduleTrace,
+    Segments,
     Workload,
     compute_components,
     compute_metrics,
@@ -30,7 +30,7 @@ from rrsim import (
     workload,
 )
 from rrsim import report
-from rrsim.metrics import MetricsError
+from rrsim.metrics import MetricsError, check_trace
 from rrsim.report import (
     build_parser,
     metrics_to_dict,
@@ -94,22 +94,6 @@ class TestGantt:
 _EVERY_POLICY = [n for n in POLICY_NAMES if n != "rr:<q>"] + ["rr:1", "rr:3"]
 
 
-@st.composite
-def _hand_built_rows(draw):
-    """(pid, start, end) rows that no policy gives: gaps, a row back at time 0
-    (so a cell's left time can be longer than its right), back-to-back rows of
-    one pid, pids of 1 to 7 digits, and a first start that may be wider than
-    its cell's label."""
-    pool = draw(st.lists(st.integers(1, 9_999_999), min_size=1, max_size=3))
-    clock = draw(st.integers(0, 10**8))
-    rows = []
-    for _ in range(draw(st.integers(1, 12))):
-        start = clock + draw(st.sampled_from([0, 0, 1, 10**5, -clock]))
-        clock = start + draw(st.integers(1, 10**6))
-        rows.append((draw(st.sampled_from(pool)), start, clock))
-    return rows
-
-
 # a pid of 1 to 7 digits, each length as likely as any other
 _multi_digit_pids = st.integers(0, 6).flatmap(lambda d: st.integers(10**d, 10 ** (d + 1) - 1))
 
@@ -125,65 +109,43 @@ def _banded_workloads(draw):
     return Workload(pids, bursts, priorities)
 
 
-@st.composite
-def _gap_free_rows(draw):
-    """(pid, start, end) rows, each starting where the last ended, that no
-    policy gives: a start that may be negative or wider than the first end,
-    and rows that end before they start, so the times are not sorted."""
-    pool = draw(st.lists(_multi_digit_pids, min_size=1, max_size=3))
-    clock = draw(st.one_of(st.integers(-10**4, -1), st.integers(0, 10**8)))
-    rows = []
-    for _ in range(draw(st.integers(1, 12))):
-        start, clock = clock, clock + draw(st.sampled_from([1, 9, 10**3, -clock]))
-        rows.append((draw(st.sampled_from(pool)), start, clock))
-    return rows
-
-
 class TestGanttReference:
-    """``render_gantt`` and its runs against the cell-by-cell layout of
+    """``render_gantt`` against the cell-by-cell layout of
     ``tests/gantt_reference.py``."""
 
     @staticmethod
-    def check(trace, rows):
-        assert list(zip(*report._runs(trace))) == gantt_reference.merge_runs(rows)
-        assert render_gantt(trace) == gantt_reference.render_gantt(rows)
+    def check(trace):
+        segs = trace.segments
+        assert render_gantt(trace) == gantt_reference.render_gantt(
+            zip(segs.pid, segs.start, segs.end))
 
     @pytest.mark.parametrize("name", _EVERY_POLICY)
     @settings(max_examples=20, deadline=None)
     @given(w=workloads())
     def test_simulated(self, name, w):
-        trace = simulate(w, policy_from_name(name, w))
-        segs = trace.segments
-        self.check(trace, list(zip(segs.pid, segs.start, segs.end)))
-
-    @settings(max_examples=100, deadline=None)
-    @given(rows=_hand_built_rows())
-    @example(rows=[(1, 123456, 123457), (1, 123457, 123460), (1, 123462, 123470)])
-    @example(rows=[(7, 0, 3), (1234567, 3, 4), (7, 9, 10**9)])
-    def test_hand_built(self, rows):
-        segments = tuple(DispatchSegment(pid, s, e, 1, e - s) for pid, s, e in rows)
-        self.check(ScheduleTrace(segments, {}), rows)
+        self.check(simulate(w, policy_from_name(name, w)))
 
     @pytest.mark.parametrize("name", _EVERY_POLICY)
     @settings(max_examples=10, deadline=None)
     @given(w=_banded_workloads())
     def test_simulated_across_digit_bands(self, name, w):
         trace = simulate(w, policy_from_name(name, w))
-        segs = trace.segments
-        assert segs.end[-1] >= 200
-        self.check(trace, list(zip(segs.pid, segs.start, segs.end)))
+        assert trace.segments.end[-1] >= 200
+        self.check(trace)
 
-    # unsorted or negative run ends are laid out one run per band, and a start
-    # that is negative or wider than the first end widens the first cell
-    @settings(max_examples=100, deadline=None)
-    @given(rows=_gap_free_rows())
-    @example(rows=[(7, 0, 10), (1234, 10, 3), (7, 3, 123), (1234567, 123, 99)])
-    @example(rows=[(12, -40, 5), (3, 5, 12), (12, 12, 100)])
-    @example(rows=[(5, -1000, -991), (6, -991, -99), (5, -99, 3), (6, 3, 4)])
-    @example(rows=[(1, 123456, 7), (22, 7, 8), (1, 8, 1000)])
-    def test_gap_free_hand_built(self, rows):
-        segments = tuple(DispatchSegment(pid, s, e, 1, abs(e - s)) for pid, s, e in rows)
-        self.check(ScheduleTrace(segments, {}), rows)
+    # any trace that check_trace accepts, with quanta and runs in no policy's
+    # pattern, back-to-back runs of one pid, a first run of any length, and
+    # times that cross three or more digit bands
+    @settings(max_examples=50, deadline=None)
+    @given(case=valid_traces(_banded_workloads(), max_quantum=3000))
+    @example(case=(Workload((7, 1234567), (10**9 - 1, 1), (1, 1)), ScheduleTrace(
+        Segments.from_rows([(7, 0, 3, 1, 3), (1234567, 3, 4, 1, 1), (7, 4, 10**9, 2, 10**9)]),
+        {1234567: 4, 7: 10**9})))
+    def test_hand_built(self, case):
+        w, trace = case
+        check_trace(trace, w)
+        assert trace.segments.end[-1] >= 100
+        self.check(trace)
 
 
 class TestTraceJson:
