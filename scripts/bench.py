@@ -205,6 +205,7 @@ def main(argv=None):
                       " segments  "
                       + "  |  ".join(f"{side}: simulate {r['layers_ms']['engine.simulate']:9.3f}"
                                      f" gantt {r['layers_ms']['report.gantt']:8.3f}"
+                                     f" table {r['layers_ms']['report.table']:8.3f}"
                                      f" cli {r['cli_ms']:8.2f} ms"
                                      for side, r in records.items()), file=sys.stderr)
                 # this tree's record, then DIR's, if any, under "against"

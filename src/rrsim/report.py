@@ -15,7 +15,7 @@ import sys
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cache
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from operator import attrgetter, ne
 from typing import (
     Any, AnyStr, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
@@ -75,22 +75,21 @@ def render_gantt(trace: ScheduleTrace) -> str:
     return f"|{'|'.join(cells)}|\n" + " ".join(pieces) % (0, *ends)
 
 
-def _render_table(columns: Dict[str, Sequence[str]]) -> str:
-    """A text table of ``{header: cells}``: each column padded to its widest cell
-    or header, two spaces apart, a dashed rule under the headers."""
-    padded = []
-    for header, cells in columns.items():
-        width = max(len(header), max(map(len, cells), default=0))
-        padded.append(map(str.ljust, [header, "-" * width, *cells], repeat(width)))
-    return "\n".join(map(str.rstrip, map("  ".join, zip(*padded))))
+def _render_table(columns: Dict[str, Sequence]) -> str:
+    """``{header: column}`` (ints or strs) as text by one %-template: columns two spaces apart,
+    each as wide as its header or widest cell (an int column's min or max), the last unpadded."""
+    widths = [max(len(head), *map(len, cells)) if isinstance(cells[0], str)
+              else max(len(head), len(str(min(cells))), len(str(max(cells))))
+              for head, cells in columns.items()]
+    row = ("%%-%ds  " * (len(widths) - 1) + "%%s") % tuple(widths[:-1])
+    return "\n".join([row % tuple(columns), row % tuple(map("-".__mul__, widths)),
+                      *_row_chunks(row, "\n", [*columns.values()])])
 
 
-def _process_table(w: Workload, columns: Dict[str, Iterable[int]]) -> str:
-    """The process, burst and priority columns of ``w``, then ``{header: column}``
-    (one int per process, in ``w``'s order)."""
-    cells = {"process": map("P%s".__mod__, w.pids), "burst": w.bursts,
-             "priority": w.priorities, **columns}
-    return _render_table({header: list(map(str, column)) for header, column in cells.items()})
+def _process_table(w: Workload, columns: Dict[str, Sequence[int]]) -> str:
+    """The process, burst and priority columns of ``w``, then ``{header: int column}``."""
+    return _render_table({"process": list(map("P%s".__mod__, w.pids)), "burst": w.bursts,
+                          "priority": w.priorities, **columns})
 
 
 def render_metrics(summary: MetricsSummary, w: Workload) -> str:
@@ -108,12 +107,13 @@ def render_components_table(w: Workload, comps: SliceComponents) -> str:
     return f"{table}\n\nrange: {comps.slice_range}"
 
 
-def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, List[str]]:
+def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, list]:
+    """The compare table: policy and averages as strs, CS as ints (the CSV writes each by %s)."""
     return {
         "policy": list(summaries),
         "avg TAT": [format_average(s.avg_turnaround) for s in summaries.values()],
         "avg WT": [format_average(s.avg_waiting) for s in summaries.values()],
-        "CS": [str(s.context_switches) for s in summaries.values()],
+        "CS": [s.context_switches for s in summaries.values()],
     }
 
 
@@ -124,8 +124,8 @@ def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, List[
 # a newline; trace_to_dict and metrics_to_dict decode those same bytes, so
 # _write_table alone lays a _Table out.
 
-# Rows per chunk, so a long trace's text is never held whole: _row_chunks
-# formats each as bytes for the JSON writer and as text for the CSV writer.
+# Rows per chunk, so a long trace's text is never held whole: _row_chunks formats
+# each as bytes for the JSON writer and as text for the CSV writer and text tables.
 _CHUNK = 4096
 
 

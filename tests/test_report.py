@@ -634,7 +634,7 @@ _CHUNK_SIZES = [report._CHUNK - 1, report._CHUNK, report._CHUNK + 1, 2 * report.
 class TestChunkBoundaries:
     """Rows go out ``_CHUNK`` at a time, each chunk from one template, so a
     last chunk that is short, full or one row long must give the bytes that
-    ``json.dumps`` and a row-by-row CSV writer give."""
+    ``json.dumps``, a row-by-row CSV writer and a row-by-row text table give."""
 
     @staticmethod
     def _columns(rows, width):
@@ -667,6 +667,20 @@ class TestChunkBoundaries:
         expected = "x,y,name\n" + "".join(
             ",".join(map(str, row)) + "\n" for row in zip(*columns))
         assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("rows", _CHUNK_SIZES)
+    def test_text_table(self, rows):
+        a, b = self._columns(rows, 2)
+        columns = {
+            "a wide header": a,
+            "name": [f"P{i}" for i in range(rows)],
+            "neg": [-x for x in b],  # its min, not its max, sets its width
+            "y": b,
+        }
+        cells = [list(map(str, row)) for row in zip(*columns.values())]
+        # as lines: pytest's diff of two long strings that differ takes minutes
+        expected = _ref_table(list(columns), cells).split("\n")
+        assert report._render_table(columns).split("\n") == expected
 
 
 _PARSE_TO_METRICS = ["workload.parse", "schedulers.build", "engine.simulate", "metrics.compute"]
@@ -847,6 +861,31 @@ class TestColumnTables:
         assert render_components_table(w, comps) == (
             _ref_table(header, rows) + f"\n\nrange: {comps.slice_range}"
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(w=_wide_workloads(), data=st.data())
+    def test_compare(self, w, data):
+        # rr:<q> with q of 1 to 7 digits, so that the policy column is both
+        # narrower and wider than its header, but at most ~1000 grants a process
+        least = max(w.bursts) // 1000 + 1
+        quanta = st.integers(len(str(least)), 7).flatmap(
+            lambda d: st.integers(max(least, 10 ** (d - 1)), 10 ** d - 1))
+        names = data.draw(st.lists(
+            st.sampled_from(["proposed", "pbdrr", "srtn", "fcfs"]) | quanta.map("rr:%d".__mod__),
+            min_size=1, max_size=4, unique=True))
+        rows = []
+        for name in names:
+            summary = compute_metrics(simulate(w, policy_from_name(name, w)), w)
+            rows.append([name, format_average(summary.avg_turnaround),
+                         format_average(summary.avg_waiting), str(summary.context_switches)])
+        with tempfile.TemporaryDirectory() as tmp:
+            csv_path = Path(tmp) / "w.csv"
+            csv_path.write_text(serialize_workload(w))
+            out = io.StringIO()
+            argv = ["compare", "--workload", str(csv_path), "--policies", ",".join(names)]
+            assert run_cli(argv, out=out) == 0
+        header = ["policy", "avg TAT", "avg WT", "CS"]
+        assert out.getvalue() == _ref_table(header, rows) + "\n"
 
 
 # Each slot where the CLI reads an integer: (option named by a usage error,
