@@ -7,29 +7,30 @@ Usage: bench.py [--out PATH] [--against DIR] [N ...]    (default N: 10 100 1000 
 
 Each n is a ``generate`` workload with the CLI's defaults (bursts 1..100,
 priorities 1..5, seed 0) in random burst order, run under each policy, with
-``rr:7`` for ``rr:<q>``.  A cell (n, policy) runs ``REPEATS`` rounds.  In each
-round a fresh child process of this script imports this tree's ``rrsim`` and
-times each layer in-process through ``run_cli``'s span hook, under the span
-names of ``perfbench/tracing.py`` (``LAYERS``), and then the CLI is timed end
-to end as a subprocess; with ``--against``, DIR's side does the same right
-after, so drift of the host falls on both sides alike.  A slice policy's
-``timeslice.components`` runs in its first ``schedulers.build`` call, so the
-build's timed calls are its own time, and ``workload.parse`` includes reading
-the CSV file.  A child times each layer once, over as many calls as
-``timeit``'s autorange takes to fill 0.2 s, with the garbage collector on as
-in a CLI run; a side's time per call is the best of its rounds, and so is its
-CLI wall time, after one untimed warm-up per side.  Children and CLI runs
-keep their bytecode cache in the run's temporary directory
-(``PYTHONPYCACHEPREFIX``, with ``PYTHONDONTWRITEBYTECODE`` dropped from their
-environment), so no timed process reads a checkout's own cache and both
-sides start from a cache that the warm-up built.  DIR must hold ``src/rrsim`` with
-``run_cli``'s span hook.
-Each CLI export is read back with ``trace_from_dict`` and must equal the
-in-process trace; any difference ends the script with exit 1.  Writes JSON
-to PATH, or to stdout, and one line per cell to stderr.
+``rr:7`` for ``rr:<q>``.  This process imports each side's ``rrsim`` once,
+as the package ``rrsim_this`` or ``rrsim_against``, and exits 1 if any of its
+modules lies outside that side's ``src``.  For each cell (n, policy), one
+untimed ``run_cli`` per side records each layer's call and value through the
+span hook, under the span names of ``perfbench/tracing.py`` (``LAYERS``).  A
+slice policy's ``timeslice.components`` runs in its first ``schedulers.build``
+call, so the build's recorded call is its own time, and ``workload.parse``
+includes reading the CSV file.  Then ``REPEATS`` rounds time each recorded
+call, over as many calls as ``timeit``'s autorange takes to fill 0.2 s, with
+the garbage collector on as in a CLI run.  A round times one layer on both
+sides before the next layer, the side order swapped every round, so drift of
+the host falls on both sides alike; a side's time per call is the best of its
+rounds.  The CLI is timed end to end as one subprocess per side and round,
+the best taken, after one untimed warm-up per side; CLI runs keep their
+bytecode cache in the run's temporary directory (``PYTHONPYCACHEPREFIX``, with
+``PYTHONDONTWRITEBYTECODE`` dropped from their environment), so no timed run
+reads a checkout's own cache.  DIR must hold ``src/rrsim`` with ``run_cli``'s
+span hook.  Each recording run's export is read back with ``trace_from_dict``
+and must equal its in-process trace; any difference ends the script with
+exit 1.  Writes JSON to PATH, or to stdout, and one line per cell to stderr.
 """
 import argparse
 import gc
+import importlib.util
 import io
 import json
 import os
@@ -38,6 +39,7 @@ import subprocess
 import sys
 import tempfile
 import timeit
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -55,62 +57,55 @@ def seconds_per_call(call):
     return seconds / number
 
 
-def layered_run(report, csv_path, name, json_path):
-    """One in-process ``simulate --json`` run, each layer called once for its
-    value and then timed: (seconds per call by span name, trace, workload,
-    policy name)."""
-    spans, values = {}, {}
+def load(side, src):
+    """The ``rrsim`` in ``src``, imported as the package ``rrsim_<side>`` with its
+    ``report``; exits 1 if any module of it lies outside ``src/rrsim``."""
+    name, home = f"rrsim_{side}", Path(src).resolve() / "rrsim"
+    spec = importlib.util.spec_from_file_location(
+        name, home / "__init__.py", submodule_search_locations=[str(home)])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.report")
+    for module in list(sys.modules.values()):
+        if module.__name__.partition(".")[0] in (name, "rrsim"):
+            path = Path(getattr(module, "__file__", None) or "").resolve()
+            if path.parent != home:
+                sys.exit(f"bench.py: {module.__name__} loads from {path}, not from {home}")
+    return package
 
-    def timed(span, call):
-        values[span] = call()
-        spans[span] = seconds_per_call(call)
+
+def recorded_run(rrsim, csv_path, name, json_path):
+    """One untimed in-process ``simulate --json`` run of the package ``rrsim``:
+    ({span name: its call}, counts).  Exits 1 if the export does not read back
+    as the run's trace."""
+    calls, values = {}, {}
+
+    def record(span, call):
+        calls[span], values[span] = call, call()
         return values[span]
 
     argv = ["simulate", "--workload", csv_path, "--policy", name, "--json", json_path]
-    if report.run_cli(argv, io.StringIO(), timed):
-        sys.exit(f"bench.py: {' '.join(argv)} failed")
-    return (spans, values["engine.simulate"], values["workload.parse"],
-            values["schedulers.build"].name)
-
-
-def child(src, csv_path, name, json_path):
-    """A round of one side, in a child process: print the layer times and
-    counts of one run of the ``rrsim`` in ``src`` as JSON."""
-    sys.path.insert(0, src)
-    from rrsim import report
-
-    if Path(report.__file__).resolve().parent != Path(src).resolve() / "rrsim":
-        sys.exit(f"bench.py: rrsim imported from {report.__file__}, not {src}")
-    spans, trace, w, policy_name = layered_run(report, csv_path, name, json_path)
+    if rrsim.report.run_cli(argv, io.StringIO(), record):
+        sys.exit(f"bench.py: {rrsim.__path__[0]}: {' '.join(argv)} failed")
+    trace, w = values["engine.simulate"], values["workload.parse"]
     with open(json_path, encoding="utf-8") as fh:
-        if report.trace_from_dict(json.load(fh)) != (w, policy_name, trace):
-            sys.exit(f"bench.py: {src} {name}: the CLI's export differs from the"
+        if rrsim.report.trace_from_dict(json.load(fh)) != (w, values["schedulers.build"].name, trace):
+            sys.exit(f"bench.py: {rrsim.__path__[0]} {name}: the CLI's export differs from the"
                      " in-process trace")
-    json.dump({
-        "layers_ms": {span: 1e3 * sec for span, sec in spans.items()},
-        "counts": {
-            "workload.rows": len(w),
-            "engine.segments": len(trace.segments),
-            "engine.rounds": trace.segments.round[-1],
-            "report.bytes_out": os.path.getsize(json_path),
-        },
-    }, sys.stdout)
+    return calls, {
+        "workload.rows": len(w),
+        "engine.segments": len(trace.segments),
+        "engine.rounds": trace.segments.round[-1],
+        "report.bytes_out": os.path.getsize(json_path),
+    }
 
 
 def environ(src, tmp):
-    """The environment of a child or CLI run of ``src``: its bytecode cache in
-    ``tmp``, never in a checkout."""
+    """The environment of a CLI run of ``src``: its bytecode cache in ``tmp``,
+    never in a checkout."""
     env = dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=str(tmp / "pycache"))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     return env
-
-
-def child_run(src, csv_path, name, json_path, tmp):
-    argv = [sys.executable, __file__, "--child", src, csv_path, name, json_path]
-    out = subprocess.run(argv, env=environ(src, tmp), stdout=subprocess.PIPE, text=True)
-    if out.returncode:  # the child has said why on stderr
-        sys.exit(out.returncode)
-    return json.loads(out.stdout)
 
 
 def cli_run(src, csv_path, name, json_path, tmp):
@@ -123,31 +118,29 @@ def cli_run(src, csv_path, name, json_path, tmp):
 
 
 def bench_cell(n, name, sides, tmp):
-    """{side: record} of one cell, the sides timed in turn in each round, the
+    """{side: record} of one cell, ``sides`` being {side: (src, package)}: in each
+    round, each layer and then the CLI timed on every side before the next, the
     first side first in even rounds and last in odd ones."""
     csv_path, json_path = str(tmp / f"w{n}.csv"), str(tmp / "out.json")
-    rounds = {side: [] for side in sides}
-    for src in sides.values():
-        cli_run(src, csv_path, name, json_path, tmp)  # warm-up: builds the bytecode cache
+    timers, counts, best = {}, {}, {side: {} for side in sides}
+    for side, (src, rrsim) in sides.items():
+        calls, counts[side] = recorded_run(rrsim, csv_path, name, json_path)
+        timers[side] = {span: partial(seconds_per_call, call) for span, call in calls.items()}
+        timers[side]["cli"] = partial(cli_run, src, csv_path, name, json_path, tmp)
+        timers[side]["cli"]()  # warm-up: builds the bytecode cache
     for r in range(REPEATS):
-        for side, src in list(sides.items())[::-1 if r % 2 else 1]:
-            run = child_run(src, csv_path, name, json_path, tmp)
-            run["cli_s"] = cli_run(src, csv_path, name, json_path, tmp)
-            rounds[side].append(run)
-    records = {}
-    for side, runs in rounds.items():
-        best = {span: min(run["layers_ms"][span] for run in runs) for span in runs[0]["layers_ms"]}
-        counts = runs[0]["counts"]
-        if any(run["counts"] != counts for run in runs):
-            sys.exit(f"bench.py: n={n} {name}: the {side} side's counts differ between rounds")
-        records[side] = {
-            "layers_ms": {span: round(ms, 4) for span, ms in best.items()},
-            "cli_ms": round(1e3 * min(run["cli_s"] for run in runs), 2),
-            "counts": counts,
-            "engine.ns_per_segment": round(1e6 * best["engine.simulate"]
-                                           / counts["engine.segments"], 1),
-        }
-    return records
+        for key in dict.fromkeys(key for side_timers in timers.values() for key in side_timers):
+            for side in list(sides)[::-1 if r % 2 else 1]:
+                if key in timers[side]:
+                    sec = timers[side][key]()
+                    best[side][key] = min(sec, best[side].get(key, sec))
+    return {side: {
+        "layers_ms": {span: round(1e3 * sec, 4) for span, sec in times.items() if span != "cli"},
+        "cli_ms": round(1e3 * times["cli"], 2),
+        "counts": counts[side],
+        "engine.ns_per_segment": round(1e9 * times["engine.simulate"]
+                                       / counts[side]["engine.segments"], 1),
+    } for side, times in best.items()}
 
 
 def python_start_ms(tmp):
@@ -175,21 +168,17 @@ def main(argv=None):
     parser.add_argument("--out", metavar="PATH", help="write the JSON here, not to stdout")
     parser.add_argument("--against", metavar="DIR",
                         help="also time this checkout's src, in turn with this tree's")
-    parser.add_argument("--child", nargs=4, help=argparse.SUPPRESS)
     parser.add_argument("sizes", metavar="N", type=int, nargs="*", default=SIZES)
     args = parser.parse_args(argv)
-    if args.child:
-        return child(*args.child)
-    sides = {"this": str(ROOT / "src")}
-    sys.path.insert(0, sides["this"])  # in this process only: children import their own side
-    from rrsim.schedulers import POLICY_NAMES
-
-    policies = ["rr:7" if name == "rr:<q>" else name for name in POLICY_NAMES]
+    sides = {"this": ROOT / "src"}
     if args.against is not None:
         against = Path(args.against).resolve()
         if not (against / "src" / "rrsim" / "__init__.py").is_file():
             parser.error(f"no src/rrsim in {args.against}")
-        sides["against"] = str(against / "src")
+        sides["against"] = against / "src"
+    sides = {side: (str(src), load(side, src)) for side, src in sides.items()}
+    policies = ["rr:7" if name == "rr:<q>" else name
+                for name in sides["this"][1].schedulers.POLICY_NAMES]
     cells = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -197,7 +186,7 @@ def main(argv=None):
         for n in args.sizes:
             subprocess.run([sys.executable, "-m", "rrsim.report", "generate", "--n", str(n),
                             "--order", "random", "--csv", str(tmp / f"w{n}.csv")],
-                           env=environ(sides["this"], tmp), check=True,
+                           env=environ(sides["this"][0], tmp), check=True,
                            stdout=subprocess.DEVNULL)
             for name in policies:
                 records = bench_cell(n, name, sides, tmp)
@@ -223,10 +212,11 @@ def main(argv=None):
         "workload": {"order": "random", "burst_range": [1, 100], "priority_range": [1, 5],
                      "seed": 0},
         "repeats": REPEATS,
-        "timing": "each side the best of `repeats` rounds, taken in turn with the other"
-                  " side, each round a fresh child process: layers in-process, per call,"
-                  " over timeit's autorange call count; cli_ms as a subprocess including"
-                  " interpreter start-up; after one untimed CLI run per side that builds"
+        "timing": "each side the best of `repeats` rounds in one process: each layer's"
+                  " recorded call timed per call over timeit's autorange call count, on"
+                  " both sides in turn before the next layer, the side order swapped every"
+                  " round; cli_ms as one subprocess per side and round, including"
+                  " interpreter start-up, after one untimed CLI run per side that builds"
                   " the bytecode cache in the run's temporary directory",
         "cells": cells,
     }

@@ -107,14 +107,16 @@ def render_components_table(w: Workload, comps: SliceComponents) -> str:
     return f"{table}\n\nrange: {comps.slice_range}"
 
 
-def _comparison_columns(summaries: Dict[str, MetricsSummary]) -> Dict[str, list]:
-    """The compare table: policy and averages as strs, CS as ints (the CSV writes each by %s)."""
-    return {
+def _comparison_table(summaries: Dict[str, MetricsSummary]) -> Tuple[Dict[str, list], str]:
+    """The compare table's columns, policy and averages as strs, CS as ints (the
+    CSV writes each by %s), and its text."""
+    columns = {
         "policy": list(summaries),
         "avg TAT": [format_average(s.avg_turnaround) for s in summaries.values()],
         "avg WT": [format_average(s.avg_waiting) for s in summaries.values()],
         "CS": [s.context_switches for s in summaries.values()],
     }
+    return columns, _render_table(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +402,7 @@ def _cmd_compare(args, span: Span) -> tuple:
         raise ValueError("no policies given")
     runs = _run_policies(w, names, args.static_ots, span)
     summaries = {name: summary for name, (_, summary) in runs.items()}
-    columns = _comparison_columns(summaries)
-    table = span("report.table", lambda: _render_table(columns))
+    columns, table = span("report.table", lambda: _comparison_table(summaries))
     return [table], lambda: {
         "workload": _workload_table(w),
         "metrics": list(map(_metrics_doc, summaries, summaries.values())),

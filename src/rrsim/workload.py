@@ -9,6 +9,8 @@ from typing import List, Tuple
 
 CSV_HEADER = ("id", "burst", "priority")
 ORDERS = ("increasing", "decreasing", "random")
+# The most processes generate_workload makes, checked before it allocates any.
+MAX_GENERATED = 10**6
 
 
 class WorkloadError(ValueError):
@@ -166,6 +168,8 @@ def generate_workload(
     (increasing / decreasing / random) and priorities uniform in ``priority_range``."""
     if n < 1:
         raise WorkloadError(f"n must be >= 1, got {n}")
+    if n > MAX_GENERATED:
+        raise WorkloadError(f"n must be <= {MAX_GENERATED}, got {n}")
     if order not in ORDERS:
         raise WorkloadError(f"order must be one of {ORDERS}, got {order!r}")
     for name, (lo, hi) in (("burst", burst_range), ("priority", priority_range)):

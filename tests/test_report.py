@@ -42,7 +42,7 @@ from rrsim.report import (
     trace_to_dict,
 )
 from rrsim.timeslice import COMPONENT_FIELDS
-from rrsim.workload import ORDERS
+from rrsim.workload import MAX_GENERATED, ORDERS
 from rrsim.schedulers import POLICY_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -440,6 +440,12 @@ class TestCli:
         assert rc == 2
         assert "--burst-range: bad range '1-5'; expected lo:hi" in capsys.readouterr().err
 
+    def test_generate_refuses_too_many_processes(self, capsys):
+        rc = run_cli(["generate", "--n", str(MAX_GENERATED + 1), "--order", "random"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", f"error: n must be <= {MAX_GENERATED},"
+                                           f" got {MAX_GENERATED + 1}\n")
+
     def test_rr_without_quantum(self, increasing_csv, capsys):
         rc = run_cli(["simulate", "--workload", increasing_csv, "--policy", "rr"])
         assert rc == 1
@@ -666,7 +672,8 @@ class TestChunkBoundaries:
         report._write_csv(str(path), ("x", "y", "name"), columns)
         expected = "x,y,name\n" + "".join(
             ",".join(map(str, row)) + "\n" for row in zip(*columns))
-        assert path.read_text(encoding="utf-8") == expected
+        # lists of lines, as in test_text_table: a failing diff of the whole text is slow
+        assert path.read_text(encoding="utf-8").split("\n") == expected.split("\n")
 
     @pytest.mark.parametrize("rows", _CHUNK_SIZES)
     def test_text_table(self, rows):
@@ -957,10 +964,11 @@ class TestIntegerSyntax:
     @example(text="+3")
     @example(text="\uff12")  # fullwidth two
     @example(text="\u0663")  # Arabic-Indic three
+    @example(text=str(MAX_GENERATED + 1))
     def test_one_syntax_at_every_number(self, slot, text):
-        if slot == "generate --n":
-            # n processes are allocated, and no resource bound applies yet
-            assume(sum(c.isdigit() for c in text) <= 2)
+        if slot == "generate --n" and re.fullmatch(r"-?[0-9]+", text.strip()):
+            # n processes are allocated up to MAX_GENERATED, and refused above it
+            assume(sum(c.isdigit() for c in text) <= 2 or int(text) > MAX_GENERATED)
         option, argv = _NUMBER_SLOTS[slot]
         rc, out, err, data = _run_cli(argv(text))
         _assert_exit_contract(rc, out, err)
