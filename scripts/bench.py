@@ -5,31 +5,25 @@ and of another checkout's ``src`` side by side.
 
 Usage: bench.py [--out PATH] [--against DIR] [N ...]    (default N: 10 100 1000 10000)
 
-Each n is a ``generate`` workload with the CLI's defaults (bursts 1..100,
-priorities 1..5, seed 0) in random burst order, run under each policy, with
-``rr:7`` for ``rr:<q>``.  This process imports each side's ``rrsim`` once,
-as the package ``rrsim_this`` or ``rrsim_against``, and exits 1 if any of its
-modules lies outside that side's ``src``.  For each cell (n, policy), one
-untimed ``run_cli`` per side records each layer's call and value through the
-span hook, under the span names of ``perfbench/tracing.py`` (``LAYERS``).  A
-slice policy's ``timeslice.components`` runs in its first ``schedulers.build``
-call, so the build's recorded call is its own time, and ``workload.parse``
-includes reading the CSV file.  Then ``REPEATS`` rounds time each recorded
-call, over as many calls as ``timeit``'s autorange takes to fill 0.2 s, with
-the garbage collector on as in a CLI run.  A round times one layer on both
-sides before the next layer, the side order swapped every round, so drift of
-the host falls on both sides alike; a side's time per call is the best of its
-rounds.  The CLI is timed end to end as one subprocess per side and round,
-the best taken, after one untimed warm-up per side; CLI runs keep their
-bytecode cache in the run's temporary directory (``PYTHONPYCACHEPREFIX``, with
-``PYTHONDONTWRITEBYTECODE`` dropped from their environment), so no timed run
-reads a checkout's own cache.  DIR must hold ``src/rrsim`` with ``run_cli``'s
-span hook.  Each recording run's export is read back with ``trace_from_dict``
-and must equal its in-process trace; any difference ends the script with
-exit 1.  Writes JSON to PATH, or to stdout, and one line per cell to stderr.
+Each n (1..``MAX_GENERATED``) is a ``generate`` workload with the CLI's
+defaults (bursts 1..100, priorities 1..5, seed 0) in random burst order, run
+under each policy, with ``rr:7`` for ``rr:<q>``.  This process imports each
+side's ``rrsim`` once, as the package ``rrsim_this`` or ``rrsim_against``, and
+exits 1 if any of its modules lies outside that side's ``src``.  A layer's
+figure is its span's self time in in-process ``run_cli`` runs, under the span
+names of ``perfbench/tracing.py``, so a slice policy's build excludes its
+``timeslice.components`` and ``workload.parse`` includes reading the CSV file.
+Per cell (n, policy), one untimed run per side gives the counts, and its
+export must read back with ``trace_from_dict`` as its trace, or the script
+exits 1.  Then each of ``REPEATS`` rounds runs the sides in turn, run by run,
+as many runs as fill ``FILL_SECONDS`` of the slower side's untimed run, the
+order swapped every round so that host drift falls on both sides alike, and
+then the CLI as one subprocess per side, after one untimed warm-up per side,
+with the bytecode cache in the run's temporary directory.  Each side keeps its
+best per layer and CLI.  DIR must hold ``src/rrsim`` with ``run_cli``'s span
+hook.  Writes JSON to PATH, or to stdout, and one line per cell to stderr.
 """
 import argparse
-import gc
 import importlib.util
 import io
 import json
@@ -38,23 +32,14 @@ import platform
 import subprocess
 import sys
 import tempfile
-import timeit
-from functools import partial
 from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 
 REPEATS = 3
+FILL_SECONDS = 0.2
 SIZES = (10, 100, 1000, 10000)
-
-
-def seconds_per_call(call):
-    """Seconds per call of ``call``, over the call count that ``timeit``'s
-    autorange picks (1, 2, 5, 10, 20, ... calls, until they take 0.2 s), with
-    the garbage collector on."""
-    number, seconds = timeit.Timer(call, setup=gc.enable).autorange()
-    return seconds / number
 
 
 def load(side, src):
@@ -74,30 +59,24 @@ def load(side, src):
     return package
 
 
-def recorded_run(rrsim, csv_path, name, json_path):
-    """One untimed in-process ``simulate --json`` run of the package ``rrsim``:
-    ({span name: its call}, counts).  Exits 1 if the export does not read back
-    as the run's trace."""
-    calls, values = {}, {}
+def timed_run(rrsim, argv):
+    """One in-process ``run_cli`` of the package ``rrsim`` on ``argv``: ({span: its
+    self seconds, less the spans nested in it, summed over its calls}, {span:
+    its value}).  Exits 1 if the run fails."""
+    times, values, nested = {}, {}, [0.0]  # nested[-1]: the open span's nested seconds
 
-    def record(span, call):
-        calls[span], values[span] = call, call()
-        return values[span]
+    def span(name, call):
+        nested.append(0.0)
+        start = perf_counter()
+        values[name] = call()
+        seconds = perf_counter() - start
+        times[name] = times.get(name, 0.0) + seconds - nested.pop()
+        nested[-1] += seconds
+        return values[name]
 
-    argv = ["simulate", "--workload", csv_path, "--policy", name, "--json", json_path]
-    if rrsim.report.run_cli(argv, io.StringIO(), record):
+    if rrsim.report.run_cli(argv, io.StringIO(), span):
         sys.exit(f"bench.py: {rrsim.__path__[0]}: {' '.join(argv)} failed")
-    trace, w = values["engine.simulate"], values["workload.parse"]
-    with open(json_path, encoding="utf-8") as fh:
-        if rrsim.report.trace_from_dict(json.load(fh)) != (w, values["schedulers.build"].name, trace):
-            sys.exit(f"bench.py: {rrsim.__path__[0]} {name}: the CLI's export differs from the"
-                     " in-process trace")
-    return calls, {
-        "workload.rows": len(w),
-        "engine.segments": len(trace.segments),
-        "engine.rounds": trace.segments.round[-1],
-        "report.bytes_out": os.path.getsize(json_path),
-    }
+    return times, values
 
 
 def environ(src, tmp):
@@ -108,32 +87,47 @@ def environ(src, tmp):
     return env
 
 
-def cli_run(src, csv_path, name, json_path, tmp):
-    """Wall seconds of ``rrsim simulate --json`` of ``src`` in a new interpreter."""
-    argv = [sys.executable, "-m", "rrsim.report", "simulate", "--workload", csv_path,
-            "--policy", name, "--json", json_path]
+def cli_run(src, argv, tmp):
+    """Wall seconds of ``rrsim`` of ``src`` on ``argv`` in a new interpreter."""
     start = perf_counter()
-    subprocess.run(argv, env=environ(src, tmp), check=True, stdout=subprocess.DEVNULL)
+    subprocess.run([sys.executable, "-m", "rrsim.report", *argv], env=environ(src, tmp),
+                   check=True, stdout=subprocess.DEVNULL)
     return perf_counter() - start
 
 
 def bench_cell(n, name, sides, tmp):
     """{side: record} of one cell, ``sides`` being {side: (src, package)}: in each
-    round, each layer and then the CLI timed on every side before the next, the
-    first side first in even rounds and last in odd ones."""
+    round, the in-process runs with the sides in turn, then the CLI on every
+    side, the first side first in even rounds and last in odd ones."""
     csv_path, json_path = str(tmp / f"w{n}.csv"), str(tmp / "out.json")
-    timers, counts, best = {}, {}, {side: {} for side in sides}
+    argv = ["simulate", "--workload", csv_path, "--policy", name, "--json", json_path]
+    counts, best, slowest = {}, {side: {} for side in sides}, 0.0
     for side, (src, rrsim) in sides.items():
-        calls, counts[side] = recorded_run(rrsim, csv_path, name, json_path)
-        timers[side] = {span: partial(seconds_per_call, call) for span, call in calls.items()}
-        timers[side]["cli"] = partial(cli_run, src, csv_path, name, json_path, tmp)
-        timers[side]["cli"]()  # warm-up: builds the bytecode cache
+        start = perf_counter()
+        values = timed_run(rrsim, argv)[1]
+        slowest = max(slowest, perf_counter() - start)
+        trace, w = values["engine.simulate"], values["workload.parse"]
+        with open(json_path, encoding="utf-8") as fh:
+            if rrsim.report.trace_from_dict(json.load(fh)) != (
+                    w, values["schedulers.build"].name, trace):
+                sys.exit(f"bench.py: {src} {name}: the CLI's export differs from the"
+                         " in-process trace")
+        counts[side] = {"workload.rows": len(w), "engine.segments": len(trace.segments),
+                        "engine.rounds": trace.segments.round[-1],
+                        "report.bytes_out": os.path.getsize(json_path)}
+        cli_run(src, argv, tmp)  # warm-up: builds the bytecode cache
+
+    def keep_best(side, times):
+        for key, sec in times.items():
+            best[side][key] = min(sec, best[side].get(key, sec))
+
     for r in range(REPEATS):
-        for key in dict.fromkeys(key for side_timers in timers.values() for key in side_timers):
-            for side in list(sides)[::-1 if r % 2 else 1]:
-                if key in timers[side]:
-                    sec = timers[side][key]()
-                    best[side][key] = min(sec, best[side].get(key, sec))
+        order = list(sides)[::-1 if r % 2 else 1]
+        for _ in range(max(1, int(FILL_SECONDS / slowest))):
+            for side in order:
+                keep_best(side, timed_run(sides[side][1], argv)[0])
+        for side in order:
+            keep_best(side, {"cli": cli_run(sides[side][0], argv, tmp)})
     return {side: {
         "layers_ms": {span: round(1e3 * sec, 4) for span, sec in times.items() if span != "cli"},
         "cli_ms": round(1e3 * times["cli"], 2),
@@ -177,6 +171,9 @@ def main(argv=None):
             parser.error(f"no src/rrsim in {args.against}")
         sides["against"] = against / "src"
     sides = {side: (str(src), load(side, src)) for side, src in sides.items()}
+    max_n = importlib.import_module("rrsim_this.workload").MAX_GENERATED
+    if not all(1 <= n <= max_n for n in args.sizes):
+        parser.error(f"each N must be 1..{max_n}")
     policies = ["rr:7" if name == "rr:<q>" else name
                 for name in sides["this"][1].schedulers.POLICY_NAMES]
     cells = []
@@ -213,11 +210,11 @@ def main(argv=None):
                      "seed": 0},
         "repeats": REPEATS,
         "timing": "each side the best of `repeats` rounds in one process: each layer's"
-                  " recorded call timed per call over timeit's autorange call count, on"
-                  " both sides in turn before the next layer, the side order swapped every"
-                  " round; cli_ms as one subprocess per side and round, including"
-                  " interpreter start-up, after one untimed CLI run per side that builds"
-                  " the bytecode cache in the run's temporary directory",
+                  " span self time in in-process run_cli runs, the sides taking turns run"
+                  f" by run, as many runs per round as fill {FILL_SECONDS} s of the slower"
+                  " side, the side order swapped every round; cli_ms as one subprocess per"
+                  " side and round, including interpreter start-up, after one untimed CLI run"
+                  " per side that builds the bytecode cache in the run's temporary directory",
         "cells": cells,
     }
     if args.against is not None:
