@@ -11,12 +11,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import TYPE_CHECKING, Dict, Iterable, List
+from typing import Dict, Iterable, List
 
+from .schedulers import SchedulingPolicy
 from .workload import Workload
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .schedulers import SchedulingPolicy
 
 
 @dataclass(slots=True)
@@ -82,7 +80,7 @@ class ScheduleTrace:
         return self.segments.end[-1]
 
 
-def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
+def simulate(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
     """Run ``policy`` over ``w`` until every process completes.  Each round
     dispatches the live processes in submission order, or by ascending
     remaining burst (ties by pid) when ``policy.srtn_order`` is set.  Without
@@ -109,9 +107,9 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
     add_end, add_quantum = segments.end.append, segments.quantum.append
     completion = {}
     clock = 0
-    round_no = 1
     live = list(w.pids)
-    while live:
+    # every live process runs at least one unit a round, so no run needs more rounds
+    for round_no in range(1, max(w.bursts) + 1):
         if policy.srtn_order:
             live.sort()  # so that the stable sort by rbt leaves ties in pid order
             live.sort(key=rbt.__getitem__)
@@ -136,6 +134,7 @@ def simulate(w: Workload, policy: "SchedulingPolicy") -> ScheduleTrace:
             add_quantum(tq)
         if len(completion) != finished:  # the ready list changes only when one finishes
             live = [pid for pid in live if pid not in completion]
-        round_no += 1
+            if not live:
+                break
     segments.start += [0] + segments.end[:-1]  # grants run back to back
     return ScheduleTrace(segments, completion)

@@ -134,7 +134,8 @@ _CHUNK = 4096
 class _Table(NamedTuple):
     """Integer columns: a list of objects or, when ``keyed``, an object keyed by
     a first column of pids, holding an object of the other columns or, without
-    ``fields``, one value.  A keyed table's rows may come in any order."""
+    ``fields``, one value.  A keyed table's rows may come in any order.  A CSV
+    table (never keyed) may also hold str cells, which its writer writes by %s."""
 
     fields: Tuple[str, ...]
     columns: Sequence[Sequence[int]]
@@ -309,11 +310,11 @@ def _row_chunks(row: AnyStr, sep: AnyStr, columns: Sequence[Sequence]) -> Iterat
         yield template % tuple(values)
 
 
-def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
-    row = ",".join(["%s"] * len(header)) + "\n"
+def _write_csv(path: str, table: _Table) -> None:
+    row = ",".join(["%s"] * len(table.fields)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(_row_chunks(row, "", columns))
+        fh.write(",".join(table.fields) + "\n")
+        fh.writelines(_row_chunks(row, "", table.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +357,10 @@ def _run_policies(w: Workload, names: Iterable[str], static_ots: int,
                   span: Span) -> Dict[str, Tuple[ScheduleTrace, MetricsSummary]]:
     """{policy name: (trace, metrics)} of the policies ``names`` on ``w``, in
     order.  A name given twice is an error before its second simulation."""
-    runs, records = {}, {}  # records: the slice components by static OTS, each made once
-
-    def components(w: Workload, static_ots: Optional[int]) -> SliceComponents:
-        if static_ots not in records:
-            records[static_ots] = span("timeslice.components",
-                                       lambda: compute_components(w, static_ots=static_ots))
-        return records[static_ots]
-
+    runs = {}
+    # the slice components by OTS source, each made once per call
+    components = cache(lambda w, static_ots: span(
+        "timeslice.components", lambda: compute_components(w, static_ots=static_ots)))
     for name in names:
         policy = span("schedulers.build",
                       lambda: policy_from_name(name, w, static_ots, components))
@@ -380,8 +377,8 @@ def _notes(notes: Iterable[str]) -> List[str]:
 
 # A command is a function of (args, span) that returns a tuple: its text as the
 # parts printed one to a line (not joined, so a long Gantt chart is never
-# copied), a callable that builds its JSON document only when --json asks for
-# it, and its CSV (header, columns).  run_cli writes the exports and prints.
+# copied), its JSON document and its CSV _Table.  run_cli writes the exports
+# and prints.
 def _cmd_simulate(args, span: Span) -> tuple:
     w = span("workload.parse", lambda: _load_workload(args.workload))
     [(name, (trace, summary))] = _run_policies(w, [args.policy], args.static_ots, span).items()
@@ -390,9 +387,8 @@ def _cmd_simulate(args, span: Span) -> tuple:
     lines = [f"policy: {name}", gantt, "", table]
     if args.paper_notes:
         lines += _notes(references.quantum_notes(w, name, trace, args.static_ots))
-    return lines, lambda: {
-        **_trace_doc(w, name, trace), "metrics": _metrics_doc(name, summary),
-    }, (SEGMENT_FIELDS, trace.segments.columns)
+    doc = {**_trace_doc(w, name, trace), "metrics": _metrics_doc(name, summary)}
+    return lines, doc, doc["segments"]
 
 
 def _cmd_compare(args, span: Span) -> tuple:
@@ -403,18 +399,17 @@ def _cmd_compare(args, span: Span) -> tuple:
     runs = _run_policies(w, names, args.static_ots, span)
     summaries = {name: summary for name, (_, summary) in runs.items()}
     columns, table = span("report.table", lambda: _comparison_table(summaries))
-    return [table], lambda: {
+    return [table], {
         "workload": _workload_table(w),
         "metrics": list(map(_metrics_doc, summaries, summaries.values())),
         "traces": {name: _segment_table(trace) for name, (trace, _) in runs.items()},
-    }, (("policy", "avg_tat", "avg_wt", "context_switches"), list(columns.values()))
+    }, _Table(("policy", "avg_tat", "avg_wt", "context_switches"), list(columns.values()))
 
 
 def _cmd_generate(args, span: Span) -> tuple:
     w = generate_workload(args.n, args.order, args.burst_range, args.priority_range, args.seed)
     table = _workload_table(w)  # as CSV, the bytes serialize_workload gives
-    return serialize_workload(w).splitlines(), lambda: {"workload": table}, (
-        CSV_HEADER, table.columns)
+    return serialize_workload(w).splitlines(), {"workload": table}, table
 
 
 def _cmd_components(args, span: Span) -> tuple:
@@ -425,12 +420,12 @@ def _cmd_components(args, span: Span) -> tuple:
     if args.paper_notes:
         lines += _notes(references.component_notes(w, comps, args.static_ots))
     columns = [getattr(comps, name) for name in COMPONENT_FIELDS]
-    return lines, lambda: {
+    return lines, {
         "workload": _workload_table(w),
         "range": _fraction_to_dict(comps.slice_range),
         "components": _Table(("pid",) + COMPONENT_FIELDS, (w.pids, *columns)),
-    }, (("pid", "burst", "priority") + COMPONENT_FIELDS,
-        (w.pids, w.bursts, w.priorities, *columns))
+    }, _Table(("pid", "burst", "priority") + COMPONENT_FIELDS,
+              (w.pids, w.bursts, w.priorities, *columns))
 
 
 @cache  # built once per process; argparse keeps no state between parses
@@ -511,11 +506,11 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None, span: Span = _call) 
     try:
         # rejected even where the policy or command would not use it
         check_static_ots(getattr(args, "static_ots", None))
-        lines, doc, (header, columns) = args.func(args, span)
+        lines, doc, csv = args.func(args, span)
         if args.json is not None:
-            span("report.export", lambda: _write_json(args.json, doc()))
+            span("report.export", lambda: _write_json(args.json, doc))
         if args.csv is not None:
-            span("report.export", lambda: _write_csv(args.csv, header, columns))
+            span("report.export", lambda: _write_csv(args.csv, csv))
         print(*lines, sep="\n", file=out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -215,6 +215,8 @@ def assert_trace_invariants(w, trace):
     check_trace(trace, w)
     # one grant per pid per round
     assert len(set(zip(trace.segments.round, trace.segments.pid))) == len(trace.segments)
+    # each live process runs at least one unit a round
+    assert trace.segments.round[-1] <= max(w.bursts)
 
 
 class TestSimulateInvariants:

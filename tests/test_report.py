@@ -669,7 +669,7 @@ class TestChunkBoundaries:
     def test_csv(self, rows, tmp_path):
         columns = [*self._columns(rows, 2), [f"P{i}" for i in range(rows)]]
         path = tmp_path / "out.csv"
-        report._write_csv(str(path), ("x", "y", "name"), columns)
+        report._write_csv(str(path), report._Table(("x", "y", "name"), columns))
         expected = "x,y,name\n" + "".join(
             ",".join(map(str, row)) + "\n" for row in zip(*columns))
         # lists of lines, as in test_text_table: a failing diff of the whole text is slow
