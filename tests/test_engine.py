@@ -2,7 +2,8 @@ import dataclasses
 import random as random_module
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import scattered_workloads, workloads
 from rrsim import (
@@ -14,6 +15,8 @@ from rrsim import (
     simulate,
     workload,
 )
+from rrsim import engine
+from rrsim.engine import growing_rounds
 from rrsim.metrics import check_trace
 from rrsim.report import SEGMENT_FIELDS, render_gantt, trace_to_dict
 from step_oracle import step_simulate
@@ -182,6 +185,94 @@ class TestSrtnOrder:
     def test_matches_step_oracle(self, name, w):
         policy = policy_from_name(name, w)
         assert simulate(w, policy) == step_simulate(w, policy)
+
+
+@st.composite
+def fixed_quanta(draw):
+    """(workload, policy) with a fixed quantum per pid, from 1 to above the
+    longest burst, in either dispatch order."""
+    w = draw(scattered_workloads(max_n=8, max_burst=20))
+    quanta = st.integers(1, max(w.bursts) + 2)
+    base = draw(st.lists(quanta, min_size=len(w.pids), max_size=len(w.pids)))
+    return w, SchedulingPolicy("fixed", draw(st.booleans()), dict(zip(w.pids, base)))
+
+
+def _fixed(pids, bursts, quanta, srtn_order):
+    return Workload(pids, bursts, [1] * len(pids)), SchedulingPolicy(
+        "fixed", srtn_order, dict(zip(pids, quanta)))
+
+
+class TestFixedQuantaLayout:
+    """A fixed-quantum run is laid out from each pid's grant count ⌈b/q⌉."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=fixed_quanta())
+    # round 2's finishers are the first and the last of its live list
+    @example(case=_fixed((9, 3, 7, 1), (2, 3, 3, 2), (1, 1, 1, 1), False))
+    @example(case=_fixed((5, 8, 2), (2, 5, 12), (1, 1, 6), True))
+    # every pid finishes in round 1
+    @example(case=_fixed((4, 60, 2), (3, 9, 3), (3, 20, 5), False))
+    @example(case=_fixed((4, 60, 2), (3, 9, 3), (3, 20, 5), True))
+    def test_matches_step_oracle(self, case):
+        w, policy = case
+        trace = simulate(w, policy)
+        assert trace == step_simulate(w, policy)
+        grants = [-(-b // policy.base[pid]) for pid, b in zip(w.pids, w.bursts)]
+        assert len(trace.segments.pid) == sum(grants)
+        assert trace.segments.round[-1] == max(grants)
+        assert list(trace.completion.values()) == sorted(trace.completion.values())
+
+    @pytest.mark.parametrize("srtn_order", [False, True])
+    def test_many_finish_in_one_round(self, srtn_order):
+        # more finishers in round 1 than are deleted one by one
+        rng = random_module.Random(3)
+        pids = rng.sample(range(1, 1000), 320)
+        bursts = [rng.choice([1] * 9 + [2, 7]) for _ in pids]
+        w, policy = _fixed(pids, bursts, [rng.choice([1, 2]) for _ in pids], srtn_order)
+        trace = simulate(w, policy)
+        assert trace == step_simulate(w, policy)
+        last_round = dict(zip(trace.segments.pid, trace.segments.round))
+        assert engine._DELETE_MAX < sum(r == 1 for r in last_round.values()) < len(pids)
+
+    def test_refuses_more_than_max_segments(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_SEGMENTS", 5)
+        w = workload([3, 2])
+        assert len(simulate(w, policy_from_name("rr:1", w)).segments.pid) == 5
+        w = workload([3, 3])
+        with pytest.raises(ValueError, match="policy 'rr:1' needs 6 grants, over the limit of 5"):
+            simulate(w, policy_from_name("rr:1", w))
+
+    def test_grant_count_is_checked_before_the_run(self):
+        w = workload([10**18])
+        with pytest.raises(ValueError, match=f"needs {10**18} grants, over the limit"):
+            simulate(w, policy_from_name("rr:1", w))
+
+
+def _least_power(burst):
+    """⌈log₁.₅ burst⌉: the least t with 1.5^t >= burst."""
+    t = 0
+    while 3**t < burst * 2**t:
+        t += 1
+    return t
+
+
+class TestGrowingRounds:
+    """A growing quantum gives a pid at most ⌈log₁.₅ b⌉ + 2 grants."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(burst=st.integers(1, 18).flatmap(lambda k: st.sampled_from([10**k, 10**k - 1]))
+           | st.integers(1, 3000),
+           its=st.integers(1, 5), sc=st.sampled_from([0, 1]))
+    def test_bounds_the_grants(self, burst, its, sc):
+        assert growing_rounds(burst) == _least_power(burst) + 2
+        trace = simulate(workload([burst]), SchedulingPolicy("x", False, {1: its}, {1: sc}))
+        assert len(trace.segments.pid) <= growing_rounds(burst)
+
+    def test_a_process_live_past_the_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(engine, "growing_rounds", lambda burst: 1)
+        w = workload([40, 3])
+        with pytest.raises(RuntimeError, match=r"'pbdrr': P1 is live after round 1"):
+            simulate(w, policy_from_name("pbdrr", w))
 
 
 class TestReadyList:

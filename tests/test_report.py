@@ -29,7 +29,7 @@ from rrsim import (
     simulate,
     workload,
 )
-from rrsim import report
+from rrsim import engine, report
 from rrsim.metrics import MetricsError, check_trace
 from rrsim.report import (
     build_parser,
@@ -445,6 +445,17 @@ class TestCli:
         assert rc == 1
         assert capsys.readouterr() == ("", f"error: n must be <= {MAX_GENERATED},"
                                            f" got {MAX_GENERATED + 1}\n")
+
+    @pytest.mark.parametrize("command, option", [("simulate", "--policy"),
+                                                 ("compare", "--policies")])
+    def test_refuses_too_many_grants(self, command, option, tmp_path, capsys):
+        # 10^9 grants of one unit: refused from the count, before any is built
+        path = tmp_path / "long.csv"
+        path.write_text("id,burst,priority\n1,1000000000,1\n")
+        rc = run_cli([command, "--workload", str(path), option, "rr:1"])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: policy 'rr:1' needs 1000000000 grants,"
+                                           f" over the limit of {engine.MAX_SEGMENTS}\n")
 
     def test_rr_without_quantum(self, increasing_csv, capsys):
         rc = run_cli(["simulate", "--workload", increasing_csv, "--policy", "rr"])
