@@ -437,50 +437,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, static_ots=True):
-        p.set_defaults(parser=p)
+    def command(name, func, help, workload=True, notes=False, static_ots=None):
+        """The subcommand ``name``: ``--workload`` if it reads one, ``--paper-notes``
+        if it annotates, ``--json`` and ``--csv``, then ``--static-ots`` with the
+        default and help in ``static_ots``.  The caller adds its own options."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, parser=p)
+        if workload:
+            p.add_argument("--workload", required=True, metavar="CSV")
+        if notes:
+            p.add_argument("--paper-notes", action="store_true",
+                           help="annotate cells where published reference values differ")
         p.add_argument("--json", metavar="PATH", help="write JSON copy of the output")
         p.add_argument("--csv", metavar="PATH", help="write CSV copy of the output")
         if static_ots:
-            p.add_argument(
-                "--static-ots", type=_integer_option, default=DEFAULT_STATIC_OTS, metavar="N",
-                help="static OTS constant used by its-rr/pbdrr (default %(default)s)",
-            )
+            p.add_argument("--static-ots", type=_integer_option, metavar="N", **static_ots)
+        return p
 
-    p_sim = sub.add_parser("simulate", help="run one policy and print Gantt + metrics")
-    p_sim.add_argument("--workload", required=True, metavar="CSV")
-    p_sim.add_argument("--paper-notes", action="store_true",
-                       help="annotate cells where published reference values differ")
-    add_common(p_sim)
-    p_sim.add_argument("--policy", required=True, help=" | ".join(POLICY_NAMES))
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_cmp = sub.add_parser("compare", help="run several policies and print a table")
-    p_cmp.add_argument("--workload", required=True, metavar="CSV")
-    add_common(p_cmp)
-    p_cmp.add_argument("--policies", required=True, help="comma-separated policy names")
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_gen = sub.add_parser("generate", help="emit a synthetic workload CSV")
-    p_gen.add_argument("--n", type=_integer_option, required=True)
-    p_gen.add_argument("--order", choices=ORDERS, required=True)
-    p_gen.add_argument("--burst-range", type=_parse_range, default=(1, 100),
-                       metavar="LO:HI")
-    p_gen.add_argument("--priority-range", type=_parse_range, default=(1, 5),
-                       metavar="LO:HI")
-    p_gen.add_argument("--seed", type=_integer_option, default=0)
-    add_common(p_gen, static_ots=False)
-    p_gen.set_defaults(func=_cmd_generate)
-
-    p_cmp2 = sub.add_parser("components", help="print the slice-component table")
-    p_cmp2.add_argument("--workload", required=True, metavar="CSV")
-    p_cmp2.add_argument("--paper-notes", action="store_true",
-                        help="annotate cells where published reference values differ")
-    add_common(p_cmp2, static_ots=False)
-    p_cmp2.add_argument("--static-ots", type=_integer_option, metavar="N",
-                        help="use this static OTS constant instead of the Range OTS")
-    p_cmp2.set_defaults(func=_cmd_components)
-
+    fixed = dict(default=DEFAULT_STATIC_OTS,
+                 help="static OTS constant used by its-rr/pbdrr (default %(default)s)")
+    p = command("simulate", _cmd_simulate, "run one policy and print Gantt + metrics",
+                notes=True, static_ots=fixed)
+    p.add_argument("--policy", required=True, help=" | ".join(POLICY_NAMES))
+    p = command("compare", _cmd_compare, "run several policies and print a table",
+                static_ots=fixed)
+    p.add_argument("--policies", required=True, help="comma-separated policy names")
+    p = command("generate", _cmd_generate, "emit a synthetic workload CSV", workload=False)
+    p.add_argument("--n", type=_integer_option, required=True)
+    p.add_argument("--order", choices=ORDERS, required=True)
+    p.add_argument("--burst-range", type=_parse_range, default=(1, 100), metavar="LO:HI")
+    p.add_argument("--priority-range", type=_parse_range, default=(1, 5), metavar="LO:HI")
+    p.add_argument("--seed", type=_integer_option, default=0)
+    command("components", _cmd_components, "print the slice-component table", notes=True,
+            static_ots=dict(help="use this static OTS constant instead of the Range OTS"))
     return parser
 
 

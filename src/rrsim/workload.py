@@ -11,6 +11,12 @@ CSV_HEADER = ("id", "burst", "priority")
 ORDERS = ("increasing", "decreasing", "random")
 # The most processes generate_workload makes, checked before it allocates any.
 MAX_GENERATED = 10**6
+# The most digits of a process's id, burst or priority and of any integer the
+# CLI reads.  Python refuses to convert an integer of more digits than its limit
+# to or from text, and that limit can be set as low as 640, so any sum or ITS
+# that rrsim prints from such numbers still converts.
+MAX_DIGITS = 600
+_BOUND = 10**MAX_DIGITS
 
 
 class WorkloadError(ValueError):
@@ -19,13 +25,19 @@ class WorkloadError(ValueError):
 
 def check_process(pid: int, burst: int, priority: int) -> None:
     """The rules of one process: id, CPU burst in time units and user priority
-    (1 = most urgent) are each at least 1."""
+    (1 = most urgent) are each at least 1, and of at most ``MAX_DIGITS`` digits."""
     if pid < 1:
         raise WorkloadError(f"process id must be a positive integer, got {pid}")
+    if pid >= _BOUND:  # not printed: it may have more digits than str() takes
+        raise WorkloadError(f"process id has more than {MAX_DIGITS} digits")
     if burst < 1:
         raise WorkloadError(f"non-positive burst {burst} (P{pid})")
+    if burst >= _BOUND:
+        raise WorkloadError(f"burst has more than {MAX_DIGITS} digits (P{pid})")
     if priority < 1:
         raise WorkloadError(f"priority must be >= 1, got {priority} (P{pid})")
+    if priority >= _BOUND:
+        raise WorkloadError(f"priority has more than {MAX_DIGITS} digits (P{pid})")
 
 
 _COLUMNS = ("pids", "bursts", "priorities")
@@ -52,7 +64,7 @@ class Workload:
             raise WorkloadError("pids, bursts and priorities differ in length")
         if not columns[0]:
             raise WorkloadError("workload must contain at least one process")
-        if min(map(min, columns)) < 1:
+        if min(map(min, columns)) < 1 or max(map(max, columns)) >= _BOUND:
             for row in zip(*columns):
                 check_process(*row)
         if len(set(columns[0])) < len(columns[0]):
@@ -77,10 +89,16 @@ def integer(text: str, what: str = "value") -> int:
     """The one integer syntax of workload CSV fields and CLI options: an
     optional ``-`` and the ASCII digits ``0-9``, with surrounding whitespace.
     ``int`` alone would also take ``+3``, ``1_0`` and non-ASCII digits.
-    Raises ``ValueError`` naming ``what`` for any other text."""
+    Raises ``ValueError`` naming ``what`` for any other text, and for more than
+    ``MAX_DIGITS`` digits after the leading zeros, before ``int`` sees them."""
     digits = text.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{what} is not an integer: {text!r}")
+    if len(digits) > MAX_DIGITS:  # int() counts leading zeros against its own limit
+        value = digits.lstrip("0") or "0"
+        if len(value) > MAX_DIGITS:
+            raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
+        text = text.replace(digits, value)
     return int(text)
 
 

@@ -1,3 +1,4 @@
+import sys
 from collections import namedtuple
 
 import pytest
@@ -89,3 +90,15 @@ def illustration_w():
 @pytest.fixture
 def decreasing_w():
     return workload([31, 23, 16, 9, 1], [2, 1, 4, 5, 3])
+
+
+@pytest.fixture
+def int_digit_floor():
+    """Python's digit limit on integer text at the lowest value it can be set
+    to, 640, for one test, as ``PYTHONINTMAXSTRDIGITS=640`` sets it."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -42,7 +42,7 @@ from rrsim.report import (
     trace_to_dict,
 )
 from rrsim.timeslice import COMPONENT_FIELDS
-from rrsim.workload import MAX_GENERATED, ORDERS
+from rrsim.workload import CSV_HEADER, MAX_DIGITS, MAX_GENERATED, ORDERS
 from rrsim.schedulers import POLICY_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1053,7 +1053,70 @@ def _subcommands():
     return sub.choices
 
 
+# Each subcommand's options by dest: (flags, type, default, metavar, choices,
+# required, help), the type by its function's name.
+_NOTES_HELP = "annotate cells where published reference values differ"
+_JSON = (["--json"], None, None, "PATH", None, False, "write JSON copy of the output")
+_CSV = (["--csv"], None, None, "PATH", None, False, "write CSV copy of the output")
+_WORKLOAD = (["--workload"], None, None, "CSV", None, True, None)
+_STATIC_OTS = (["--static-ots"], "_integer_option", 4, "N", None, False,
+               "static OTS constant used by its-rr/pbdrr (default %(default)s)")
+_OPTIONS = {
+    "simulate": {
+        "workload": _WORKLOAD,
+        "paper_notes": (["--paper-notes"], None, False, None, None, False, _NOTES_HELP),
+        "json": _JSON,
+        "csv": _CSV,
+        "static_ots": _STATIC_OTS,
+        "policy": (["--policy"], None, None, None, None, True,
+                   "proposed | pbdrr | its-rr | rr:<q> | srtn | fcfs"),
+    },
+    "compare": {
+        "workload": _WORKLOAD,
+        "json": _JSON,
+        "csv": _CSV,
+        "static_ots": _STATIC_OTS,
+        "policies": (["--policies"], None, None, None, None, True,
+                     "comma-separated policy names"),
+    },
+    "generate": {
+        "n": (["--n"], "_integer_option", None, None, None, True, None),
+        "order": (["--order"], None, None, None, ("increasing", "decreasing", "random"),
+                  True, None),
+        "burst_range": (["--burst-range"], "_parse_range", (1, 100), "LO:HI", None, False, None),
+        "priority_range": (["--priority-range"], "_parse_range", (1, 5), "LO:HI", None, False,
+                           None),
+        "seed": (["--seed"], "_integer_option", 0, None, None, False, None),
+        "json": _JSON,
+        "csv": _CSV,
+    },
+    "components": {
+        "workload": _WORKLOAD,
+        "paper_notes": (["--paper-notes"], None, False, None, None, False, _NOTES_HELP),
+        "json": _JSON,
+        "csv": _CSV,
+        "static_ots": (["--static-ots"], "_integer_option", None, "N", None, False,
+                       "use this static OTS constant instead of the Range OTS"),
+    },
+}
+
+
+def _options(parser):
+    return {
+        a.dest: (a.option_strings, getattr(a.type, "__name__", None), a.default, a.metavar,
+                 a.choices, a.required, a.help)
+        for a in parser._actions if a.dest != "help"
+    }
+
+
 class TestParserAndReadme:
+    def test_every_option(self):
+        assert {name: _options(p) for name, p in _subcommands().items()} == _OPTIONS
+
+    @pytest.mark.parametrize("command", ["simulate", "compare", "components"])
+    def test_option_order(self, command):
+        assert list(_options(_subcommands()[command])) == list(_OPTIONS[command])
+
     @pytest.mark.parametrize(
         "command", [[]] + [[name] for name in _subcommands()], ids=lambda c: "".join(c) or "rrsim"
     )
@@ -1072,6 +1135,82 @@ class TestParserAndReadme:
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         cli = readme.split("\n## CLI\n")[1].split("\n## ")[0]
         assert set(re.findall(r"--[a-z][a-z-]*", cli)) == defined - {"--help"}
+
+
+_BOUND_TEXT = f"has more than {MAX_DIGITS} digits"
+
+
+class TestDigitBound:
+    """A number of more than ``MAX_DIGITS`` digits is refused by rrsim's own
+    message, not by Python's digit limit on integer text, and every number
+    the CLI prints from numbers within the bound converts to text."""
+
+    @staticmethod
+    def run(argv, csv_rows=None):
+        """(exit code, stdout, stderr, JSON bytes or None) of ``argv``, with
+        ``--workload`` a CSV of ``csv_rows`` when given."""
+        if csv_rows is None:
+            return _run_cli(argv)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "w.csv"
+            rows = [CSV_HEADER, *csv_rows]
+            path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
+            return _run_cli([*argv, "--workload", str(path)])
+
+    def assert_refused(self, result, where):
+        rc, out, err, data = result
+        _assert_exit_contract(rc, out, err)
+        assert rc in (1, 2) and data is None
+        last = err.splitlines()[-1]
+        assert where in last and last.endswith(_BOUND_TEXT)
+        assert "set_int_max_str_digits" not in err
+
+    @pytest.mark.parametrize("argv", [["simulate", "--policy", "fcfs"], ["components"]],
+                             ids=["simulate", "components"])
+    def test_two_4300_digit_bursts(self, argv):
+        result = self.run(argv, [(1, "9" * 4300, 1), (2, "9" * 4300, 1)])
+        self.assert_refused(result, "row 2: burst ")
+
+    @pytest.mark.parametrize("column", range(3), ids=["id", "burst", "priority"])
+    def test_4301_digit_csv_field(self, column):
+        row = [1, 5, 1]
+        row[column] = "9" * 4301
+        result = self.run(["simulate", "--policy", "fcfs"], [(2, 4, 1), row])
+        self.assert_refused(result, f"row 3: {('id', 'burst', 'priority')[column]} ")
+
+    @pytest.mark.parametrize("option", ["--seed", "--n"])
+    def test_4400_digit_option(self, option):
+        argv = {"--seed": ["--n", "3"], "--n": []}[option]
+        result = self.run(["generate", "--order", "random", *argv, option, "9" * 4400])
+        assert result[0] == 2
+        self.assert_refused(result, f"error: argument {option}: ")
+
+    def test_trace_from_dict(self, random_w):
+        trace = simulate(random_w, policy_from_name("fcfs", random_w))
+        data = trace_to_dict(random_w, "fcfs", trace)
+        data["workload"][1]["burst"] = 10**MAX_DIGITS
+        message = f"workload row 1: burst {_BOUND_TEXT} (P2)"
+        with pytest.raises(MetricsError, match=f"^{re.escape(message)}$"):
+            trace_from_dict(data)
+
+    def test_700_digit_burst_at_the_lowest_python_limit(self, int_digit_floor):
+        result = self.run(["simulate", "--policy", "fcfs"], [(1, "9" * 700, 1)])
+        self.assert_refused(result, "row 2: burst ")
+
+    @pytest.mark.parametrize("limit", ["default", "floor"])
+    @pytest.mark.parametrize("argv", [
+        *(["simulate", "--paper-notes", "--policy", name] for name in _EVERY_POLICY),
+        ["compare", "--policies", ",".join(["proposed", "pbdrr", "srtn", "fcfs"])],
+        ["components", "--paper-notes"],
+        ["components", "--static-ots", "9" * MAX_DIGITS],
+    ], ids=lambda argv: " ".join(argv)[:40])
+    def test_bursts_at_the_bound(self, argv, limit, request):
+        if limit == "floor":
+            request.getfixturevalue("int_digit_floor")
+        rc, out, err, data = self.run(argv, [(1, "9" * MAX_DIGITS, 1), (2, "9" * MAX_DIGITS, 1)])
+        _assert_exit_contract(rc, out, err)
+        assert rc == 0 or err.startswith(f"error: policy {argv[-1]!r} needs ")
+        assert (data is not None) == (rc == 0)
 
 
 # A valid command line for each subcommand; a new subcommand needs one here.

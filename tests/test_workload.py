@@ -15,7 +15,7 @@ from rrsim import (
     serialize_workload,
     workload,
 )
-from rrsim.workload import check_process
+from rrsim.workload import MAX_DIGITS, _parse_rows, check_process, integer
 
 
 class TestParse:
@@ -205,6 +205,70 @@ class TestInvariants:
     def test_serialize_emits_exact_header(self):
         text = serialize_workload(workload([7], [2]))
         assert text == "id,burst,priority\n1,7,2\n"
+
+
+def _outcome(parse, text):
+    """The columns ``parse`` gives for ``text``, or its error text."""
+    try:
+        w = parse(text)
+    except WorkloadError as exc:
+        return str(exc)
+    return w.pids, w.bursts, w.priorities
+
+
+class TestDigitBound:
+    """No number of a workload has more than ``MAX_DIGITS`` digits, so any sum
+    of them converts to text under Python's lowest digit limit, 640."""
+
+    def test_below_the_lowest_python_limit(self):
+        assert MAX_DIGITS < 640
+
+    @pytest.mark.parametrize("text, value", [
+        ("9" * MAX_DIGITS, 10**MAX_DIGITS - 1),
+        (" -" + "9" * MAX_DIGITS + " ", 1 - 10**MAX_DIGITS),
+        ("0" * 5000 + "7", 7),
+        ("-" + "0" * 5000, 0),
+    ])
+    def test_integer_counts_digits_after_leading_zeros(self, text, value):
+        assert integer(text) == value
+
+    @pytest.mark.parametrize("text", ["9" * (MAX_DIGITS + 1), "-1" + "0" * MAX_DIGITS,
+                                      "0" * 9 + "1" * 4400])
+    def test_integer_refuses_more_digits(self, text):
+        with pytest.raises(ValueError, match=f"^seed has more than {MAX_DIGITS} digits$"):
+            integer(text, "seed")
+
+    # "0"-padded: the row path and Python's own limit count the padding
+    @pytest.mark.parametrize("digits", [MAX_DIGITS - 1, MAX_DIGITS, MAX_DIGITS + 1, 4301])
+    @pytest.mark.parametrize("column", range(3), ids=["id", "burst", "priority"])
+    @pytest.mark.parametrize("pad", [0, 700], ids=["plain", "padded"])
+    @pytest.mark.parametrize("limit", ["default", "floor"])
+    def test_parse_paths_agree(self, digits, column, pad, limit, request):
+        if limit == "floor":
+            request.getfixturevalue("int_digit_floor")
+        row = ["2", "3", "1"]
+        row[column] = "0" * pad + "9" * digits
+        text = "id,burst,priority\n1,4,1\n" + ",".join(row) + "\n"
+        outcome = _outcome(parse_workload, text)
+        assert outcome == _outcome(_parse_rows, text) == workload_reference.parse(text)
+        if digits <= MAX_DIGITS:
+            assert outcome[column][1] == 10**digits - 1
+        else:
+            name = ("id", "burst", "priority")[column]
+            assert outcome == f"row 3: {name} has more than {MAX_DIGITS} digits"
+
+    @pytest.mark.parametrize("row, message", [
+        ((10**MAX_DIGITS, 1, 1), f"process id has more than {MAX_DIGITS} digits"),
+        ((1, 10**MAX_DIGITS, 1), f"burst has more than {MAX_DIGITS} digits (P1)"),
+        ((1, 1, 10**MAX_DIGITS), f"priority has more than {MAX_DIGITS} digits (P1)"),
+        ((1, 10**4400, 0), f"burst has more than {MAX_DIGITS} digits (P1)"),
+    ], ids=["id", "burst", "priority", "burst-first"])
+    def test_checks_agree(self, row, message):
+        with pytest.raises(WorkloadError, match=f"^{re.escape(message)}$"):
+            check_process(*row)
+        with pytest.raises(WorkloadError, match=f"^{re.escape(message)}$"):
+            Workload(*zip((2, 3, 1), row))
+        assert Workload(*zip((2, 3, 1), (10**MAX_DIGITS - 1,) * 3)).pids[1] == 10**MAX_DIGITS - 1
 
 
 class TestGenerate:

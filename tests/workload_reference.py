@@ -11,13 +11,18 @@ import io
 import re
 
 HEADER = ("id", "burst", "priority")
+MAX_DIGITS = 600  # digits of a number, not counting leading zeros
 
 
 def integer(text, what):
-    """An optional ``-`` and ASCII digits, with surrounding whitespace."""
+    """An optional ``-`` and ASCII digits, with surrounding whitespace, of at
+    most ``MAX_DIGITS`` digits after the leading zeros."""
     if not re.fullmatch(r"-?[0-9]+", text.strip()):
         raise ValueError(f"{what} is not an integer: {text!r}")
-    return int(text)
+    sign, digits = re.fullmatch(r"(-?)0*([0-9]*)", text.strip()).groups()
+    if len(digits) > MAX_DIGITS:
+        raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
+    return int(sign + (digits or "0"))
 
 
 def check_process(pid, burst, priority):
