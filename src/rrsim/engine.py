@@ -4,17 +4,18 @@ One round gives every live process exactly one CPU grant.  The dispatch order
 is recomputed once per round boundary (not after every grant), the clock
 advances by the effective execution time of each grant, and a process leaves
 the ready set exactly when its remaining burst hits zero.  ``simulate`` is a
-pure function of (workload, policy), laid out one of two ways, by the policy's
+pure function of (workload, policy), run one of two ways, by the policy's
 data:
 
-- Fixed quanta: a pid of burst b and quantum q gets exactly k = ⌈b/q⌉ grants,
-  so every round in which some pid finishes is known before the first grant.
-  The rounds between two such rounds repeat one live list, so the trace is laid
-  out a stretch of rounds at a time by list repetition: O(1) Python work per
-  stretch plus O(log n) per pid that finishes in it, not a loop per grant.
-  SRTN order re-sorts at every round, so there each round is its own stretch.
-- Growing quanta: each grant sets the pid's next quantum, so a loop runs grant
-  by grant, for at most ⌈log₁.₅ max b⌉ + 2 rounds (``growing_rounds``).
+- A fixed quantum in submission order: a pid of burst b and quantum q gets
+  exactly k = ⌈b/q⌉ grants, so every round in which some pid finishes is known
+  before the first grant.  The rounds between two such rounds repeat one live
+  list, so the trace is laid out a stretch of rounds at a time by list
+  repetition: O(1) Python work per stretch plus O(log n) per pid that
+  finishes in it, not a loop per grant.
+- Every other run goes grant by grant, for at most ⌈log₁.₅ max b⌉ + 2 rounds
+  (``growing_rounds``) with a growing quantum, or the most grants of any pid
+  with a fixed one.  Only this loop sorts by remaining burst (SRTN order).
 """
 from __future__ import annotations
 
@@ -107,16 +108,16 @@ class ScheduleTrace:
 
 def simulate(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
     """Run ``policy`` over ``w`` until every process completes.  Each round
-    dispatches the live processes in submission order, or by ascending
-    remaining burst (ties by pid) when ``policy.srtn_order`` is set.  Without
-    ``policy.sc`` each grant is ``policy.base[pid]``, so each pid's grant count
-    is known and the run is laid out from the counts.  With it, each grant is
-    the pid's entry in a quantum table that starts at the round-1 grant and
-    that each grant grows to the next round's quantum, or the whole remaining
-    burst when the entry would leave two units or less, so the run goes grant
-    by grant.  ``completion`` lists pids in the order they finish.  Raises
-    ``ValueError`` for a policy built for other pids, a base below 1, or a
-    fixed-quantum run of more than ``MAX_SEGMENTS`` grants."""
+    dispatches the live processes in submission order, or by ascending remaining
+    burst (ties by pid) when ``policy.srtn_order`` is set.  Without ``policy.sc``
+    each grant is ``policy.base[pid]``.  With it, each grant is the pid's entry in a
+    quantum table that starts at the round-1 grant and that each grant grows to the
+    next round's quantum, or the whole remaining burst when the entry would leave
+    two units or less.  A fixed quantum in submission order is laid out from each
+    pid's grant count ⌈b/q⌉; every other run goes grant by grant.  ``completion``
+    lists pids in the order they finish.  Raises ``ValueError`` for a policy built
+    for other pids, a base below 1, or a fixed-quantum run of more than
+    ``MAX_SEGMENTS`` grants."""
     base, sc = policy.base, policy.sc
     pids = set(w.pids)
     for table in (base,) if sc is None else (base, sc):
@@ -126,61 +127,49 @@ def simulate(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
     low = min(base, key=base.get)
     if base[low] < 1:
         raise ValueError(f"policy {policy.name!r} has quantum {base[low]} for P{low}")
-    return _fixed_quanta(w, policy) if sc is None else _growing_quanta(w, policy)
-
-
-def _fixed_quanta(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
-    """The run laid out from each pid's k = ⌈b/q⌉ grants, the last of which, in
-    round k, runs b − (k − 1)·q.  Each stretch of m rounds up to a round in
-    which some pid finishes is appended as ``live * m``.  Each pid that
-    finishes there is found by ``bisect`` on its submission rank (under SRTN,
-    read off the round's order), has its last run patched in, and leaves the
-    aligned live lists by ``del`` or, for many at once and under SRTN, by one
-    copying pass.  The ends are one running sum of the runs."""
-    pids, bursts, srtn = w.pids, w.bursts, policy.srtn_order
-    quanta = list(map(policy.base.__getitem__, pids))
-    grants = [-(-b // q) for b, q in zip(bursts, quanta)]
+    if sc is not None:
+        return _round_loop(w, policy, growing_rounds(max(w.bursts)))
+    quanta = list(map(base.__getitem__, w.pids))
+    grants = [-(-b // q) for b, q in zip(w.bursts, quanta)]
     size = sum(grants)
     if size > MAX_SEGMENTS:
         raise ValueError(
             f"policy {policy.name!r} needs {size} grants, over the limit of {MAX_SEGMENTS}")
-    rounds = max(grants)
+    if policy.srtn_order:
+        return _round_loop(w, policy, max(grants))
+    return _fixed_quanta(w, quanta, grants)
+
+
+def _fixed_quanta(w: Workload, quanta: List[int], grants: List[int]) -> ScheduleTrace:
+    """The run in submission order, laid out from each pid's k = ⌈b/q⌉ grants, the
+    last of which, in round k, runs b − (k − 1)·q.  Each stretch of m rounds up to a
+    round in which some pid finishes is appended as ``live * m``.  Each pid that
+    finishes there is found by ``bisect`` on its submission rank, has its last run
+    patched in, and leaves the aligned live lists by ``del`` or, for many at once,
+    by one copying pass.  The ends are one running sum of the runs."""
+    pids, bursts, rounds = w.pids, w.bursts, max(grants)
     ranks = list(range(len(pids)))  # submission ranks, aligned with live and qlive
-    if srtn:  # every round is a stretch
-        stretches = zip(range(1, rounds + 1), repeat(None))
-    else:  # (k, the ranks of the pids with k grants), by ascending k
-        stretches = groupby(sorted(ranks, key=grants.__getitem__), grants.__getitem__)
-        live, qlive = list(pids), quanta[:]
+    live, qlive = list(pids), quanta[:]
     pid, quantum, runs, widths = [], [], [], []  # widths: each round's grant count
     done, done_at = [], []  # the pids that finish before the last round, and where
     r0 = 1
-    for r1, finishers in stretches:  # rounds r0..r1; some pid finishes in r1
-        if srtn or r1 == rounds:  # each rank's remaining burst at round r1's start
-            left = bursts if r1 == 1 else list(map(sub, bursts, map(mul, quanta, repeat(r1 - 1))))
-        if srtn:  # by remaining burst, ties by pid
-            ranks.sort(key=pids.__getitem__)
-            ranks.sort(key=left.__getitem__)
-            live = list(map(pids.__getitem__, ranks))
-            qlive = list(map(quanta.__getitem__, ranks))
+    # rounds r0..r1, with the ranks of the pids whose last grant is in round r1
+    for r1, finishers in groupby(sorted(ranks, key=grants.__getitem__), grants.__getitem__):
         m, width = r1 - r0 + 1, len(live)
         pid += live * m
         quantum += qlive * m
         widths += [width] * m
         runs += qlive * (m - 1)
         last = len(runs)  # the first grant of round r1
-        if r1 == rounds:  # every live pid finishes, in dispatch order
+        if r1 == rounds:  # every live pid finishes, in submission order
+            left = bursts if r1 == 1 else list(map(sub, bursts, map(mul, quanta, repeat(r1 - 1))))
             runs += map(left.__getitem__, ranks)
             break
         runs += qlive
-        if not srtn:
-            finishers = list(finishers)
-        if srtn or len(finishers) > _DELETE_MAX:  # one pass copies the lists
-            if srtn:
-                at = compress(count(), map(r1.__eq__, map(grants.__getitem__, ranks)))
-            else:
-                at = map(bisect_left, repeat(ranks), finishers)
+        finishers = list(finishers)
+        if len(finishers) > _DELETE_MAX:  # one pass copies the lists
             keep = [True] * width
-            for i in at:
+            for i in map(bisect_left, repeat(ranks), finishers):
                 runs[last + i] = bursts[ranks[i]] - (r1 - 1) * qlive[i]
                 done.append(live[i])
                 done_at.append(last + i)
@@ -214,19 +203,23 @@ def growing_rounds(burst: int) -> int:
     return t + 2
 
 
-def _growing_quanta(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
-    """The run grant by grant, for at most ``growing_rounds`` of the longest
-    burst: a process live after that is a fault, and raises ``RuntimeError``
-    rather than build a long trace."""
+def _round_loop(w: Workload, policy: SchedulingPolicy, rounds: int) -> ScheduleTrace:
+    """The run grant by grant, in at most ``rounds`` rounds: a process live after
+    them is a fault, and raises ``RuntimeError``.  A fixed grant finishes its
+    process when it covers the remaining burst and records q; a growing one when
+    it would leave two units or less, and records the remaining burst."""
     base, sc = policy.base, policy.sc
+    grows = sc is not None
+    slack = 2 if grows else 0
     rbt = dict(zip(w.pids, w.bursts))
-    quantum = {pid: its if sc[pid] else (its + 1) // 2 for pid, its in base.items()}
+    quantum = base if sc is None else {  # base is only read
+        pid: its if sc[pid] else (its + 1) // 2 for pid, its in base.items()}
     segments = Segments()
     add_end, add_quantum = segments.end.append, segments.quantum.append
     completion = {}
     clock = 0
     live = list(w.pids)
-    for round_no in range(1, growing_rounds(max(w.bursts)) + 1):
+    for round_no in range(1, rounds + 1):
         if policy.srtn_order:
             live.sort()  # so that the stable sort by rbt leaves ties in pid order
             live.sort(key=rbt.__getitem__)
@@ -236,14 +229,16 @@ def _growing_quanta(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
         for pid in live:
             left = rbt[pid]
             tq = quantum[pid]
-            if left - tq <= 2:  # the process finishes
-                tq = left
+            if left - tq <= slack:  # the process finishes
                 clock += left
                 completion[pid] = clock
+                if grows:
+                    tq = left
             else:  # the grant fits: the process runs its whole quantum
                 clock += tq
                 rbt[pid] = left - tq
-                quantum[pid] = 2 * tq if sc[pid] else tq + (tq + 1) // 2
+                if grows:
+                    quantum[pid] = 2 * tq if sc[pid] else tq + (tq + 1) // 2
             add_end(clock)
             add_quantum(tq)
         if len(completion) != finished:  # the ready list changes only when one finishes

@@ -334,6 +334,8 @@ def _integer_option(text: str) -> int:
 def _parse_range(text: str) -> Tuple[int, int]:
     try:
         lo, hi = map(integer, text.split(":"))
+    except WorkloadError as exc:  # the digit bound, named rather than the digits echoed
+        raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad range {text!r}; expected lo:hi") from None
     return lo, hi

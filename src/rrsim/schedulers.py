@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from .timeslice import SliceComponents, compute_components
-from .workload import Workload, integer
+from .workload import Workload, WorkloadError, integer
 
 DEFAULT_STATIC_OTS = 4
 
@@ -50,7 +50,9 @@ def policy_from_name(
         if not q:
             raise ValueError("policy 'rr' needs a quantum: use rr:<q>")
         try:
-            quantum = integer(q)
+            quantum = integer(q, "quantum")
+        except WorkloadError:  # the digit bound, named rather than the digits echoed
+            raise
         except ValueError:
             raise ValueError(f"bad quantum in policy name {name!r}") from None
         if quantum < 1:

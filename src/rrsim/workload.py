@@ -20,7 +20,7 @@ _BOUND = 10**MAX_DIGITS
 
 
 class WorkloadError(ValueError):
-    """Raised for structurally invalid workloads or malformed workload CSV."""
+    """Raised for invalid workloads, malformed CSV and numbers past ``MAX_DIGITS`` digits."""
 
 
 def check_process(pid: int, burst: int, priority: int) -> None:
@@ -89,15 +89,15 @@ def integer(text: str, what: str = "value") -> int:
     """The one integer syntax of workload CSV fields and CLI options: an
     optional ``-`` and the ASCII digits ``0-9``, with surrounding whitespace.
     ``int`` alone would also take ``+3``, ``1_0`` and non-ASCII digits.
-    Raises ``ValueError`` naming ``what`` for any other text, and for more than
-    ``MAX_DIGITS`` digits after the leading zeros, before ``int`` sees them."""
+    Raises ``ValueError`` naming ``what`` for any other text, and ``WorkloadError``
+    for more than ``MAX_DIGITS`` digits after leading zeros, before ``int`` sees them."""
     digits = text.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{what} is not an integer: {text!r}")
     if len(digits) > MAX_DIGITS:  # int() counts leading zeros against its own limit
         value = digits.lstrip("0") or "0"
         if len(value) > MAX_DIGITS:
-            raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
+            raise WorkloadError(f"{what} has more than {MAX_DIGITS} digits")
         text = text.replace(digits, value)
     return int(text)
 

@@ -165,9 +165,48 @@ class TestPolicyBinding:
             simulate(workload([4, 4]), policy)
 
 
+@st.composite
+def fixed_quanta(draw, srtn_order):
+    """(workload, policy) with a fixed quantum per pid, from 1 to above the
+    longest burst, in the given dispatch order."""
+    w = draw(scattered_workloads(max_n=8, max_burst=20))
+    quanta = st.integers(1, max(w.bursts) + 2)
+    base = draw(st.lists(quanta, min_size=len(w.pids), max_size=len(w.pids)))
+    return w, SchedulingPolicy("fixed", srtn_order, dict(zip(w.pids, base)))
+
+
+def _fixed(pids, bursts, quanta, srtn_order):
+    return Workload(pids, bursts, [1] * len(pids)), SchedulingPolicy(
+        "fixed", srtn_order, dict(zip(pids, quanta)))
+
+
+def assert_fixed_quanta_trace(w, policy):
+    """The run matches the step oracle, with ⌈b/q⌉ grants a pid."""
+    trace = simulate(w, policy)
+    assert trace == step_simulate(w, policy)
+    grants = [-(-b // policy.base[pid]) for pid, b in zip(w.pids, w.bursts)]
+    assert len(trace.segments.pid) == sum(grants)
+    assert trace.segments.round[-1] == max(grants)
+    assert list(trace.completion.values()) == sorted(trace.completion.values())
+
+
+def assert_many_finish_in_one_round(srtn_order):
+    # more finishers in round 1 than are deleted one by one
+    rng = random_module.Random(3)
+    pids = rng.sample(range(1, 1000), 320)
+    bursts = [rng.choice([1] * 9 + [2, 7]) for _ in pids]
+    w, policy = _fixed(pids, bursts, [rng.choice([1, 2]) for _ in pids], srtn_order)
+    trace = simulate(w, policy)
+    assert trace == step_simulate(w, policy)
+    last_round = dict(zip(trace.segments.pid, trace.segments.round))
+    assert engine._DELETE_MAX < sum(r == 1 for r in last_round.values()) < len(pids)
+
+
 class TestSrtnOrder:
     """Each round, SRTN order is by remaining burst, ties by pid, whatever
-    order the processes were submitted in."""
+    order the processes were submitted in.  The round loop is the one path
+    that dispatches in SRTN order, with a growing quantum (``proposed``) or a
+    fixed one (``srtn``, and fixed-quantum policies built by hand)."""
 
     @pytest.mark.parametrize("name", ["proposed", "srtn"],
                              ids=["proposed_policy", "srtn_policy"])
@@ -186,61 +225,55 @@ class TestSrtnOrder:
         policy = policy_from_name(name, w)
         assert simulate(w, policy) == step_simulate(w, policy)
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=fixed_quanta(srtn_order=True))
+    @example(case=_fixed((5, 8, 2), (2, 5, 12), (1, 1, 6), True))
+    # every pid finishes in round 1
+    @example(case=_fixed((4, 60, 2), (3, 9, 3), (3, 20, 5), True))
+    def test_fixed_quanta_match_step_oracle(self, case):
+        assert_fixed_quanta_trace(*case)
 
-@st.composite
-def fixed_quanta(draw):
-    """(workload, policy) with a fixed quantum per pid, from 1 to above the
-    longest burst, in either dispatch order."""
-    w = draw(scattered_workloads(max_n=8, max_burst=20))
-    quanta = st.integers(1, max(w.bursts) + 2)
-    base = draw(st.lists(quanta, min_size=len(w.pids), max_size=len(w.pids)))
-    return w, SchedulingPolicy("fixed", draw(st.booleans()), dict(zip(w.pids, base)))
+    def test_many_finish_in_one_round(self):
+        assert_many_finish_in_one_round(srtn_order=True)
 
-
-def _fixed(pids, bursts, quanta, srtn_order):
-    return Workload(pids, bursts, [1] * len(pids)), SchedulingPolicy(
-        "fixed", srtn_order, dict(zip(pids, quanta)))
+    def test_fixed_quanta_scale_with_grants(self):
+        # 4000 pids that finish in round 1 and one that runs 8000 rounds: the
+        # round loop visits each live pid once a round, 12000 grants in all
+        n = 4000
+        w, policy = _fixed([1, *range(n + 1, 1, -1)], [2 * n] + [1] * n, [1] * (n + 1), True)
+        trace = simulate(w, policy)
+        assert len(trace.segments) == 3 * n
+        assert trace.segments.round[-1] == 2 * n
+        assert list(trace.completion.items()) == [
+            *((pid, pid - 1) for pid in range(2, n + 2)), (1, 3 * n)]
 
 
 class TestFixedQuantaLayout:
-    """A fixed-quantum run is laid out from each pid's grant count ⌈b/q⌉."""
+    """A fixed quantum in submission order is laid out from each pid's grant
+    count ⌈b/q⌉.  ``simulate`` refuses a fixed-quantum run of more than
+    ``MAX_SEGMENTS`` grants, in either order, before it builds a column."""
 
     @settings(max_examples=80, deadline=None)
-    @given(case=fixed_quanta())
+    @given(case=fixed_quanta(srtn_order=False))
     # round 2's finishers are the first and the last of its live list
     @example(case=_fixed((9, 3, 7, 1), (2, 3, 3, 2), (1, 1, 1, 1), False))
-    @example(case=_fixed((5, 8, 2), (2, 5, 12), (1, 1, 6), True))
     # every pid finishes in round 1
     @example(case=_fixed((4, 60, 2), (3, 9, 3), (3, 20, 5), False))
-    @example(case=_fixed((4, 60, 2), (3, 9, 3), (3, 20, 5), True))
     def test_matches_step_oracle(self, case):
-        w, policy = case
-        trace = simulate(w, policy)
-        assert trace == step_simulate(w, policy)
-        grants = [-(-b // policy.base[pid]) for pid, b in zip(w.pids, w.bursts)]
-        assert len(trace.segments.pid) == sum(grants)
-        assert trace.segments.round[-1] == max(grants)
-        assert list(trace.completion.values()) == sorted(trace.completion.values())
+        assert_fixed_quanta_trace(*case)
+
+    def test_many_finish_in_one_round(self):
+        assert_many_finish_in_one_round(srtn_order=False)
 
     @pytest.mark.parametrize("srtn_order", [False, True])
-    def test_many_finish_in_one_round(self, srtn_order):
-        # more finishers in round 1 than are deleted one by one
-        rng = random_module.Random(3)
-        pids = rng.sample(range(1, 1000), 320)
-        bursts = [rng.choice([1] * 9 + [2, 7]) for _ in pids]
-        w, policy = _fixed(pids, bursts, [rng.choice([1, 2]) for _ in pids], srtn_order)
-        trace = simulate(w, policy)
-        assert trace == step_simulate(w, policy)
-        last_round = dict(zip(trace.segments.pid, trace.segments.round))
-        assert engine._DELETE_MAX < sum(r == 1 for r in last_round.values()) < len(pids)
-
-    def test_refuses_more_than_max_segments(self, monkeypatch):
+    def test_refuses_more_than_max_segments(self, monkeypatch, srtn_order):
         monkeypatch.setattr(engine, "MAX_SEGMENTS", 5)
+        rr1 = lambda w: dataclasses.replace(policy_from_name("rr:1", w), srtn_order=srtn_order)
         w = workload([3, 2])
-        assert len(simulate(w, policy_from_name("rr:1", w)).segments.pid) == 5
+        assert len(simulate(w, rr1(w)).segments.pid) == 5
         w = workload([3, 3])
         with pytest.raises(ValueError, match="policy 'rr:1' needs 6 grants, over the limit of 5"):
-            simulate(w, policy_from_name("rr:1", w))
+            simulate(w, rr1(w))
 
     def test_grant_count_is_checked_before_the_run(self):
         w = workload([10**18])

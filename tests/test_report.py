@@ -439,6 +439,9 @@ class TestCli:
         rc = run_cli(["generate", "--n", "3", "--order", "random", "--burst-range", "1-5"])
         assert rc == 2
         assert "--burst-range: bad range '1-5'; expected lo:hi" in capsys.readouterr().err
+        rc = run_cli(["generate", "--n", "3", "--order", "random", "--burst-range", "1:2:3"])
+        assert rc == 2
+        assert "--burst-range: bad range '1:2:3'; expected lo:hi" in capsys.readouterr().err
 
     def test_generate_refuses_too_many_processes(self, capsys):
         rc = run_cli(["generate", "--n", str(MAX_GENERATED + 1), "--order", "random"])
@@ -1164,6 +1167,7 @@ class TestDigitBound:
         last = err.splitlines()[-1]
         assert where in last and last.endswith(_BOUND_TEXT)
         assert "set_int_max_str_digits" not in err
+        assert "9" * 20 not in err  # the digits are not echoed
 
     @pytest.mark.parametrize("argv", [["simulate", "--policy", "fcfs"], ["components"]],
                              ids=["simulate", "components"])
@@ -1184,6 +1188,19 @@ class TestDigitBound:
         result = self.run(["generate", "--order", "random", *argv, option, "9" * 4400])
         assert result[0] == 2
         self.assert_refused(result, f"error: argument {option}: ")
+
+    def test_601_digit_range_bound(self):
+        too_long = "1:" + "9" * (MAX_DIGITS + 1)
+        result = self.run(["generate", "--n", "2", "--order", "random", "--burst-range", too_long])
+        assert result[0] == 2
+        self.assert_refused(result, "error: argument --burst-range: value ")
+
+    @pytest.mark.parametrize("command, option", [("simulate", "--policy"),
+                                                 ("compare", "--policies")])
+    def test_601_digit_quantum(self, command, option):
+        result = self.run([command, option, "rr:" + "9" * (MAX_DIGITS + 1)], [(1, 4, 1)])
+        assert result[0] == 1
+        self.assert_refused(result, "error: quantum ")
 
     def test_trace_from_dict(self, random_w):
         trace = simulate(random_w, policy_from_name("fcfs", random_w))

@@ -279,6 +279,7 @@ class TestPolicyFromName:
         ("rr:+3", "bad quantum in policy name 'rr:+3'"),
         ("rr:２", "bad quantum in policy name 'rr:２'"),
         ("rr:7:3", "bad quantum in policy name 'rr:7:3'"),
+        ("rr:0x", "bad quantum in policy name 'rr:0x'"),
         ("rr:0", "quantum must be >= 1, got 0"),
         ("rr:-3", "quantum must be >= 1, got -3"),
         ("mlfq", "unknown policy 'mlfq'; "
