@@ -7,15 +7,16 @@ the ready set exactly when its remaining burst hits zero.  ``simulate`` is a
 pure function of (workload, policy), run one of two ways, by the policy's
 data:
 
-- A fixed quantum in submission order: a pid of burst b and quantum q gets
-  exactly k = ⌈b/q⌉ grants, so every round in which some pid finishes is known
-  before the first grant.  The rounds between two such rounds repeat one live
-  list, so the trace is laid out a stretch of rounds at a time by list
-  repetition: O(1) Python work per stretch plus O(log n) per pid that
-  finishes in it, not a loop per grant.
-- Every other run goes grant by grant, for at most ⌈log₁.₅ max b⌉ + 2 rounds
-  (``growing_rounds``) with a growing quantum, or the most grants of any pid
-  with a fixed one.  Only this loop sorts by remaining burst (SRTN order).
+- A fixed quantum in submission order, of two or more rounds: a pid of burst
+  b and quantum q gets exactly k = ⌈b/q⌉ grants, so every round in which some
+  pid finishes is known before the first grant.  The rounds between two such
+  rounds repeat one live list, so the trace is laid out a stretch of rounds
+  at a time by list repetition: O(1) Python work per stretch plus O(log n)
+  per pid that finishes in it, not a loop per grant.
+- Every other run goes grant by grant: a growing quantum for at most
+  ⌈log₁.₅ max b⌉ + 2 rounds (``growing_rounds``), a fixed one (SRTN order, or
+  one grant a pid, as ``fcfs``) for the most grants of any pid.  Only this
+  loop sorts by remaining burst (SRTN order).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from itertools import accumulate, chain, compress, count, groupby, repeat
 from math import ceil, log
-from operator import attrgetter, mul, sub
+from operator import attrgetter
 from typing import Dict, Iterable, List
 
 from .schedulers import SchedulingPolicy
@@ -113,11 +114,11 @@ def simulate(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
     each grant is ``policy.base[pid]``.  With it, each grant is the pid's entry in a
     quantum table that starts at the round-1 grant and that each grant grows to the
     next round's quantum, or the whole remaining burst when the entry would leave
-    two units or less.  A fixed quantum in submission order is laid out from each
-    pid's grant count ⌈b/q⌉; every other run goes grant by grant.  ``completion``
-    lists pids in the order they finish.  Raises ``ValueError`` for a policy built
-    for other pids, a base below 1, or a fixed-quantum run of more than
-    ``MAX_SEGMENTS`` grants."""
+    two units or less.  A fixed quantum in submission order that gives some pid
+    two or more grants is laid out from each pid's grant count ⌈b/q⌉; every other
+    run goes grant by grant.  ``completion`` lists pids in the order they finish.
+    Raises ``ValueError`` for a policy built for other pids, a base below 1, or a
+    fixed-quantum run of more than ``MAX_SEGMENTS`` grants."""
     base, sc = policy.base, policy.sc
     pids = set(w.pids)
     for table in (base,) if sc is None else (base, sc):
@@ -135,23 +136,24 @@ def simulate(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
     if size > MAX_SEGMENTS:
         raise ValueError(
             f"policy {policy.name!r} needs {size} grants, over the limit of {MAX_SEGMENTS}")
-    if policy.srtn_order:
+    if policy.srtn_order or size == len(grants):  # SRTN order, or one grant a pid
         return _round_loop(w, policy, max(grants))
     return _fixed_quanta(w, quanta, grants)
 
 
 def _fixed_quanta(w: Workload, quanta: List[int], grants: List[int]) -> ScheduleTrace:
-    """The run in submission order, laid out from each pid's k = ⌈b/q⌉ grants, the
-    last of which, in round k, runs b − (k − 1)·q.  Each stretch of m rounds up to a
-    round in which some pid finishes is appended as ``live * m``.  Each pid that
-    finishes there is found by ``bisect`` on its submission rank, has its last run
-    patched in, and leaves the aligned live lists by ``del`` or, for many at once,
-    by one copying pass.  The ends are one running sum of the runs."""
-    pids, bursts, rounds = w.pids, w.bursts, max(grants)
+    """The run in submission order, of two or more rounds, laid out from each
+    pid's k = ⌈b/q⌉ grants, the last of which, in round k, runs b − (k − 1)·q.
+    Each stretch of m rounds up to a round in which some pid finishes, the last
+    round included, is appended as ``live * m``.  Each pid that finishes there is
+    found by ``bisect`` on its submission rank, has its last run patched in, and
+    leaves the aligned live lists by ``del`` or, for many at once, by one copying
+    pass.  The ends are one running sum of the runs."""
+    pids, bursts = w.pids, w.bursts
     ranks = list(range(len(pids)))  # submission ranks, aligned with live and qlive
     live, qlive = list(pids), quanta[:]
     pid, quantum, runs, widths = [], [], [], []  # widths: each round's grant count
-    done, done_at = [], []  # the pids that finish before the last round, and where
+    done, done_at = [], []  # the pids in the order they finish, and where
     r0 = 1
     # rounds r0..r1, with the ranks of the pids whose last grant is in round r1
     for r1, finishers in groupby(sorted(ranks, key=grants.__getitem__), grants.__getitem__):
@@ -159,13 +161,8 @@ def _fixed_quanta(w: Workload, quanta: List[int], grants: List[int]) -> Schedule
         pid += live * m
         quantum += qlive * m
         widths += [width] * m
-        runs += qlive * (m - 1)
-        last = len(runs)  # the first grant of round r1
-        if r1 == rounds:  # every live pid finishes, in submission order
-            left = bursts if r1 == 1 else list(map(sub, bursts, map(mul, quanta, repeat(r1 - 1))))
-            runs += map(left.__getitem__, ranks)
-            break
-        runs += qlive
+        runs += qlive * m
+        last = len(runs) - width  # the first grant of round r1
         finishers = list(finishers)
         if len(finishers) > _DELETE_MAX:  # one pass copies the lists
             keep = [True] * width
@@ -185,7 +182,6 @@ def _fixed_quanta(w: Workload, quanta: List[int], grants: List[int]) -> Schedule
         r0 = r1 + 1
     end = list(accumulate(runs))
     completion = dict(zip(done, map(end.__getitem__, done_at)))
-    completion.update(zip(live, end[last:]))  # the last round's
     round_no = list(chain.from_iterable(map(repeat, count(1), widths)))
     # grants run back to back
     return ScheduleTrace(Segments(pid, [0, *end[:-1]], end, round_no, quantum), completion)
@@ -204,8 +200,9 @@ def growing_rounds(burst: int) -> int:
 
 
 def _round_loop(w: Workload, policy: SchedulingPolicy, rounds: int) -> ScheduleTrace:
-    """The run grant by grant, in at most ``rounds`` rounds: a process live after
-    them is a fault, and raises ``RuntimeError``.  A fixed grant finishes its
+    """A run that ``simulate`` does not lay out (a growing quantum, SRTN order or
+    one grant a pid), grant by grant in at most ``rounds`` rounds: a process live
+    after them is a fault, and raises ``RuntimeError``.  A fixed grant finishes its
     process when it covers the remaining burst and records q; a growing one when
     it would leave two units or less, and records the remaining burst."""
     base, sc = policy.base, policy.sc

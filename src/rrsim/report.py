@@ -37,6 +37,7 @@ from .workload import (
     generate_workload,
     integer,
     parse_workload,
+    quoted,
     serialize_workload,
 )
 
@@ -337,7 +338,7 @@ def _parse_range(text: str) -> Tuple[int, int]:
     except WorkloadError as exc:  # the digit bound, named rather than the digits echoed
         raise argparse.ArgumentTypeError(str(exc)) from None
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad range {text!r}; expected lo:hi") from None
+        raise argparse.ArgumentTypeError(f"bad range {quoted(text)}; expected lo:hi") from None
     return lo, hi
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from .timeslice import SliceComponents, compute_components
-from .workload import Workload, WorkloadError, integer
+from .workload import Workload, WorkloadError, integer, quoted
 
 DEFAULT_STATIC_OTS = 4
 
@@ -54,7 +54,7 @@ def policy_from_name(
         except WorkloadError:  # the digit bound, named rather than the digits echoed
             raise
         except ValueError:
-            raise ValueError(f"bad quantum in policy name {name!r}") from None
+            raise ValueError(f"bad quantum in policy name {quoted(name)}") from None
         if quantum < 1:
             raise ValueError(f"quantum must be >= 1, got {quantum}")
         return SchedulingPolicy(f"rr:{quantum}", False, dict.fromkeys(w.pids, quantum))
@@ -62,7 +62,7 @@ def policy_from_name(
         return SchedulingPolicy(name, name == "srtn", dict(zip(w.pids, w.bursts)))
     if name not in _SLICE_POLICIES:
         raise ValueError(
-            f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)}"
+            f"unknown policy {quoted(name)}; expected one of {', '.join(POLICY_NAMES)}"
         )
     srtn_order, grows, static = _SLICE_POLICIES[name]
     c = components(w, static_ots=static_ots if static else None)

@@ -85,6 +85,13 @@ def workload(bursts, priorities=None) -> Workload:
     return Workload(range(1, len(bursts) + 1), bursts, priorities)
 
 
+def quoted(text: str) -> str:
+    """User text as an error message shows it: its ``repr``, or the first 40
+    characters of that and ``…`` when it is longer, so no input makes a long line."""
+    shown = repr(text)
+    return shown if len(shown) <= 40 else shown[:40] + "…"
+
+
 def integer(text: str, what: str = "value") -> int:
     """The one integer syntax of workload CSV fields and CLI options: an
     optional ``-`` and the ASCII digits ``0-9``, with surrounding whitespace.
@@ -93,7 +100,7 @@ def integer(text: str, what: str = "value") -> int:
     for more than ``MAX_DIGITS`` digits after leading zeros, before ``int`` sees them."""
     digits = text.strip().removeprefix("-")
     if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{what} is not an integer: {text!r}")
+        raise ValueError(f"{what} is not an integer: {quoted(text)}")
     if len(digits) > MAX_DIGITS:  # int() counts leading zeros against its own limit
         value = digits.lstrip("0") or "0"
         if len(value) > MAX_DIGITS:
@@ -144,7 +151,7 @@ def _parse_rows(text: str) -> Workload:
         raise WorkloadError("empty workload CSV")
     header = _header(rows[0][1])
     if header not in _HEADERS:
-        raise WorkloadError(f"bad header {','.join(header)!r}; expected 'id,burst,priority'")
+        raise WorkloadError(f"bad header {quoted(','.join(header))}; expected 'id,burst,priority'")
     if len(rows) == 1:
         raise WorkloadError("workload CSV has no data rows")
 

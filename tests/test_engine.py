@@ -250,20 +250,58 @@ class TestSrtnOrder:
 
 class TestFixedQuantaLayout:
     """A fixed quantum in submission order is laid out from each pid's grant
-    count ⌈b/q⌉.  ``simulate`` refuses a fixed-quantum run of more than
+    count ⌈b/q⌉ when some pid gets two or more grants; a run of one grant a
+    pid (``fcfs``, or a quantum that covers every burst) goes to the round
+    loop.  ``simulate`` refuses a fixed-quantum run of more than
     ``MAX_SEGMENTS`` grants, in either order, before it builds a column."""
 
     @settings(max_examples=80, deadline=None)
     @given(case=fixed_quanta(srtn_order=False))
     # round 2's finishers are the first and the last of its live list
     @example(case=_fixed((9, 3, 7, 1), (2, 3, 3, 2), (1, 1, 1, 1), False))
-    # every pid finishes in round 1
+    # every pid finishes in round 1: one grant a pid, so the round loop runs it
     @example(case=_fixed((4, 60, 2), (3, 9, 3), (3, 20, 5), False))
     def test_matches_step_oracle(self, case):
         assert_fixed_quanta_trace(*case)
 
     def test_many_finish_in_one_round(self):
         assert_many_finish_in_one_round(srtn_order=False)
+
+    def test_many_finish_in_the_last_round(self):
+        # 20 pids leave in round 1 one by one, then 300 in round 2, the last
+        # stretch, by the copying pass
+        rng = random_module.Random(5)
+        pids = rng.sample(range(1, 1000), 320)
+        bursts = rng.sample([2] * 300 + [1] * 20, 320)
+        w, policy = _fixed(pids, bursts, [1] * 320, False)
+        trace = simulate(w, policy)
+        assert trace == step_simulate(w, policy)
+        assert trace.segments.round.count(2) == 300 > engine._DELETE_MAX
+
+    def test_fcfs_many_pids(self):
+        # one round, in submission order, that more than _DELETE_MAX pids leave
+        rng = random_module.Random(7)
+        pids = rng.sample(range(1, 1000), 300)
+        w = Workload(pids, [rng.randint(1, 50) for _ in pids], [1] * 300)
+        policy = policy_from_name("fcfs", w)
+        trace = simulate(w, policy)
+        assert trace == step_simulate(w, policy)
+        assert trace.segments.pid == pids and set(trace.segments.round) == {1}
+
+    @pytest.mark.parametrize("name, laid_out", [
+        ("fcfs", False), ("rr:20", False), ("rr:19", True), ("rr:1", True)])
+    def test_one_grant_runs_take_the_round_loop(self, monkeypatch, name, laid_out):
+        def layout(*args):
+            raise AssertionError("laid out")
+        w = workload([3, 20, 7])
+        policy = policy_from_name(name, w)
+        expected = simulate(w, policy)
+        monkeypatch.setattr(engine, "_fixed_quanta", layout)
+        if laid_out:
+            with pytest.raises(AssertionError, match="laid out"):
+                simulate(w, policy)
+        else:
+            assert simulate(w, policy) == expected == step_simulate(w, policy)
 
     @pytest.mark.parametrize("srtn_order", [False, True])
     def test_refuses_more_than_max_segments(self, monkeypatch, srtn_order):

@@ -1314,6 +1314,51 @@ class TestNameText:
         _assert_exit_contract(rc, out, err)
 
 
+# A number of 700 digits and an "x": past the digit bound, and not an integer.
+_LONG_TEXT = "9" * 700 + "x"
+_LONG_HEADER = ",".join(["burst"] * 150)
+
+
+class TestLongTextEcho:
+    """An error that echoes user text shows at most the first 40 characters
+    of its ``repr``, then ``…``: no line of stderr passes 160 characters,
+    however long the text."""
+
+    # each site's argv, given a function that writes a CSV, and the text it echoes
+    SITES = {
+        "simulate --policy": (lambda csv: [
+            "simulate", "--workload", RANDOM_CSV, "--policy", f"rr:{_LONG_TEXT}"],
+            f"rr:{_LONG_TEXT}"),
+        "compare --policies": (lambda csv: [
+            "compare", "--workload", RANDOM_CSV, "--policies", f"fcfs,{_LONG_TEXT}"],
+            _LONG_TEXT),
+        "csv burst": (lambda csv: [
+            "simulate", "--workload", csv(f"id,burst,priority\n1,{_LONG_TEXT},1\n"),
+            "--policy", "fcfs"], _LONG_TEXT),
+        "csv header": (lambda csv: [
+            "simulate", "--workload", csv(f"{_LONG_HEADER}\n1,2,1\n"),
+            "--policy", "fcfs"], _LONG_HEADER),
+        "generate --seed": (lambda csv: [
+            "generate", "--n", "3", "--order", "random", "--seed", _LONG_TEXT], _LONG_TEXT),
+        "generate --burst-range": (lambda csv: [
+            "generate", "--n", "3", "--order", "random", "--burst-range", f"1:{_LONG_TEXT}"],
+            f"1:{_LONG_TEXT}"),
+    }
+
+    @pytest.mark.parametrize("site", sorted(SITES))
+    def test_short_lines(self, site, tmp_path):
+        def csv(text):
+            path = tmp_path / "w.csv"
+            path.write_text(text)
+            return str(path)
+        argv, text = self.SITES[site]
+        rc, out, err, data = _run_cli(argv(csv))
+        _assert_exit_contract(rc, out, err)
+        assert rc in (1, 2) and data is None
+        assert max(map(len, err.splitlines())) <= 160
+        assert f"'{text[:39]}…" in err.splitlines()[-1]
+
+
 class TestEmptyPath:
     """An empty export path names no file: the export fails with one error
     line, rather than being taken as no export at all."""

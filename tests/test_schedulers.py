@@ -288,6 +288,12 @@ class TestPolicyFromName:
              "expected one of proposed, pbdrr, its-rr, rr:<q>, srtn, fcfs"),
         ("proposed:3", "unknown policy 'proposed:3'; "
                        "expected one of proposed, pbdrr, its-rr, rr:<q>, srtn, fcfs"),
+        # a long name shows the first 40 characters of its repr, then "…"
+        pytest.param("rr:" + "9" * 700 + "x", "bad quantum in policy name 'rr:" + "9" * 36 + "…",
+                     id="long-bad-quantum"),
+        pytest.param("9" * 700 + "x", "unknown policy '" + "9" * 39 + "…; "
+                     "expected one of proposed, pbdrr, its-rr, rr:<q>, srtn, fcfs",
+                     id="long-unknown"),
     ])
     def test_error_text(self, name, message, increasing_w):
         with pytest.raises(ValueError) as exc:

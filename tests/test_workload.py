@@ -15,7 +15,7 @@ from rrsim import (
     serialize_workload,
     workload,
 )
-from rrsim.workload import MAX_DIGITS, _parse_rows, check_process, integer
+from rrsim.workload import MAX_DIGITS, _parse_rows, check_process, integer, quoted
 
 
 class TestParse:
@@ -65,6 +65,17 @@ class TestParse:
     def test_bad_header(self):
         with pytest.raises(WorkloadError, match="header"):
             parse_workload("pid,bt,prio\n1,4,1")
+
+    def test_long_bad_header_is_cut(self):
+        header = ",".join(["burst"] * 150)
+        with pytest.raises(WorkloadError) as exc:
+            parse_workload(f"{header}\n1,4,1")
+        assert str(exc.value) == f"bad header '{header[:39]}…; expected 'id,burst,priority'"
+
+    def test_long_field_is_cut(self):
+        with pytest.raises(WorkloadError) as exc:
+            parse_workload("id,burst,priority\n1," + "9" * 700 + "x,1")
+        assert str(exc.value) == "row 2: burst is not an integer: '" + "9" * 39 + "…"
 
     def test_missing_data_rows(self):
         with pytest.raises(WorkloadError, match="no data rows"):
@@ -127,6 +138,20 @@ def _workload_csvs(draw):
     return newline.join([header, *rows]) + draw(st.sampled_from(["", newline]))
 
 
+class TestQuoted:
+    """User text in an error message: its ``repr`` when that is at most 40
+    characters long, else the first 40 characters of the ``repr`` and ``…``."""
+
+    @pytest.mark.parametrize("text, shown", [
+        ("", "''"),
+        ("x" * 38, "'" + "x" * 38 + "'"),
+        ("x" * 39, "'" + "x" * 39 + "…"),
+        ("\0" * 12, "'" + "\\x00" * 9 + "\\x0…"),
+    ], ids=["empty", "38", "39", "escapes"])
+    def test_cut(self, text, shown):
+        assert quoted(text) == shown
+
+
 class TestParseReference:
     """``parse_workload`` checks plain-digit CSV a column at a time and
     anything else row by row; either way it gives what the row-wise
@@ -141,6 +166,9 @@ class TestParseReference:
     @example(text="id,burst,priority\n3,4,1\n0,5,1\n2,0,0")
     @example(text="id,burst,priority,arrival\n1,4,1,0\n2,5,1,7")
     @example(text="id,burst,priority\n2,4,1\n5,5,1\n2,5,1")
+    # long text in an error is cut
+    @example(text=",".join(["burst"] * 150) + "\n1,4,1")
+    @example(text="id,burst,priority\n1," + "9" * 700 + "x,1")
     def test_matches_row_wise_reference(self, text):
         expected = workload_reference.parse(text)
         try:

@@ -14,11 +14,19 @@ HEADER = ("id", "burst", "priority")
 MAX_DIGITS = 600  # digits of a number, not counting leading zeros
 
 
+def shown(text):
+    """How an error message echoes user text: the ``repr``, cut to its first 40
+    characters followed by an ellipsis when it is longer than 40."""
+    if len(repr(text)) > 40:
+        return repr(text)[:40] + "\u2026"
+    return repr(text)
+
+
 def integer(text, what):
     """An optional ``-`` and ASCII digits, with surrounding whitespace, of at
     most ``MAX_DIGITS`` digits after the leading zeros."""
     if not re.fullmatch(r"-?[0-9]+", text.strip()):
-        raise ValueError(f"{what} is not an integer: {text!r}")
+        raise ValueError(f"{what} is not an integer: {shown(text)}")
     sign, digits = re.fullmatch(r"(-?)0*([0-9]*)", text.strip()).groups()
     if len(digits) > MAX_DIGITS:
         raise ValueError(f"{what} has more than {MAX_DIGITS} digits")
@@ -48,7 +56,7 @@ def parse(text):
         return "empty workload CSV"
     header = tuple(cell.strip().lower() for cell in rows[0][1])
     if header not in (HEADER, HEADER + ("arrival",)):
-        return f"bad header {','.join(header)!r}; expected 'id,burst,priority'"
+        return f"bad header {shown(','.join(header))}; expected 'id,burst,priority'"
     if len(rows) == 1:
         return "workload CSV has no data rows"
     processes = []
