@@ -343,12 +343,14 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 
 def _load_workload(path: str) -> Workload:
-    shown = path if path.isprintable() else repr(path)  # a line break cannot split the error
+    shown = quoted(path)
     try:
         # utf-8-sig: spreadsheet exports often start with a byte-order mark
         with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:  # its own text would repeat the path whole
+        raise ValueError(f"cannot read workload file {shown}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
         raise ValueError(f"cannot read workload file {shown}: {exc}") from None
     try:
         return parse_workload(text)
@@ -368,7 +370,7 @@ def _run_policies(w: Workload, names: Iterable[str], static_ots: int,
         policy = span("schedulers.build",
                       lambda: policy_from_name(name, w, static_ots, components))
         if policy.name in runs:
-            raise ValueError(f"duplicate policy {policy.name!r}")
+            raise ValueError(f"duplicate policy {quoted(policy.name)}")
         trace = span("engine.simulate", lambda: simulate(w, policy))
         runs[policy.name] = trace, span("metrics.compute", lambda: compute_metrics(trace, w))
     return runs

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from .timeslice import SliceComponents, compute_components
-from .workload import Workload, WorkloadError, integer, quoted
+from .workload import Workload, WorkloadError, cut, integer, quoted
 
 DEFAULT_STATIC_OTS = 4
 
@@ -56,7 +56,7 @@ def policy_from_name(
         except ValueError:
             raise ValueError(f"bad quantum in policy name {quoted(name)}") from None
         if quantum < 1:
-            raise ValueError(f"quantum must be >= 1, got {quantum}")
+            raise ValueError(f"quantum must be >= 1, got {cut(quantum)}")
         return SchedulingPolicy(f"rr:{quantum}", False, dict.fromkeys(w.pids, quantum))
     if name in ("srtn", "fcfs"):
         return SchedulingPolicy(name, name == "srtn", dict(zip(w.pids, w.bursts)))

@@ -13,7 +13,7 @@ from itertools import repeat
 from operator import add, eq, lt
 from typing import List, Optional
 
-from .workload import Workload
+from .workload import Workload, cut
 
 # the component columns of a SliceComponents, in table order; ITS is their sum
 COMPONENT_FIELDS = ("ots", "pc", "sc", "csc", "its")
@@ -37,7 +37,7 @@ def compute_range(w: Workload) -> Fraction:
 def check_static_ots(static_ots: Optional[int]) -> None:
     """Raise ``ValueError`` for a static OTS below one time unit."""
     if static_ots is not None and static_ots < 1:
-        raise ValueError(f"static OTS must be >= 1, got {static_ots}")
+        raise ValueError(f"static OTS must be >= 1, got {cut(static_ots)}")
 
 
 @dataclass(frozen=True)

@@ -27,17 +27,17 @@ def check_process(pid: int, burst: int, priority: int) -> None:
     """The rules of one process: id, CPU burst in time units and user priority
     (1 = most urgent) are each at least 1, and of at most ``MAX_DIGITS`` digits."""
     if pid < 1:
-        raise WorkloadError(f"process id must be a positive integer, got {pid}")
+        raise WorkloadError(f"process id must be a positive integer, got {cut(pid)}")
     if pid >= _BOUND:  # not printed: it may have more digits than str() takes
         raise WorkloadError(f"process id has more than {MAX_DIGITS} digits")
     if burst < 1:
-        raise WorkloadError(f"non-positive burst {burst} (P{pid})")
+        raise WorkloadError(f"non-positive burst {cut(burst)} (P{cut(pid)})")
     if burst >= _BOUND:
-        raise WorkloadError(f"burst has more than {MAX_DIGITS} digits (P{pid})")
+        raise WorkloadError(f"burst has more than {MAX_DIGITS} digits (P{cut(pid)})")
     if priority < 1:
-        raise WorkloadError(f"priority must be >= 1, got {priority} (P{pid})")
+        raise WorkloadError(f"priority must be >= 1, got {cut(priority)} (P{cut(pid)})")
     if priority >= _BOUND:
-        raise WorkloadError(f"priority has more than {MAX_DIGITS} digits (P{pid})")
+        raise WorkloadError(f"priority has more than {MAX_DIGITS} digits (P{cut(pid)})")
 
 
 _COLUMNS = ("pids", "bursts", "priorities")
@@ -71,7 +71,7 @@ class Workload:
             seen = set()
             for pid in columns[0]:
                 if pid in seen:
-                    raise WorkloadError(f"duplicate process id {pid}")
+                    raise WorkloadError(f"duplicate process id {cut(pid)}")
                 seen.add(pid)
 
     def __len__(self) -> int:
@@ -85,11 +85,15 @@ def workload(bursts, priorities=None) -> Workload:
     return Workload(range(1, len(bursts) + 1), bursts, priorities)
 
 
-def quoted(text: str) -> str:
-    """User text as an error message shows it: its ``repr``, or the first 40
-    characters of that and ``…`` when it is longer, so no input makes a long line."""
-    shown = repr(text)
+def cut(value: object) -> str:
+    """``str(value)``, or its first 40 characters and ``…``: no input makes a long line."""
+    shown = str(value)
     return shown if len(shown) <= 40 else shown[:40] + "…"
+
+
+def quoted(text: str) -> str:
+    """User text as an error message shows it: its ``repr``, :func:`cut`."""
+    return cut(repr(text))
 
 
 def integer(text: str, what: str = "value") -> int:
@@ -167,7 +171,7 @@ def _parse_rows(text: str) -> Workload:
             raise WorkloadError(f"row {line}: {exc}") from None
         if arrival:
             raise WorkloadError(
-                f"row {line}: nonzero arrival time {arrival} is unsupported by"
+                f"row {line}: nonzero arrival time {cut(arrival)} is unsupported by"
                 " the model (all processes are present at t=0)"
             )
         processes.append(process)
@@ -192,14 +196,14 @@ def generate_workload(
     """Deterministically generate ``n`` processes with bursts shaped per ``order``
     (increasing / decreasing / random) and priorities uniform in ``priority_range``."""
     if n < 1:
-        raise WorkloadError(f"n must be >= 1, got {n}")
+        raise WorkloadError(f"n must be >= 1, got {cut(n)}")
     if n > MAX_GENERATED:
-        raise WorkloadError(f"n must be <= {MAX_GENERATED}, got {n}")
+        raise WorkloadError(f"n must be <= {MAX_GENERATED}, got {cut(n)}")
     if order not in ORDERS:
         raise WorkloadError(f"order must be one of {ORDERS}, got {order!r}")
     for name, (lo, hi) in (("burst", burst_range), ("priority", priority_range)):
         if not (1 <= lo <= hi):
-            raise WorkloadError(f"invalid {name} range [{lo}, {hi}]")
+            raise WorkloadError(f"invalid {name} range [{cut(lo)}, {cut(hi)}]")
 
     rng = random.Random(seed)
     bursts = [rng.randint(*burst_range) for _ in range(n)]

@@ -42,7 +42,7 @@ from rrsim.report import (
     trace_to_dict,
 )
 from rrsim.timeslice import COMPONENT_FIELDS
-from rrsim.workload import CSV_HEADER, MAX_DIGITS, MAX_GENERATED, ORDERS
+from rrsim.workload import CSV_HEADER, MAX_DIGITS, MAX_GENERATED, ORDERS, quoted
 from rrsim.schedulers import POLICY_NAMES
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -426,7 +426,8 @@ class TestCli:
         path.write_bytes(b"id,burst,priority\n1,4,1\xff\n")
         rc = run_cli(["simulate", "--workload", str(path), "--policy", "fcfs"])
         assert rc == 1
-        assert f"cannot read workload file {path}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"cannot read workload file {quoted(str(path))}: 'utf-8' codec" in err
 
     def test_utf8_bom_header(self, tmp_path, capsys):
         path = tmp_path / "excel.csv"
@@ -1317,32 +1318,60 @@ class TestNameText:
 # A number of 700 digits and an "x": past the digit bound, and not an integer.
 _LONG_TEXT = "9" * 700 + "x"
 _LONG_HEADER = ",".join(["burst"] * 150)
+_NINES = "9" * MAX_DIGITS
+_LONG_NAME = "p" * 600  # a file name too long to open
+
+
+def _csv_site(rows):
+    """argv that simulates a CSV of ``rows``, given a function that writes it."""
+    return lambda csv: ["simulate", "--workload", csv(f"id,burst,priority\n{rows}\n"),
+                        "--policy", "fcfs"]
 
 
 class TestLongTextEcho:
     """An error that echoes user text shows at most the first 40 characters
-    of its ``repr``, then ``…``: no line of stderr passes 160 characters,
-    however long the text."""
+    of its ``repr`` (of a number, of its digits), then ``…``: no line of
+    stderr passes 160 characters, however long the text."""
 
-    # each site's argv, given a function that writes a CSV, and the text it echoes
+    # each site's argv, given a function that writes a CSV, and the echoed
+    # text as the message would show it whole
     SITES = {
         "simulate --policy": (lambda csv: [
             "simulate", "--workload", RANDOM_CSV, "--policy", f"rr:{_LONG_TEXT}"],
-            f"rr:{_LONG_TEXT}"),
+            repr(f"rr:{_LONG_TEXT}")),
+        "simulate --policy rr:-q": (lambda csv: [
+            "simulate", "--workload", RANDOM_CSV, "--policy", f"rr:-{_NINES}"], f"-{_NINES}"),
+        "simulate --workload": (lambda csv: [
+            "simulate", "--workload", _LONG_NAME, "--policy", "fcfs"],
+            repr(_LONG_NAME)),
         "compare --policies": (lambda csv: [
             "compare", "--workload", RANDOM_CSV, "--policies", f"fcfs,{_LONG_TEXT}"],
-            _LONG_TEXT),
-        "csv burst": (lambda csv: [
-            "simulate", "--workload", csv(f"id,burst,priority\n1,{_LONG_TEXT},1\n"),
-            "--policy", "fcfs"], _LONG_TEXT),
+            repr(_LONG_TEXT)),
+        "compare --policies twice": (lambda csv: [
+            "compare", "--workload", RANDOM_CSV, "--policies", f"rr:{_NINES},rr:{_NINES}"],
+            repr(f"rr:{_NINES}")),
+        "csv burst": (_csv_site(f"1,{_LONG_TEXT},1"), repr(_LONG_TEXT)),
         "csv header": (lambda csv: [
             "simulate", "--workload", csv(f"{_LONG_HEADER}\n1,2,1\n"),
-            "--policy", "fcfs"], _LONG_HEADER),
+            "--policy", "fcfs"], repr(_LONG_HEADER)),
         "generate --seed": (lambda csv: [
-            "generate", "--n", "3", "--order", "random", "--seed", _LONG_TEXT], _LONG_TEXT),
+            "generate", "--n", "3", "--order", "random", "--seed", _LONG_TEXT],
+            repr(_LONG_TEXT)),
         "generate --burst-range": (lambda csv: [
             "generate", "--n", "3", "--order", "random", "--burst-range", f"1:{_LONG_TEXT}"],
-            f"1:{_LONG_TEXT}"),
+            repr(f"1:{_LONG_TEXT}")),
+        # a number within the bound, shown by its digits
+        "components --static-ots": (lambda csv: [
+            "components", "--workload", RANDOM_CSV, "--static-ots", f"-{_NINES}"], f"-{_NINES}"),
+        "generate --n < 1": (lambda csv: [
+            "generate", "--n", f"-{_NINES}", "--order", "random"], f"-{_NINES}"),
+        "generate --n > max": (lambda csv: [
+            "generate", "--n", _NINES, "--order", "random"], _NINES),
+        "generate --priority-range": (lambda csv: [
+            "generate", "--n", "3", "--order", "random", "--priority-range", f"{_NINES}:1"],
+            _NINES),
+        "csv id": (_csv_site(f"-{_NINES},1,1"), f"-{_NINES}"),
+        "csv id twice": (_csv_site(f"{_NINES},1,1\n{_NINES},2,1"), _NINES),
     }
 
     @pytest.mark.parametrize("site", sorted(SITES))
@@ -1351,12 +1380,12 @@ class TestLongTextEcho:
             path = tmp_path / "w.csv"
             path.write_text(text)
             return str(path)
-        argv, text = self.SITES[site]
+        argv, shown = self.SITES[site]
         rc, out, err, data = _run_cli(argv(csv))
         _assert_exit_contract(rc, out, err)
         assert rc in (1, 2) and data is None
         assert max(map(len, err.splitlines())) <= 160
-        assert f"'{text[:39]}…" in err.splitlines()[-1]
+        assert f"{shown[:40]}…" in err.splitlines()[-1]
 
 
 class TestEmptyPath:

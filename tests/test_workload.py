@@ -169,6 +169,12 @@ class TestParseReference:
     # long text in an error is cut
     @example(text=",".join(["burst"] * 150) + "\n1,4,1")
     @example(text="id,burst,priority\n1," + "9" * 700 + "x,1")
+    # so is a number of up to MAX_DIGITS digits, and the id that labels its row
+    @example(text="id,burst,priority\n-" + "9" * 600 + ",1,1")
+    @example(text="id,burst,priority\n" + "9" * 600 + ",-" + "9" * 600 + ",1")
+    @example(text="id,burst,priority\n" + "9" * 600 + ",1,-" + "9" * 600)
+    @example(text="id,burst,priority,arrival\n1,4,1," + "9" * 600)
+    @example(text="id,burst,priority\n" + "9" * 600 + ",1,1\n" + "9" * 600 + ",2,1")
     def test_matches_row_wise_reference(self, text):
         expected = workload_reference.parse(text)
         try:

@@ -14,12 +14,17 @@ HEADER = ("id", "burst", "priority")
 MAX_DIGITS = 600  # digits of a number, not counting leading zeros
 
 
+def cut(value):
+    """``str(value)`` as an error message echoes it (a number by its digits):
+    cut to the first 40 characters followed by an ellipsis when it is longer."""
+    if len(str(value)) > 40:
+        return str(value)[:40] + "\u2026"
+    return str(value)
+
+
 def shown(text):
-    """How an error message echoes user text: the ``repr``, cut to its first 40
-    characters followed by an ellipsis when it is longer than 40."""
-    if len(repr(text)) > 40:
-        return repr(text)[:40] + "\u2026"
-    return repr(text)
+    """How an error message echoes user text: its ``repr``, cut the same way."""
+    return cut(repr(text))
 
 
 def integer(text, what):
@@ -35,11 +40,11 @@ def integer(text, what):
 
 def check_process(pid, burst, priority):
     if pid < 1:
-        raise ValueError(f"process id must be a positive integer, got {pid}")
+        raise ValueError(f"process id must be a positive integer, got {cut(pid)}")
     if burst < 1:
-        raise ValueError(f"non-positive burst {burst} (P{pid})")
+        raise ValueError(f"non-positive burst {cut(burst)} (P{cut(pid)})")
     if priority < 1:
-        raise ValueError(f"priority must be >= 1, got {priority} (P{pid})")
+        raise ValueError(f"priority must be >= 1, got {cut(priority)} (P{cut(pid)})")
 
 
 def parse(text):
@@ -70,12 +75,12 @@ def parse(text):
         except ValueError as exc:
             return f"row {line}: {exc}"
         if arrival:
-            return (f"row {line}: nonzero arrival time {arrival} is unsupported by"
+            return (f"row {line}: nonzero arrival time {cut(arrival)} is unsupported by"
                     " the model (all processes are present at t=0)")
         processes.append((pid, burst, priority))
     seen = set()
     for pid, _, _ in processes:
         if pid in seen:
-            return f"duplicate process id {pid}"
+            return f"duplicate process id {cut(pid)}"
         seen.add(pid)
     return tuple(zip(*processes))
