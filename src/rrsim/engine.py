@@ -4,8 +4,8 @@ One round gives every live process exactly one CPU grant.  The dispatch order
 is recomputed once per round boundary (not after every grant), the clock
 advances by the effective execution time of each grant, and a process leaves
 the ready set exactly when its remaining burst hits zero.  ``simulate`` is a
-pure function of (workload, policy), run one of two ways, by the policy's
-data:
+pure function of (workload, policy), whose columns it reads by submission
+rank, run one of two ways, by the policy's data:
 
 - A fixed quantum in submission order, of two or more rounds: a pid of burst
   b and quantum q gets exactly k = ⌈b/q⌉ grants, so every round in which some
@@ -16,7 +16,8 @@ data:
 - Every other run goes grant by grant: a growing quantum for at most
   ⌈log₁.₅ max b⌉ + 2 rounds (``growing_rounds``), a fixed one (SRTN order, or
   one grant a pid, as ``fcfs``) for the most grants of any pid.  Only this
-  loop sorts by remaining burst (SRTN order).
+  loop sorts by remaining burst (SRTN order): it sorts the live ranks by pid,
+  then stably by remaining burst.
 """
 from __future__ import annotations
 
@@ -111,37 +112,51 @@ def simulate(w: Workload, policy: SchedulingPolicy) -> ScheduleTrace:
     """Run ``policy`` over ``w`` until every process completes.  Each round
     dispatches the live processes in submission order, or by ascending remaining
     burst (ties by pid) when ``policy.srtn_order`` is set.  Without ``policy.sc``
-    each grant is ``policy.base[pid]``.  With it, each grant is the pid's entry in a
-    quantum table that starts at the round-1 grant and that each grant grows to the
-    next round's quantum, or the whole remaining burst when the entry would leave
-    two units or less.  A fixed quantum in submission order that gives some pid
-    two or more grants is laid out from each pid's grant count ⌈b/q⌉; every other
-    run goes grant by grant.  ``completion`` lists pids in the order they finish.
-    Raises ``ValueError`` for a policy built for other pids, a base below 1, or a
-    fixed-quantum run of more than ``MAX_SEGMENTS`` grants."""
+    each grant is the pid's ``policy.base``.  With it, each grant is the pid's entry
+    in a quantum table that starts at the round-1 grant and that each grant grows to
+    the next round's quantum, or the whole remaining burst when the entry would
+    leave two units or less.  A fixed quantum in submission order that gives some
+    pid two or more grants is laid out from each pid's grant count ⌈b/q⌉; every
+    other run goes grant by grant.  ``completion`` lists pids in the order they
+    finish.  Raises ``ValueError`` for a policy built for other pids or for the
+    same pids in another order, a column of another length, a base below 1, or
+    a fixed-quantum run of more than ``MAX_SEGMENTS`` grants."""
     base, sc = policy.base, policy.sc
-    pids = set(w.pids)
-    for table in (base,) if sc is None else (base, sc):
-        if table.keys() != pids:
-            pid = min(table.keys() ^ pids)
-            raise ValueError(f"policy {policy.name!r} is for another workload (P{pid})")
-    low = min(base, key=base.get)
-    if base[low] < 1:
-        raise ValueError(f"policy {policy.name!r} has quantum {base[low]} for P{low}")
+    n = len(w.pids)
+    if tuple(policy.pids) != w.pids or len(base) != n or sc is not None and len(sc) != n:
+        raise ValueError(f"policy {policy.name!r} is for another workload ({_stray(w, policy)})")
+    low = min(base)
+    if low < 1:
+        pid = policy.pids[base.index(low)]
+        raise ValueError(f"policy {policy.name!r} has quantum {low} for P{pid}")
     if sc is not None:
         return _round_loop(w, policy, growing_rounds(max(w.bursts)))
-    quanta = list(map(base.__getitem__, w.pids))
-    grants = [-(-b // q) for b, q in zip(w.bursts, quanta)]
+    grants = [-(-b // q) for b, q in zip(w.bursts, base)]
     size = sum(grants)
     if size > MAX_SEGMENTS:
         raise ValueError(
             f"policy {policy.name!r} needs {size} grants, over the limit of {MAX_SEGMENTS}")
-    if policy.srtn_order or size == len(grants):  # SRTN order, or one grant a pid
+    if policy.srtn_order or size == n:  # SRTN order, or one grant a pid
         return _round_loop(w, policy, max(grants))
-    return _fixed_quanta(w, quanta, grants)
+    return _fixed_quanta(w, base, grants)
 
 
-def _fixed_quanta(w: Workload, quanta: List[int], grants: List[int]) -> ScheduleTrace:
+def _stray(w: Workload, policy: SchedulingPolicy) -> str:
+    """What the binding error names: the least pid in only one of the pid sets
+    of ``w`` and ``policy``, else the first pid out of submission order, else the
+    first pid that a short column lacks, else a long column's length."""
+    stray = set(w.pids) ^ set(policy.pids)
+    if stray:
+        return f"P{min(stray)}"
+    columns = policy.pids, policy.base, w.pids if policy.sc is None else policy.sc
+    short = min(map(len, columns))
+    for rank, pid in enumerate(w.pids):
+        if rank == short or policy.pids[rank] != pid:
+            return f"P{pid}"
+    return f"{max(map(len, columns))} entries for {len(w.pids)} pids"
+
+
+def _fixed_quanta(w: Workload, quanta: Sequence[int], grants: List[int]) -> ScheduleTrace:
     """The run in submission order, of two or more rounds, laid out from each
     pid's k = ⌈b/q⌉ grants, the last of which, in round k, runs b − (k − 1)·q.
     Each stretch of m rounds up to a round in which some pid finishes, the last
@@ -151,7 +166,7 @@ def _fixed_quanta(w: Workload, quanta: List[int], grants: List[int]) -> Schedule
     pass.  The ends are one running sum of the runs."""
     pids, bursts = w.pids, w.bursts
     ranks = list(range(len(pids)))  # submission ranks, aligned with live and qlive
-    live, qlive = list(pids), quanta[:]
+    live, qlive = list(pids), list(quanta)
     pid, quantum, runs, widths = [], [], [], []  # widths: each round's grant count
     done, done_at = [], []  # the pids in the order they finish, and where
     r0 = 1
@@ -204,45 +219,48 @@ def _round_loop(w: Workload, policy: SchedulingPolicy, rounds: int) -> ScheduleT
     one grant a pid), grant by grant in at most ``rounds`` rounds: a process live
     after them is a fault, and raises ``RuntimeError``.  A fixed grant finishes its
     process when it covers the remaining burst and records q; a growing one when
-    it would leave two units or less, and records the remaining burst."""
-    base, sc = policy.base, policy.sc
+    it would leave two units or less, and records the remaining burst.  Each
+    process is its submission rank, which indexes every column."""
+    pids, base, sc = w.pids, policy.base, policy.sc
     grows = sc is not None
     slack = 2 if grows else 0
-    rbt = dict(zip(w.pids, w.bursts))
-    quantum = base if sc is None else {  # base is only read
-        pid: its if sc[pid] else (its + 1) // 2 for pid, its in base.items()}
+    rbt = list(w.bursts)  # a rank's remaining burst, 0 once it finishes
+    quantum = base if sc is None else [  # base is only read
+        its if s else (its + 1) // 2 for its, s in zip(base, sc)]
     segments = Segments()
     add_end, add_quantum = segments.end.append, segments.quantum.append
     completion = {}
     clock = 0
-    live = list(w.pids)
+    live = list(range(len(pids)))
     for round_no in range(1, rounds + 1):
         if policy.srtn_order:
-            live.sort()  # so that the stable sort by rbt leaves ties in pid order
+            live.sort(key=pids.__getitem__)  # so that ties in rbt stay in pid order
             live.sort(key=rbt.__getitem__)
-        segments.pid += live  # one grant per live process per round
+        segments.pid += map(pids.__getitem__, live)  # one grant per live process per round
         segments.round += [round_no] * len(live)
         finished = len(completion)
-        for pid in live:
-            left = rbt[pid]
-            tq = quantum[pid]
+        for i in live:
+            left = rbt[i]
+            tq = quantum[i]
             if left - tq <= slack:  # the process finishes
                 clock += left
-                completion[pid] = clock
+                completion[pids[i]] = clock
+                rbt[i] = 0
                 if grows:
                     tq = left
             else:  # the grant fits: the process runs its whole quantum
                 clock += tq
-                rbt[pid] = left - tq
+                rbt[i] = left - tq
                 if grows:
-                    quantum[pid] = 2 * tq if sc[pid] else tq + (tq + 1) // 2
+                    quantum[i] = 2 * tq if sc[i] else tq + (tq + 1) // 2
             add_end(clock)
             add_quantum(tq)
         if len(completion) != finished:  # the ready list changes only when one finishes
-            live = [pid for pid in live if pid not in completion]
+            live = [i for i in live if rbt[i]]
             if not live:
                 break
     else:
-        raise RuntimeError(f"policy {policy.name!r}: P{live[0]} is live after round {round_no}")
+        raise RuntimeError(
+            f"policy {policy.name!r}: P{pids[live[0]]} is live after round {round_no}")
     segments.start += [0] + segments.end[:-1]  # grants run back to back
     return ScheduleTrace(segments, completion)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from bisect import bisect_left
 from fractions import Fraction
@@ -488,7 +489,9 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None, span: Span = _call) 
     ``call()``'s value and may run it more than once: ``workload.parse`` (with
     the file read), ``schedulers.build``, ``timeslice.components`` (in the first
     build per OTS source, and in ``components``), ``engine.simulate``,
-    ``metrics.compute`` and ``report.gantt/table/export``."""
+    ``metrics.compute`` and ``report.gantt/table/export``.  A reader that stops
+    early, as ``rrsim ... | head`` does, gives status 1 and no message."""
+    out = sys.stdout if out is None else out
     try:
         args = build_parser().parse_args(argv)
         # before Python 3.13, argparse stores "--opt=--" as [] without calling its type
@@ -506,6 +509,13 @@ def run_cli(argv: Optional[Sequence[str]] = None, out=None, span: Span = _call) 
         if args.csv is not None:
             span("report.export", lambda: _write_csv(args.csv, csv))
         print(*lines, sep="\n", file=out)
+        out.flush()  # so that a failed write is reported here, not lost at exit
+    except BrokenPipeError:
+        # Python flushes stdout again at exit, so it is pointed at devnull
+        # first, as the "Note on SIGPIPE" of the signal module's docs shows
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,16 +1,17 @@
 """Concrete scheduling policies.
 
 A policy is plain data: an order flag (re-sort by remaining burst at each
-round boundary, or keep submission order), a base-quantum table and an
-optional SC table.  Without SC every grant is the base: the ITS (its-rr), q
-(rr:q) or the burst (srtn, fcfs).  With SC, ``simulate`` grows each pid's
-quantum from its base ITS, round by round: the Range OTS gives the ITS of
-``proposed``, a static OTS that of ``pbdrr`` and ``its-rr``.
+round boundary, or keep submission order), the workload's pids in submission
+order, and columns aligned with them: the base quanta and optional SC bits.
+Without SC every grant is the base: the ITS (its-rr), q (rr:q) or the burst
+(srtn, fcfs).  With SC, ``simulate`` grows each pid's quantum from its base
+ITS, round by round: the Range OTS gives the ITS of ``proposed``, a static OTS
+that of ``pbdrr`` and ``its-rr``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional, Tuple
 
 from .timeslice import SliceComponents, compute_components
 from .workload import Workload, WorkloadError, cut, integer, quoted
@@ -23,10 +24,12 @@ class SchedulingPolicy:
     name: str
     # dispatch by ascending remaining burst each round, else in submission order
     srtn_order: bool
-    # pid -> fixed quantum, or the ITS the dynamic quantum grows from
-    base: Dict[int, int]
-    # pid -> shortness component for the dynamic quantum; None: quanta are fixed
-    sc: Optional[Dict[int, int]] = None
+    # the pids of the workload the policy is for, in submission order
+    pids: Tuple[int, ...]
+    # aligned with pids: fixed quantum, or the ITS the dynamic quantum grows from
+    base: Tuple[int, ...]
+    # aligned with pids: shortness component of the dynamic quantum; None: fixed quanta
+    sc: Optional[Tuple[int, ...]] = None
 
 
 # slice policy -> (dispatch in SRTN order, quantum grows from the ITS, OTS is static)
@@ -57,14 +60,13 @@ def policy_from_name(
             raise ValueError(f"bad quantum in policy name {quoted(name)}") from None
         if quantum < 1:
             raise ValueError(f"quantum must be >= 1, got {cut(quantum)}")
-        return SchedulingPolicy(f"rr:{quantum}", False, dict.fromkeys(w.pids, quantum))
+        return SchedulingPolicy(f"rr:{quantum}", False, w.pids, (quantum,) * len(w.pids))
     if name in ("srtn", "fcfs"):
-        return SchedulingPolicy(name, name == "srtn", dict(zip(w.pids, w.bursts)))
+        return SchedulingPolicy(name, name == "srtn", w.pids, w.bursts)
     if name not in _SLICE_POLICIES:
         raise ValueError(
             f"unknown policy {quoted(name)}; expected one of {', '.join(POLICY_NAMES)}"
         )
     srtn_order, grows, static = _SLICE_POLICIES[name]
     c = components(w, static_ots=static_ots if static else None)
-    sc = dict(zip(w.pids, c.sc)) if grows else None
-    return SchedulingPolicy(name, srtn_order, dict(zip(w.pids, c.its)), sc)
+    return SchedulingPolicy(name, srtn_order, w.pids, tuple(c.its), tuple(c.sc) if grows else None)

@@ -25,19 +25,21 @@ class WorkloadError(ValueError):
 
 def check_process(pid: int, burst: int, priority: int) -> None:
     """The rules of one process: id, CPU burst in time units and user priority
-    (1 = most urgent) are each at least 1, and of at most ``MAX_DIGITS`` digits."""
+    (1 = most urgent) are each at least 1, and of at most ``MAX_DIGITS`` digits.
+    The digit bound is checked first, either sign: a number past it is not
+    printed, as it may have more digits than ``str()`` takes."""
+    if abs(pid) >= _BOUND:
+        raise WorkloadError(f"process id has more than {MAX_DIGITS} digits")
     if pid < 1:
         raise WorkloadError(f"process id must be a positive integer, got {cut(pid)}")
-    if pid >= _BOUND:  # not printed: it may have more digits than str() takes
-        raise WorkloadError(f"process id has more than {MAX_DIGITS} digits")
+    if abs(burst) >= _BOUND:
+        raise WorkloadError(f"burst has more than {MAX_DIGITS} digits (P{cut(pid)})")
     if burst < 1:
         raise WorkloadError(f"non-positive burst {cut(burst)} (P{cut(pid)})")
-    if burst >= _BOUND:
-        raise WorkloadError(f"burst has more than {MAX_DIGITS} digits (P{cut(pid)})")
+    if abs(priority) >= _BOUND:
+        raise WorkloadError(f"priority has more than {MAX_DIGITS} digits (P{cut(pid)})")
     if priority < 1:
         raise WorkloadError(f"priority must be >= 1, got {cut(priority)} (P{cut(pid)})")
-    if priority >= _BOUND:
-        raise WorkloadError(f"priority has more than {MAX_DIGITS} digits (P{cut(pid)})")
 
 
 _COLUMNS = ("pids", "bursts", "priorities")

@@ -9,24 +9,26 @@ rrsim, so the two can disagree.
 from rrsim import DispatchSegment, ScheduleTrace
 
 
-def grant(policy, pid, round_no, prev_tq, rbt):
-    """The quantum of one grant.  Without an SC table it is the base quantum.
+def grant(policy, rank, round_no, prev_tq, rbt):
+    """The quantum of one grant to the process of submission rank ``rank``, which
+    indexes the policy's columns.  Without an SC table it is the base quantum.
     With one, round 1 grants the ITS (SC=1) or half of it rounded up (SC=0);
     each later round grants the previous quantum doubled (SC=1) or times 1.5
     rounded up (SC=0); and a grant that would leave two units or less
     becomes the whole remaining burst."""
-    base = policy.base[pid]
+    base = policy.base[rank]
     if policy.sc is None:
         return base
     if round_no == 1:
-        tq = base if policy.sc[pid] else -(-base // 2)
+        tq = base if policy.sc[rank] else -(-base // 2)
     else:
-        tq = 2 * prev_tq if policy.sc[pid] else -(-3 * prev_tq // 2)
+        tq = 2 * prev_tq if policy.sc[rank] else -(-3 * prev_tq // 2)
     return rbt if rbt - tq <= 2 else tq
 
 
 def step_simulate(w, policy):
     rbt = dict(zip(w.pids, w.bursts))  # in submission order
+    rank = {pid: i for i, pid in enumerate(w.pids)}
     prev_tq = {}
     segments = []
     clock = 0
@@ -41,7 +43,7 @@ def step_simulate(w, policy):
                 if policy.srtn_order:
                     live = sorted(live, key=lambda pid: (rbt[pid], pid))
                 pending = [
-                    (pid, grant(policy, pid, round_no, prev_tq.get(pid), rbt[pid]))
+                    (pid, grant(policy, rank[pid], round_no, prev_tq.get(pid), rbt[pid]))
                     for pid in live
                 ]
                 for pid, tq in pending:

@@ -41,7 +41,7 @@ class TestDynamicQuantum:
         pytest.param(1, 0, 1, [1], id="minimal_process"),
     ])
     def test_segment_quanta(self, its, sc, burst, quanta):
-        policy = SchedulingPolicy("x", False, {1: its}, {1: sc})
+        policy = SchedulingPolicy("x", False, (1,), (its,), (sc,))
         trace = simulate(workload([burst]), policy)
         assert [s.quantum for s in trace.segments] == quanta
 
@@ -152,15 +152,37 @@ class TestPolicyBinding:
         with pytest.raises(ValueError, match=r"for another workload \(P3\)"):
             simulate(workload([3, 4]), policy_from_name(name, workload([3, 4, 5])))
 
+    @pytest.mark.parametrize("name", ALL_POLICIES, ids=ALL_POLICY_IDS)
+    def test_policy_of_the_same_pids_in_another_order(self, name):
+        # the columns follow the policy's pid order, so a policy built for a
+        # reordering would give each pid another pid's quantum: it is refused,
+        # naming the first pid out of place
+        w = Workload((4, 7, 2), (9, 3, 6), (1, 2, 1))
+        reordered = Workload((4, 2, 7), (6, 9, 3), (2, 1, 1))
+        with pytest.raises(ValueError, match=r"'[^']+' is for another workload \(P7\)$"):
+            simulate(w, policy_from_name(name, reordered))
+
     def test_sc_table_of_another_workload(self):
-        policy = SchedulingPolicy("odd", False, {1: 4, 2: 4}, {1: 0})
+        # a short column names the first pid it lacks
+        policy = SchedulingPolicy("odd", False, (1, 2), (4, 4), (0,))
         with pytest.raises(ValueError, match=r"for another workload \(P2\)"):
             simulate(workload([5, 5]), policy)
+
+    @pytest.mark.parametrize("base, sc, text", [
+        ((4,), None, "(P2)"),
+        ((4, 4, 4), None, "(3 entries for 2 pids)"),
+        ((4, 4), (0, 0, 1), "(3 entries for 2 pids)"),
+    ], ids=["short_base", "long_base", "long_sc"])
+    def test_column_of_another_length(self, base, sc, text):
+        policy = SchedulingPolicy("odd", False, (1, 2), base, sc)
+        with pytest.raises(ValueError) as exc:
+            simulate(workload([5, 5]), policy)
+        assert str(exc.value) == f"policy 'odd' is for another workload {text}"
 
     def test_base_below_one(self):
         # a zero quantum would never finish a process; it is refused before
         # the first grant
-        policy = SchedulingPolicy("zero", False, {1: 3, 2: 0})
+        policy = SchedulingPolicy("zero", False, (1, 2), (3, 0))
         with pytest.raises(ValueError, match="quantum 0 for P2"):
             simulate(workload([4, 4]), policy)
 
@@ -172,19 +194,19 @@ def fixed_quanta(draw, srtn_order):
     w = draw(scattered_workloads(max_n=8, max_burst=20))
     quanta = st.integers(1, max(w.bursts) + 2)
     base = draw(st.lists(quanta, min_size=len(w.pids), max_size=len(w.pids)))
-    return w, SchedulingPolicy("fixed", srtn_order, dict(zip(w.pids, base)))
+    return w, SchedulingPolicy("fixed", srtn_order, w.pids, tuple(base))
 
 
 def _fixed(pids, bursts, quanta, srtn_order):
-    return Workload(pids, bursts, [1] * len(pids)), SchedulingPolicy(
-        "fixed", srtn_order, dict(zip(pids, quanta)))
+    w = Workload(pids, bursts, [1] * len(pids))
+    return w, SchedulingPolicy("fixed", srtn_order, w.pids, tuple(quanta))
 
 
 def assert_fixed_quanta_trace(w, policy):
     """The run matches the step oracle, with ⌈b/q⌉ grants a pid."""
     trace = simulate(w, policy)
     assert trace == step_simulate(w, policy)
-    grants = [-(-b // policy.base[pid]) for pid, b in zip(w.pids, w.bursts)]
+    grants = [-(-b // q) for b, q in zip(w.bursts, policy.base)]
     assert len(trace.segments.pid) == sum(grants)
     assert trace.segments.round[-1] == max(grants)
     assert list(trace.completion.values()) == sorted(trace.completion.values())
@@ -221,6 +243,8 @@ class TestSrtnOrder:
                              ids=["proposed_policy", "srtn_policy"])
     @settings(max_examples=40, deadline=None)
     @given(w=scattered_workloads(max_burst=4))  # bursts of 1..4 tie often
+    # descending pids that tie on remaining burst in every round
+    @example(w=Workload((5, 4, 3, 2, 1), (6, 6, 6, 6, 6), (1, 1, 1, 1, 1)))
     def test_matches_step_oracle(self, name, w):
         policy = policy_from_name(name, w)
         assert simulate(w, policy) == step_simulate(w, policy)
@@ -228,6 +252,8 @@ class TestSrtnOrder:
     @settings(max_examples=40, deadline=None)
     @given(case=fixed_quanta(srtn_order=True))
     @example(case=_fixed((5, 8, 2), (2, 5, 12), (1, 1, 6), True))
+    # descending pids that tie on remaining burst in every round
+    @example(case=_fixed((5, 4, 3, 2, 1), (6, 6, 6, 6, 6), (2, 2, 2, 2, 2), True))
     # every pid finishes in round 1
     @example(case=_fixed((4, 60, 2), (3, 9, 3), (3, 20, 5), True))
     def test_fixed_quanta_match_step_oracle(self, case):
@@ -336,7 +362,7 @@ class TestGrowingRounds:
            its=st.integers(1, 5), sc=st.sampled_from([0, 1]))
     def test_bounds_the_grants(self, burst, its, sc):
         assert growing_rounds(burst) == _least_power(burst) + 2
-        trace = simulate(workload([burst]), SchedulingPolicy("x", False, {1: its}, {1: sc}))
+        trace = simulate(workload([burst]), SchedulingPolicy("x", False, (1,), (its,), (sc,)))
         assert len(trace.segments.pid) <= growing_rounds(burst)
 
     def test_a_process_live_past_the_bound_raises(self, monkeypatch):
@@ -416,7 +442,7 @@ class TestSimulateInvariants:
             )
             from rrsim import compute_components
 
-            sc = dict(zip(w.pids, compute_components(w).sc))
+            sc = compute_components(w).sc  # pids 1..n, so P<pid> has rank pid - 1
             trace = simulate(w, policy_from_name("proposed", w))
             per_pid = {}
             for seg in trace.segments:
@@ -425,7 +451,7 @@ class TestSimulateInvariants:
                 for prev, cur in zip(segs, segs[1:]):
                     expected = (
                         2 * prev.quantum
-                        if sc[pid]
+                        if sc[pid - 1]
                         else prev.quantum + (prev.quantum + 1) // 2
                     )
                     if cur is segs[-1]:

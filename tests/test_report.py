@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -1399,6 +1400,24 @@ class TestEmptyPath:
     def test_one_error_line(self, command, option, capsys):
         assert run_cli([command, *_VALID_ARGV[command], f"{option}="], out=io.StringIO()) == 1
         assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+
+
+class TestClosedPipe:
+    """A reader that stops early, as ``rrsim ... | head -c 100`` does, is not a
+    fault of the run: the CLI exits with status 1 and writes nothing to stderr."""
+
+    def test_no_message(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text(serialize_workload(generate_workload(1000, "random", (1, 100), (1, 5), 0)))
+        env = {**os.environ, "PYTHONPATH": str(Path(engine.__file__).parents[1])}
+        # rr:1 prints ~50 000 segments, far more than a pipe's buffer holds
+        argv = ["simulate", "--workload", str(path), "--policy", "rr:1"]
+        proc = subprocess.Popen([sys.executable, "-m", "rrsim.report", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 1)
+        proc.stderr.close()
 
 
 # Text for the path slots: any characters, with line breaks, NUL, "/", "."

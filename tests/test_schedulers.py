@@ -219,7 +219,7 @@ class TestOrderingContracts:
             bursts = sorted(rng.randint(1, 60) for _ in range(n))
             w = workload(bursts, [rng.randint(1, 5) for _ in range(n)])
             proposed = policy_from_name("proposed", w)
-            twin = SchedulingPolicy("twin", False, proposed.base, proposed.sc)
+            twin = SchedulingPolicy("twin", False, w.pids, proposed.base, proposed.sc)
             trace = simulate(w, proposed)
             order_by_round = {}
             for seg in trace.segments:
@@ -234,24 +234,23 @@ class TestPolicyTable:
     @settings(max_examples=60, deadline=None)
     @given(w=workloads(), static_ots=st.sampled_from([1, 4, 9]), q=st.integers(1, 70))
     def test_each_name_builds_its_row(self, w, static_ots, q):
-        # the README's policy table: (SRTN order, base, SC) per name
+        # the README's policy table: (SRTN order, base, SC) per name, each
+        # column a tuple aligned with the workload's pids
         ranged = compute_components(w)
         static = compute_components(w, static_ots=static_ots)
-
-        def by_pid(column):
-            return dict(zip(w.pids, column))
-
         table = {
-            "proposed": (True, by_pid(ranged.its), by_pid(ranged.sc)),
-            "pbdrr": (False, by_pid(static.its), by_pid(static.sc)),
-            "its-rr": (False, by_pid(static.its), None),
-            f"rr:{q}": (False, dict.fromkeys(w.pids, q), None),
-            "srtn": (True, by_pid(w.bursts), None),
-            "fcfs": (False, by_pid(w.bursts), None),
+            "proposed": (True, ranged.its, ranged.sc),
+            "pbdrr": (False, static.its, static.sc),
+            "its-rr": (False, static.its, None),
+            f"rr:{q}": (False, [q] * len(w.pids), None),
+            "srtn": (True, w.bursts, None),
+            "fcfs": (False, w.bursts, None),
         }
-        for name, row in table.items():
+        for name, (srtn_order, base, sc) in table.items():
             policy = policy_from_name(name, w, static_ots)
-            assert (policy.name, policy.srtn_order, policy.base, policy.sc) == (name, *row)
+            assert (policy.name, policy.srtn_order, policy.pids) == (name, srtn_order, w.pids)
+            assert policy.base == tuple(base)
+            assert policy.sc == (None if sc is None else tuple(sc))
 
 
 class TestPolicyFromName:

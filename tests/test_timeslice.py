@@ -225,9 +225,9 @@ class TestOnePassComponents:
         assert all(type(x) is int for column in columns for x in column)
         names = ["proposed"] if static_ots is None else ["pbdrr", "its-rr"]
         for policy in (policy_from_name(name, w, static_ots) for name in names):
-            assert policy.base == dict(zip(w.pids, comps.its))
+            assert (policy.pids, policy.base) == (w.pids, tuple(comps.its))
             # its-rr grants the full ITS on every visit, so it reads no SC
-            sc = None if policy.name == "its-rr" else dict(zip(w.pids, comps.sc))
+            sc = None if policy.name == "its-rr" else tuple(comps.sc)
             assert policy.sc == sc
 
     def test_integer_ots_matches_fraction_rounding(self):

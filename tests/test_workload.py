@@ -304,6 +304,25 @@ class TestDigitBound:
             Workload(*zip((2, 3, 1), row))
         assert Workload(*zip((2, 3, 1), (10**MAX_DIGITS - 1,) * 3)).pids[1] == 10**MAX_DIGITS - 1
 
+    # below zero too the bound is named, not the number: str() of -10**5000
+    # passes Python's default digit limit
+    @pytest.mark.parametrize("value", [-10**MAX_DIGITS, -10**5000], ids=["bound", "5000"])
+    @pytest.mark.parametrize("column, message", [
+        (0, f"process id has more than {MAX_DIGITS} digits"),
+        (1, f"burst has more than {MAX_DIGITS} digits (P1)"),
+        (2, f"priority has more than {MAX_DIGITS} digits (P1)"),
+    ], ids=["id", "burst", "priority"])
+    def test_bounded_below(self, value, column, message):
+        row = [1, 1, 1]
+        row[column] = value
+        for check in (check_process, lambda *r: Workload(*zip(r))):
+            with pytest.raises(WorkloadError) as exc:
+                check(*row)
+            assert str(exc.value) == message and len(message) <= 160
+        row[column] = 1 - 10**MAX_DIGITS  # MAX_DIGITS digits: shown, cut
+        with pytest.raises(WorkloadError, match=r"-9{39}…"):
+            check_process(*row)
+
 
 class TestGenerate:
     def test_increasing_is_nondecreasing(self):
