@@ -3,6 +3,7 @@
 
 Usage: random_benchmark.py [runs] [n] [order]
 """
+import os
 import pathlib
 import sys
 from fractions import Fraction
@@ -57,4 +58,11 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    try:
+        main(sys.argv)
+        sys.stdout.flush()  # so that a closed pipe is seen here, not at exit
+    except BrokenPipeError:
+        # as run_cli does: status 1, no message, and stdout pointed at devnull
+        # for the flush Python makes again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

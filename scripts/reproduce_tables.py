@@ -4,6 +4,7 @@ order) through the CLI: the slice-component table, then each comparator
 policy and the proposed dynamic policy (Gantt chart and metrics), with
 ``--paper-notes`` where the published tables differ, then the comparison rows.
 """
+import os
 import pathlib
 import sys
 
@@ -33,4 +34,11 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # so that a closed pipe is seen here, not at exit
+    except BrokenPipeError:
+        # as run_cli does: status 1, no message, and stdout pointed at devnull
+        # for the flush Python makes again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

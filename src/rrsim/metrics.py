@@ -9,15 +9,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .engine import ScheduleTrace
 from .workload import Workload
-
-
-class MetricsError(ValueError):
-    """Raised when a trace is not a valid schedule of the given workload."""
-
 
 METRIC_FIELDS = ("turnaround", "waiting", "response")  # MetricsSummary's columns
 
@@ -37,61 +32,18 @@ class MetricsSummary:
     context_switches: int
 
 
-def check_trace(trace: ScheduleTrace, w: Workload) -> None:
-    """Raise :class:`MetricsError` unless ``trace`` is a valid schedule of ``w``:
-    the segments run back to back from t=0, each for 1 to ``quantum`` units and
-    each the pid's k-th segment in round k, no round runs after a later one,
-    each process runs exactly its burst, and ``trace.completion`` holds the end
-    of each process's last segment.  :func:`compute_metrics` relies on the
-    round checks: they make round 1 the first n segments, one per pid, and
-    put a pid's back-to-back segments only across a round boundary."""
-    executed = dict.fromkeys(w.pids, 0)
-    visits = dict.fromkeys(w.pids, 0)
-    last_end: Dict[int, int] = {}
-    clock = last_round = 0
-    for pid, start, end, rnd, quantum in zip(*trace.segments.columns):
-        if pid not in executed:
-            raise MetricsError(f"trace references unknown process P{pid}")
-        if start != clock:
-            raise MetricsError(f"P{pid} segment starts at {start}, expected {clock}")
-        if not 0 < end - clock <= quantum:
-            raise MetricsError(f"P{pid} segment [{clock}, {end}) is not 1..{quantum} units")
-        if rnd != visits[pid] + 1:  # a pid's k-th segment runs in round k
-            raise MetricsError(f"segment round of P{pid} is {rnd}, expected {visits[pid] + 1}")
-        if rnd < last_round:
-            raise MetricsError(f"P{pid} segment of round {rnd} runs after round {last_round}")
-        visits[pid] = last_round = rnd
-        executed[pid] += end - clock
-        clock = last_end[pid] = end
-
-    pids, bursts = w.pids, w.bursts
-    if tuple(executed.values()) != bursts:  # executed holds w's pids, in order
-        pid, done, burst = next(row for row in zip(pids, executed.values(), bursts)
-                                if row[1] != row[2])
-        raise MetricsError(f"P{pid} executed {done} units but has burst {burst}")
-    if trace.completion != last_end:
-        pid = min(pid for pid in trace.completion.keys() | last_end.keys()
-                  if trace.completion.get(pid) != last_end.get(pid))
-        raise MetricsError(
-            f"completion of P{pid} is {trace.completion.get(pid)},"
-            f" but its last segment ends at {last_end.get(pid)}"
-        )
-
-
 def compute_metrics(trace: ScheduleTrace, w: Workload) -> MetricsSummary:
     """Turnaround / waiting / response per process, exact averages and the
-    context-switch count, read from the columns of a trusted trace: one that
-    ``simulate`` built or ``trace_from_dict`` returned.  It checks nothing; pass
-    any other trace to :func:`check_trace` first.  All arrivals are at t=0, so
-    TAT equals completion.
+    context-switch count, read from the columns of a trace that ``simulate``
+    built, as ``trace_from_dict`` returns; it checks nothing.  All arrivals are
+    at t=0, so TAT equals completion.
 
-    It reads two facts that :func:`check_trace` enforces, not every segment.
-    Round 1 is the first n segments, one per pid, since each pid runs and its
-    first segment is in round 1; so they hold each pid's response.  A pid has
-    one segment per round and rounds run 1..R without a gap, so a pid runs
-    twice in a row only across a round boundary; each boundary is found by
-    bisection on the round column.  The cost is O(n + R log S) for R rounds
-    and S segments."""
+    It reads two facts of such a trace, not every segment.  Each round grants
+    every live pid once, so round 1 is the first n segments, one per pid, and
+    holds each pid's response.  A pid has one segment per round and rounds run
+    1..R without a gap, so a pid runs twice in a row only across a round
+    boundary; each boundary is found by bisection on the round column.  The
+    cost is O(n + R log S) for R rounds and S segments."""
     pids, bursts = w.pids, w.bursts
     n = len(pids)
     segs = trace.segments

@@ -24,17 +24,17 @@ from typing import (
 
 from . import references
 from .engine import SEGMENT_FIELDS, ScheduleTrace, Segments, simulate
-from .metrics import (
-    METRIC_FIELDS, MetricsError, MetricsSummary, check_trace, compute_metrics, format_average,
-)
+from .metrics import METRIC_FIELDS, MetricsSummary, compute_metrics, format_average
 from .schedulers import DEFAULT_STATIC_OTS, POLICY_NAMES, policy_from_name
 from .timeslice import COMPONENT_FIELDS, SliceComponents, check_static_ots, compute_components
 from .workload import (
     CSV_HEADER,
+    MAX_DIGITS,
     ORDERS,
     Workload,
     WorkloadError,
     check_process,
+    cut,
     generate_workload,
     integer,
     parse_workload,
@@ -52,7 +52,7 @@ def render_gantt(trace: ScheduleTrace) -> str:
     its left time's length, then its right time's, so every time starts right
     under the ``|`` that opens its cell (the last under the closing ``|``).
     Like :func:`compute_metrics`, this checks nothing: ``trace`` must be one
-    that :func:`check_trace` accepts, whose segments run back to back from t=0,
+    that ``simulate`` built, whose segments run back to back from t=0,
     so a run ends where the pid changes and the run ends rise.  The runs whose
     right time has D digits are one band; inside it a cell and its time's
     padding depend only on the pid, except at the band's first run, whose left
@@ -196,6 +196,10 @@ def metrics_to_dict(name: str, summary: MetricsSummary) -> Dict[str, object]:
     return _decoded(_metrics_doc(name, summary))
 
 
+class MetricsError(ValueError):
+    """Raised for a JSON trace that is not the run its workload and policy give."""
+
+
 def _field(data: Dict[str, object], name: str, kind: type, expected: str):
     """``data[name]``, which must be a ``kind``."""
     value = data.get(name)
@@ -217,11 +221,13 @@ def _ints(row: object, names: Iterable[str], what: str) -> List[int]:
 
 
 def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
-    """Inverse of :func:`trace_to_dict`.  Raises ``MetricsError``, naming the
-    field or workload row, for a missing or mistyped field, an invalid
-    workload, a completion key that is not a pid of the workload, a pid's k-th
-    segment not in round k, and an invalid schedule (see
-    :func:`check_trace`)."""
+    """Inverse of :func:`trace_to_dict` and of ``simulate --json``: the run that
+    ``simulate`` gives for the trace's workload, ``policy`` and optional
+    ``static_ots`` (default ``DEFAULT_STATIC_OTS``).  Raises ``MetricsError``,
+    naming the field or workload row, for a missing or mistyped field, an
+    invalid workload, a completion key that is not a pid, a policy or static
+    OTS that ``simulate --policy`` refuses, and a trace other than that run, by
+    its first differing segment and field, else its segment count or completion."""
     if not isinstance(data, dict):
         raise MetricsError(f"trace is a {type(data).__name__}, expected an object")
     rows = _field(data, "workload", list, "a list")
@@ -246,9 +252,26 @@ def trace_from_dict(data: object) -> Tuple[Workload, str, ScheduleTrace]:
         if key not in pids:
             raise MetricsError(f"completion key {key!r} is not a process id of the workload")
     completion = dict(zip(map(pids.get, done), _ints(done, done, "completion")))
-    trace = ScheduleTrace(segments, completion)
-    check_trace(trace, w)
-    return w, policy, trace
+    static_ots = data.get("static_ots", DEFAULT_STATIC_OTS)
+    if type(static_ots) is not int or not 0 < static_ots < 10**MAX_DIGITS:
+        raise MetricsError(
+            f"trace field 'static_ots' is not a positive integer of at most {MAX_DIGITS} digits")
+    try:
+        run = simulate(w, policy_from_name(policy, w, static_ots))
+    except ValueError as exc:
+        raise MetricsError(f"trace field 'policy': {exc}") from None
+    gives = f"but policy {quoted(policy)} gives"
+    if segments != run.segments:
+        for i, (got, want) in enumerate(zip(zip(*segments.columns), zip(*run.segments.columns))):
+            if got != want:
+                name, a, b = next(f for f in zip(SEGMENT_FIELDS, got, want) if f[1] != f[2])
+                raise MetricsError(f"segment {i} field {name!r} is {cut(a)}, {gives} {cut(b)}")
+        raise MetricsError(f"trace has {len(segments)} segments, {gives} {len(run.segments)}")
+    if completion != run.completion:
+        pid = next(pid for pid in w.pids if completion.get(pid) != run.completion[pid])
+        raise MetricsError(f"completion of P{cut(pid)} is {cut(completion.get(pid))},"
+                           f" {gives} {cut(run.completion[pid])}")
+    return w, policy, run
 
 
 def _write_json(path: str, doc: object) -> None:
@@ -394,6 +417,8 @@ def _cmd_simulate(args, span: Span) -> tuple:
     if args.paper_notes:
         lines += _notes(references.quantum_notes(w, name, trace, args.static_ots))
     doc = {**_trace_doc(w, name, trace), "metrics": _metrics_doc(name, summary)}
+    if args.static_ots != DEFAULT_STATIC_OTS:  # trace_from_dict's default
+        doc["static_ots"] = args.static_ots
     return lines, doc, doc["segments"]
 
 

@@ -51,9 +51,10 @@ def scattered_workloads(draw, max_n=8, max_burst=30):
 
 @st.composite
 def valid_traces(draw, processes=scattered_workloads(max_n=6, max_burst=12), max_quantum=4):
-    """(workload, trace) pairs that :func:`check_trace` accepts, for a workload
-    drawn from ``processes``: each round grants every live pid once, in any
-    order, for 1..quantum units, each quantum drawn from 1..``max_quantum``."""
+    """(workload, trace) pairs that ``trace_reference.check_trace`` accepts,
+    for a workload drawn from ``processes``: each round grants every live pid
+    once, in any order, for 1..quantum units, each quantum drawn from
+    1..``max_quantum``.  No policy need give such a trace."""
     w = draw(processes)
     left = dict(zip(w.pids, w.bursts))
     rows, completion = [], {}

@@ -17,8 +17,8 @@ from rrsim import (
     simulate,
     workload,
 )
-from rrsim.metrics import check_trace
 from step_oracle import step_simulate
+from trace_reference import check_trace
 
 INCREASING = workload([5, 12, 16, 21, 23], [2, 3, 1, 4, 5])
 RANDOM = workload([11, 53, 8, 41, 20], [3, 1, 2, 4, 5])

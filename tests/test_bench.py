@@ -1,9 +1,11 @@
 """``scripts/bench.py``'s layer timing, the self times of the spans of one
-in-process ``run_cli`` run, and the argument checks of the experiment
-scripts."""
+in-process ``run_cli`` run, and the argument checks and closed-pipe exit of
+the experiment scripts."""
 import importlib
 import importlib.util
 import re
+import subprocess
+import sys
 from itertools import accumulate, count
 from pathlib import Path
 from types import SimpleNamespace
@@ -82,3 +84,16 @@ def test_bench_rejects_size_out_of_range(bench, capsys, size):
 def test_random_benchmark_rejects_bad_arguments(argv, error):
     with pytest.raises(SystemExit, match=re.escape(f"error: {error}")):
         script("random_benchmark").main(["random_benchmark.py", *argv])
+
+
+@pytest.mark.parametrize("argv", [["reproduce_tables"], ["random_benchmark", "30", "3", "random"]],
+                         ids=lambda argv: argv[0])
+def test_closed_pipe_ends_the_script_quietly(argv):
+    """A reader that stops early, as ``script | head -c 10`` does, gives status
+    1 and no message, as the CLI does.  The pipe is closed before the script
+    writes, and unbuffered, its first print meets it."""
+    path = ROOT / "scripts" / f"{argv[0]}.py"
+    with subprocess.Popen([sys.executable, "-u", str(path), *argv[1:]],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        assert (proc.stderr.read(), proc.wait(timeout=60)) == (b"", 1)

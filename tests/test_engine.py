@@ -17,9 +17,9 @@ from rrsim import (
 )
 from rrsim import engine
 from rrsim.engine import growing_rounds
-from rrsim.metrics import check_trace
 from rrsim.report import SEGMENT_FIELDS, render_gantt, trace_to_dict
 from step_oracle import step_simulate
+from trace_reference import check_trace
 
 ALL_POLICIES = ["proposed", "pbdrr", "its-rr", "rr:3", "srtn", "fcfs"]
 # fixed ids, so that each case keeps the name it has in earlier test reports

@@ -31,8 +31,8 @@ from rrsim import (
     workload,
 )
 from rrsim import engine, report
-from rrsim.metrics import MetricsError, check_trace
 from rrsim.report import (
+    MetricsError,
     build_parser,
     metrics_to_dict,
     render_components_table,
@@ -45,6 +45,7 @@ from rrsim.report import (
 from rrsim.timeslice import COMPONENT_FIELDS
 from rrsim.workload import CSV_HEADER, MAX_DIGITS, MAX_GENERATED, ORDERS, quoted
 from rrsim.schedulers import POLICY_NAMES
+from trace_reference import check_trace
 
 ROOT = Path(__file__).resolve().parent.parent
 RANDOM_CSV = str(ROOT / "data" / "random.csv")
@@ -181,11 +182,12 @@ class TestTraceJson:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            (lambda d: d["completion"].update({"2": 99}), "completion of P2 is 99"),
+            (lambda d: d["completion"].update({"2": 99}),
+             "completion of P2 is 99, but policy 'proposed' gives 96"),
             (lambda d: d["segments"][1].update(start=d["segments"][1]["start"] + 1),
-             "expected"),
+             "segment 1 field 'start' is 9, but policy 'proposed' gives 8"),
             (lambda d: d["segments"][0].update(quantum=d["segments"][0]["quantum"] - 1),
-             "units"),
+             "segment 0 field 'quantum' is 7, but policy 'proposed' gives 8"),
             (lambda d: d["segments"][0].update(end="3"), "segment field 'end' is '3'"),
             (lambda d: d["segments"][0].update(end=float(d["segments"][0]["end"])),
              "segment field 'end' is 8.0"),
@@ -207,9 +209,10 @@ class TestTraceJson:
             (lambda d: d["completion"].update(P1=d["completion"].pop("1")),
              "completion key 'P1' is not a process id"),
             (lambda d: d.update(policy=5), "trace field 'policy' is 5"),
-            (lambda d: d["segments"][0].update(round=7), "round of P3 is 7, expected 1"),
+            (lambda d: d["segments"][0].update(round=7),
+             "segment 0 field 'round' is 7, but policy 'proposed' gives 1"),
             (lambda d: next(s for s in d["segments"] if s["round"] == 2).update(round=1),
-             "is 1, expected 2"),
+             "segment 5 field 'round' is 1, but policy 'proposed' gives 2"),
             (lambda d: d["workload"][0].update(burst=0),
              r"workload row 0: non-positive burst 0 \(P1\)"),
             (lambda d: d["workload"][1].update(id=0),
@@ -241,7 +244,67 @@ class TestTraceJson:
                     for pid, start, rnd in [(1, 0, 1), (1, 1, 2), (2, 2, 1)]]
         data = {**trace_to_dict(w, "rr:1", simulate(w, policy_from_name("rr:1", w))),
                 "segments": segments, "completion": {"1": 2, "2": 3}}
-        with pytest.raises(MetricsError, match="P2 segment of round 1 runs after round 2"):
+        with pytest.raises(MetricsError,
+                           match="^segment 1 field 'pid' is 1, but policy 'rr:1' gives 2$"):
+            trace_from_dict(data)
+
+    def test_load_rejects_a_valid_schedule_that_is_not_the_run(self):
+        # a valid schedule of the workload, its first round in the other
+        # order, which rr:2 never gives: it runs P1 first
+        w = workload([3, 3])
+        rows = [(2, 0, 2, 1, 2), (1, 2, 4, 1, 2), (1, 4, 5, 2, 2), (2, 5, 6, 2, 2)]
+        trace = ScheduleTrace(Segments.from_rows(rows), {1: 5, 2: 6})
+        check_trace(trace, w)
+        data = trace_to_dict(w, "rr:2", trace)
+        with pytest.raises(MetricsError,
+                           match="^segment 0 field 'pid' is 2, but policy 'rr:2' gives 1$"):
+            trace_from_dict(data)
+
+    def test_load_rejects_other_segment_counts(self, random_w):
+        trace = simulate(random_w, policy_from_name("rr:9", random_w))
+        data = trace_to_dict(random_w, "rr:9", trace)
+        data["segments"].pop()  # every row left is the run's
+        with pytest.raises(MetricsError,
+                           match="^trace has 16 segments, but policy 'rr:9' gives 17$"):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("policy, bursts, message", [
+        ("any", [3], "unknown policy 'any'"),
+        ("rr:0", [3], "quantum must be >= 1, got 0"),
+        # refused before any grant is built
+        ("rr:1", [engine.MAX_SEGMENTS + 1],
+         f"policy 'rr:1' needs {engine.MAX_SEGMENTS + 1} grants,"
+         f" over the limit of {engine.MAX_SEGMENTS}"),
+    ])
+    def test_load_rejects_a_policy_simulate_refuses(self, policy, bursts, message):
+        w = workload(bursts)
+        data = {**trace_to_dict(w, "fcfs", simulate(w, policy_from_name("fcfs", w))),
+                "policy": policy}
+        with pytest.raises(MetricsError, match=f"^trace field 'policy': {re.escape(message)}"):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("name", ["pbdrr", "its-rr"])
+    def test_static_ots_round_trips_through_the_cli(self, name, random_csv, random_w, tmp_path):
+        path = tmp_path / "out.json"
+        argv = ["simulate", "--workload", random_csv, "--policy", name, "--json", str(path)]
+        assert run_cli(argv, out=io.StringIO()) == 0
+        assert "static_ots" not in json.loads(path.read_bytes())
+        assert run_cli([*argv, "--static-ots", "7"], out=io.StringIO()) == 0
+        data = json.loads(path.read_bytes())
+        assert data["static_ots"] == 7
+        trace = simulate(random_w, policy_from_name(name, random_w, 7))
+        assert trace != simulate(random_w, policy_from_name(name, random_w))
+        assert trace_from_dict(data) == (random_w, name, trace)
+        del data["static_ots"]  # read at the default OTS, it is not the run
+        with pytest.raises(MetricsError, match=f"but policy '{name}' gives"):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("value", [0, True, "7", 10**MAX_DIGITS],
+                             ids=["zero", "true", "string", "601-digits"])
+    def test_load_rejects_a_bad_static_ots(self, random_w, value):
+        trace = simulate(random_w, policy_from_name("pbdrr", random_w))
+        data = {**trace_to_dict(random_w, "pbdrr", trace), "static_ots": value}
+        with pytest.raises(MetricsError, match="^trace field 'static_ots' is not a positive"):
             trace_from_dict(data)
 
     def test_load_rejects_a_non_object(self):
